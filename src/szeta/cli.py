@@ -164,7 +164,7 @@ def cmd_extremal(args) -> int:
                                delta=args.delta)
         params = {"family": "odd", "m": args.m, "alpha": args.alpha,
                   "delta": args.delta}
-        ev = lambda s, x: float(pair.g_real(s, x))
+        ev = lambda s, x: float(pair.g_real(s, x)[0])
         ft = pair.ft_g
         l1 = pair.l1_gap_odd
         target = pair.f_odd

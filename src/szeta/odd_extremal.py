@@ -16,6 +16,30 @@ integers (majorant) or the half-integers (minorant), scaled back by
 g(z) = G(delta*z).  Their Fourier transforms are supported on
 [-delta, delta] and evaluated from an explicit shifted-frequency series;
 the L1 gaps have closed sigma-integral forms.
+
+Evaluating the interpolation series on the real axis
+----------------------------------------------------
+On the real axis the series over the 2N+1 lattice nodes nu,
+
+    g(w) = sin^2(pi w)/pi^2 * sum_nu [F(nu)/(w-nu)^2 + F'(nu)/(w-nu)],
+
+is split at the node nu_i nearest to w = nu_i + r, |r| <= 1/2.  The K =
+_NEAR_NODES nodes on each side of nu_i are summed directly, and nu_i
+itself through a guarded sinc.  Every farther node nu_{i+j}, |j| > K,
+contributes a power series in r/j, so the far field is a polynomial
+sum_p c_p[i] r^p with P = _FAR_TERMS coefficients
+
+    c_p[i] = sum_{|j| > K} (p+1) F_{i+j}/j^{p+2} - F'_{i+j}/j^{p+1}.
+
+These are P lattice correlations, computed for every i at once with
+numpy.fft in O(P N log N).  Each point then costs O(K + P).
+
+Caches live in the pair's ``_cache``: the sigma grid; one node set per
+sign, grown outward when a larger budget N is needed; and the far-field
+coefficients of the most recent N per sign.  Every call reads exactly the
+slice |nu| <= N of its own budget N, which depends on the evaluation
+window alone, so results do not depend on earlier calls.  A budget whose
+node data would exceed _NODE_MEMORY bytes raises ResourceError.
 """
 
 from __future__ import annotations
@@ -23,32 +47,30 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.special
 
-from .numkit import AccuracyError, DomainError, quad_adaptive, sum_tail_bounded
+from .numkit import DomainError, ResourceError, sum_tail_bounded
 
 Sign = str
+
+# g_real: nodes summed directly on each side of the nearest one, and the
+# number of far-field polynomial coefficients; |r/j| <= 1/34 in the far
+# field, so the dropped powers are below 34^-11 ~ 7e-18 relative
+_NEAR_NODES = 16
+_FAR_TERMS = 11
+# one sign's node values, far-field coefficients and FFT work arrays take
+# about _BYTES_PER_NODE bytes per lattice node; budgets needing more than
+# _NODE_MEMORY bytes fail early instead of exhausting memory
+_BYTES_PER_NODE = 8 * (3 + _FAR_TERMS + 32)
+_NODE_MEMORY = 1 << 30
 
 
 def _check_sign(sign: Sign) -> None:
     if sign not in ("+", "-"):
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
-
-
-@dataclass(frozen=True)
-class GammaCoeffs:
-    """Factorial ratio coefficients gamma_j = (2m)!/(2m+1-j)!, j = 0..2m+1."""
-
-    m: int
-    gamma_j: tuple
-
-    @classmethod
-    def for_order(cls, m: int) -> "GammaCoeffs":
-        f2m = math.factorial(2 * m)
-        return cls(m=m, gamma_j=tuple(
-            f2m / math.factorial(2 * m + 1 - j) for j in range(2 * m + 2)))
 
 
 @dataclass(frozen=True)
@@ -83,8 +105,12 @@ class OddExtremalPair:
         if self.n_max < 10 * self.delta:
             raise DomainError(f"n_max must be >= 10*delta, got {self.n_max}")
 
-    def gamma_coeffs(self) -> GammaCoeffs:
-        return GammaCoeffs.for_order(self.m)
+    @cached_property
+    def _gamma_j(self) -> tuple:
+        """Factorial ratios (2m)!/(2m+1-j)!, j = 0..2m+1, of _B_exp."""
+        f2m = math.factorial(2 * self.m)
+        return tuple(f2m / math.factorial(2 * self.m + 1 - j)
+                     for j in range(2 * self.m + 2))
 
     # ------------------------------------------------------------------
     # sigma-integral quadrature grid (dyadic panels toward sigma = 1/2)
@@ -173,48 +199,67 @@ class OddExtremalPair:
     # ------------------------------------------------------------------
 
     def _nodes(self, sign: Sign, N: int):
-        """Node values F(nu)=f(nu/delta) and F'(nu)=-fe(nu/delta)/delta
-        for |nu| <= N (integers for '+', half-integers for '-'),
-        plus calibrated decay constants for the truncation tail bound."""
+        """Nodes nu with F(nu) = f(nu/delta) and F'(nu) = -fe(nu/delta)/delta
+        on the slice |k| <= N, nu = k ('+') or nu = k + 1/2 ('-').
+
+        One node set per sign is kept; a larger N computes only the new
+        outer nodes.  Node values do not depend on how they are batched,
+        so every slice equals a fresh build of its own N.
+        """
         key = ("nodes", sign)
-        if key in self._cache and self._cache[key][0] >= N:
-            return self._cache[key][1]
-        d = self.delta
-        if sign == "+":
-            nu = np.arange(-N, N + 1, dtype=np.float64)
-        else:
-            nu = np.arange(-N, N + 1, dtype=np.float64) + 0.5
-        F = self.f_odd_vec(nu / d)
-        Fp = -self.f_even_vec(nu / d) / d
-        if sign == "+":
-            Fp[N] = 0.0  # derivative weight dropped at the origin node
-        # decay envelopes |F| <= CF d^2/(d^2+nu^2), |F'| <= CFp d^3/(d^3+|nu|^3)
-        CF = float(np.max(np.abs(F) * (d * d + nu * nu) / (d * d)))
-        CFp = float(np.max(np.abs(Fp) * (d ** 3 + np.abs(nu) ** 3) / d ** 3))
-        data = (nu, F, Fp, CF, CFp)
-        self._cache[key] = (N, data)
-        return data
+        built = self._cache.get(key)
+        if built is None or N > built[0]:
+            if built is None:
+                k = np.arange(-N, N + 1)
+            else:  # only the nodes outside the built slice
+                Nb = built[0]
+                k = np.concatenate([np.arange(-N, -Nb),
+                                    np.arange(Nb + 1, N + 1)])
+            nu = k + (0.0 if sign == "+" else 0.5)
+            F = self.f_odd_vec(nu / self.delta)
+            Fp = -self.f_even_vec(nu / self.delta) / self.delta
+            if built is not None:
+                cut = N - built[0]  # new nodes left of the built slice
+                nu, F, Fp = (np.concatenate([new[:cut], old, new[cut:]])
+                             for new, old in zip((nu, F, Fp), built[1:]))
+            elif sign == "+":
+                Fp[N] = 0.0  # derivative weight dropped at the origin node
+            built = (N, nu, F, Fp)
+            self._cache[key] = built
+        lo = built[0] - N
+        return tuple(a[lo:lo + 2 * N + 1] for a in built[1:])
 
     def _budget(self, sign: Sign, R: float) -> int:
         """Node budget meeting series_tol for |Re w| <= R (w = delta*z).
 
         The dense floor ~20 nodes per unit x serves small arguments; for
         large R it is capped at 2R + 2000 (nodes must only outrun the
-        evaluation window, the tail test below does the rest).
+        evaluation window, the tail test below does the rest).  The tail
+        test reads only the slice |nu| <= N, so the budget depends on R
+        alone.  Raises ResourceError when the node data of a budget would
+        exceed _NODE_MEMORY bytes.
         """
         dense = min(int(math.ceil(50 + 20 * R / self.delta)),
                     int(math.ceil(2 * R)) + 2000)
         N = max(self.n_max, dense, int(math.ceil(2 * R + 20)))
         d = self.delta
-        while N < 30000:
-            _, _, _, CF, CFp = self._nodes(sign, min(N, 30000))
+        while True:
+            if (2 * N + 1) * _BYTES_PER_NODE > _NODE_MEMORY:
+                raise ResourceError(
+                    f"interpolation series for |delta*x| <= {R:.6g} needs "
+                    f"{2 * N + 1} nodes, over the node memory limit of "
+                    f"{_NODE_MEMORY >> 20} MiB")
+            nu, F, Fp = self._nodes(sign, N)
+            # decay envelopes |F| <= CF d^2/(d^2+nu^2) and
+            # |F'| <= CFp d^3/(d^3+|nu|^3) on the slice
+            CF = float(np.max(np.abs(F) * (d * d + nu * nu) / (d * d)))
+            CFp = float(np.max(np.abs(Fp) * (d ** 3 + np.abs(nu) ** 3)
+                               / d ** 3))
             tail = (2 * CF * d * d / ((N - R) ** 2 * N)
                     + CFp * d ** 3 / N ** 3) / math.pi ** 2
             if tail <= self.series_tol:
                 return N
             N = int(N * 1.5) + 10
-        raise AccuracyError(
-            f"interpolation tail cannot reach tol {self.series_tol:.1e}", 0.0)
 
     def g_eval(self, sign: Sign, z: complex) -> complex:
         """Majorant ('+') or minorant ('-') value at complex z."""
@@ -222,7 +267,7 @@ class OddExtremalPair:
         z = complex(z)
         w = self.delta * z
         N = self._budget(sign, abs(w.real))
-        nu, F, Fp, _, _ = self._nodes(sign, N)
+        nu, F, Fp = self._nodes(sign, N)
         # sin^2(pi w) (resp. cos^2) computed from the argument reduced by
         # the nearest node, which is exact and avoids cancellation there
         near = round(w.real) if sign == "+" else math.floor(w.real) + 0.5
@@ -237,40 +282,79 @@ class OddExtremalPair:
                              + np.sum(Fp[mask] / dw[mask]))
         # nearest node handled with the guarded sinc kernel
         r0 = w - nu[inear]
-        sc2 = _sinc2(r0)
+        sc2 = complex(_sinc2(r0))
         total += F[inear] * sc2 + Fp[inear] * r0 * sc2
         return total
 
+    def _far_field(self, sign: Sign, N: int) -> np.ndarray:
+        """Far-field coefficients c_p[i], shape (_FAR_TERMS, 2N+1), of the
+        node slice |k| <= N (see the module docstring); cached for the
+        most recent N of each sign."""
+        key = ("far", sign)
+        hit = self._cache.get(key)
+        if hit is not None and hit[0] == N:
+            return hit[1]
+        _, F, Fp = self._nodes(sign, N)
+        n = len(F)
+        # correlations with 1/j^q, |j| > _NEAR_NODES, as circular
+        # convolutions with h(e) = 1/(-e)^q; offsets |e| < n do not alias
+        # for L >= 2n
+        L = _fft_len(2 * n)
+        Fh, Fph = np.fft.rfft(F, L), np.fft.rfft(Fp, L)
+        e = np.arange(L, dtype=np.float64)
+        e[(L + 1) // 2:] -= L  # signed offsets, exact integers
+        inv = np.zeros(L)
+        np.divide(-1.0, e, out=inv, where=np.abs(e) > _NEAR_NODES)
+        kern = inv.copy()
+        prev = np.fft.rfft(kern)  # q = p + 1
+        c = np.empty((_FAR_TERMS, n))
+        for p in range(_FAR_TERMS):
+            kern *= inv
+            cur = np.fft.rfft(kern)  # q = p + 2
+            c[p] = np.fft.irfft((p + 1) * Fh * cur - Fph * prev, L)[:n]
+            prev = cur
+        self._cache[key] = (N, c)
+        return c
+
     def g_real(self, sign: Sign, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on the real axis."""
+        """Majorant ('+') or minorant ('-') values at real points x.
+
+        Each w = delta*x is split at its nearest node: the 2*_NEAR_NODES+1
+        nearest nodes are summed directly (the nearest one through a
+        guarded sinc within 1e-4 of it), and the rest through the
+        far-field polynomial of the module docstring.  The node budget N
+        comes from max |w| and series_tol; a call costs O(N log N) for the
+        far-field coefficients of a new N plus O(_NEAR_NODES + _FAR_TERMS)
+        per point, in O(N + len(x)) memory.  Raises ResourceError when N
+        would exceed the node memory limit (|delta*x| beyond about 7e5).
+        """
         _check_sign(sign)
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         w = self.delta * x
         N = self._budget(sign, float(np.max(np.abs(w))) if len(w) else 0.0)
-        nu, F, Fp, _, _ = self._nodes(sign, N)
-        out = np.empty(len(w))
-        if sign == "+":
-            near = np.round(w)
-        else:
-            near = np.floor(w) + 0.5
+        nu, F, Fp = self._nodes(sign, N)
+        c = self._far_field(sign, N)
+        near = np.round(w) if sign == "+" else np.floor(w) + 0.5
         r = w - near
+        i = (near - nu[0]).astype(np.intp)  # slice index of the nearest node
+        acc = c[-1, i]
+        for p in range(_FAR_TERMS - 2, -1, -1):
+            acc = acc * r + c[p, i]
+        K = _NEAR_NODES
+        Fz, Fpz = np.pad(F, K), np.pad(Fp, K)
+        for j in range(-K, K + 1):
+            if j:
+                dw = r - j
+                acc += Fz[i + K + j] / dw ** 2 + Fpz[i + K + j] / dw
         S2 = (np.sin(math.pi * r) / math.pi) ** 2
-        block = max(1, int(4e6 / max(len(nu), 1)))
-        for i0 in range(0, len(w), block):
-            wb = w[i0:i0 + block]
-            dw = wb[:, None] - nu[None, :]
-            tiny = np.abs(dw) < 1e-4
-            dws = np.where(tiny, 1.0, dw)
-            terms = (F[None, :] / dws ** 2 + Fp[None, :] / dws) \
-                * S2[i0:i0 + block, None]
-            # guarded sinc at (at most one) near-coincident node per point
-            if np.any(tiny):
-                ii, jj = np.nonzero(tiny)
-                for a, b in zip(ii, jj):
-                    r0 = dw[a, b]
-                    sc2 = _sinc2(complex(r0)).real
-                    terms[a, b] = F[b] * sc2 + Fp[b] * r0 * sc2
-            out[i0:i0 + block] = np.sum(terms, axis=1)
+        F0, Fp0 = F[i], Fp[i]
+        tiny = np.abs(r) < 1e-4
+        rs = np.where(tiny, 1.0, r)
+        out = S2 * (acc + F0 / rs ** 2 + Fp0 / rs)
+        if np.any(tiny):
+            rt = r[tiny]
+            out[tiny] = (S2[tiny] * acc[tiny]
+                         + (F0[tiny] + Fp0[tiny] * rt) * _sinc2(rt))
         return out
 
     # ------------------------------------------------------------------
@@ -295,7 +379,7 @@ class OddExtremalPair:
     def _B_exp(self, u: float) -> float:
         c = 2.0 * math.pi * u
         L = 1.5 - self.alpha
-        g = self.gamma_coeffs().gamma_j
+        g = self._gamma_j
         s = sum(g[j] * L ** (2 * self.m + 1 - j) / c ** j
                 for j in range(2 * self.m + 2))
         return -math.exp(-c) * s
@@ -407,13 +491,23 @@ class OddExtremalPair:
         return self._cache[key]
 
 
-def _sinc2(r: complex) -> complex:
-    """(sin(pi r)/(pi r))^2 with Taylor fallback near r = 0."""
-    if abs(r) < 1e-6:
-        p2 = (math.pi * r) ** 2
-        return 1.0 - p2 / 3.0 + 2.0 * p2 * p2 / 45.0
-    s = cmath.sin(math.pi * r) / (math.pi * r)
-    return s * s
+def _sinc2(r):
+    """(sin(pi r)/(pi r))^2 with Taylor fallback near r = 0; elementwise
+    on arrays, real or complex."""
+    small = np.abs(r) < 1e-6
+    p2 = (math.pi * r) ** 2
+    pr = math.pi * np.where(small, 1.0, r)
+    s = np.sin(pr) / pr
+    return np.where(small, 1.0 - p2 / 3.0 + 2.0 * p2 * p2 / 45.0, s * s)
+
+
+def _fft_len(n: int) -> int:
+    """Smallest 2^a 3^b >= n, a fast transform length for numpy.fft."""
+    best, p3 = 1 << (n - 1).bit_length(), 1
+    while p3 < best:
+        best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+        p3 *= 3
+    return best
 
 
 def _lattice_sum(s: int, xi: float, d: float, alternating: bool) -> float:

@@ -65,7 +65,7 @@ def _result(name: str, t0: float, failures: list, **details) -> CheckResult:
     if failures:
         details["failures"] = failures
     return CheckResult(name=name, passed=not failures,
-                       runtime=time.time() - t0, details=details)
+                       runtime=time.perf_counter() - t0, details=details)
 
 
 def _default_zeros() -> zc.ZeroTable:
@@ -171,7 +171,7 @@ class WindowedLine:
 
 def check_poisson_suite() -> CheckResult:
     """Majorization, node interpolation, and closed forms vs. quadrature."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     betas = (0.05, 0.15, 0.3, 0.45)
     deltas = (1.0, 1.5, 3.0)
@@ -216,7 +216,7 @@ def check_poisson_suite() -> CheckResult:
 
 def check_odd_suite() -> CheckResult:
     """Odd-family majorization, interpolation, FT and L1 cross-checks."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     worst = {"maj": 0.0, "node": 0.0, "deriv": 0.0, "ft": 0.0,
              "ft_out": 0.0, "l1": 0.0}
@@ -282,7 +282,7 @@ def check_odd_suite() -> CheckResult:
 def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
         -> CheckResult:
     """Residual of the zeros-vs-primes identity within truncation tails."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if zeros is None:
         zeros = _default_zeros()
     failures = []
@@ -312,7 +312,7 @@ def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
 
 def check_theorem1_limits() -> CheckResult:
     """c_n at alpha just above 1/2 vs. the exact half-line constants."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     t = math.exp(math.exp(4.0))
     alpha = 0.5 + 1e-9
@@ -334,7 +334,7 @@ def check_theorem1_limits() -> CheckResult:
 
 def check_corollary_integral() -> CheckResult:
     """Quadrature of the sigma-integral vs. its closed form."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     diffs = {}
     for t in (1e6, 1e12):
@@ -372,7 +372,7 @@ _B_BANDS = {("B1", 0): 25.0, ("B1", 1): 4000.0,
 
 def check_appendix() -> CheckResult:
     """Integral/sieve displays against their main terms and bounds."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     summary = {}
 
@@ -432,7 +432,7 @@ def check_appendix() -> CheckResult:
 def check_representation(zeros: Optional[zc.ZeroTable] = None) \
         -> CheckResult:
     """Zero-sum representation vs. the direct route, within bands."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if zeros is None:
         zeros = _default_zeros()
     failures = []
@@ -457,7 +457,7 @@ def check_representation(zeros: Optional[zc.ZeroTable] = None) \
 
 def check_interpolation() -> CheckResult:
     """lambda range and exact plug-back of the optimized bracket."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     lam_range = [math.inf, -math.inf]
     for n in (0, 2, 4):
@@ -498,7 +498,7 @@ def check_interpolation() -> CheckResult:
 def check_count_cross_route(zeros: Optional[zc.ZeroTable] = None) \
         -> CheckResult:
     """Counting-function route vs. direct argument, plus the size cap."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if zeros is None:
         zeros = _default_zeros()
     failures = []

@@ -81,6 +81,13 @@ class TestExtremal:
         assert out["majorant"] == pytest.approx(
             float(p.m_real("+", 0.3)))
 
+    def test_odd_eval_brackets_target(self):
+        r = run_cli("extremal", "odd", "--m", "0", "--alpha", "0.6",
+                    "--delta", "1", "--eval", "0.37")
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        assert out["minorant"] <= out["target"] <= out["majorant"]
+
     def test_odd_ft_at_zero(self):
         r = run_cli("extremal", "odd", "--m", "0", "--alpha", "0.5",
                     "--delta", "1", "--ft", "0")

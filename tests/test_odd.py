@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from szeta.numkit import DomainError
-from szeta.odd_extremal import OddExtremalPair
+from szeta.numkit import DomainError, ResourceError
+from szeta.odd_extremal import OddExtremalPair, _sinc2
 
 SMALL_GRID = [(0, 0.5, 1.0), (0, 0.75, 1.5), (1, 0.6, 1.0),
               (2, 0.9, 2.0)]
@@ -107,3 +107,66 @@ def test_decay_envelope(m, alpha, delta):
         K = pair.decay_envelope_const(sign)
         g = pair.g_real(sign, x)
         assert np.all(np.abs(g) <= K / (1 + x * x) + 1e-12)
+
+
+def dense_g_real(pair, sign, x):
+    """Interpolation series summed directly over every node of the slice
+    g_real uses: a (points x nodes) matrix, with the guarded sinc at a
+    node within 1e-4.  Oracle for the near/far-field evaluator."""
+    w = pair.delta * np.atleast_1d(np.asarray(x, dtype=np.float64))
+    N = pair._budget(sign, float(np.max(np.abs(w))))
+    nu, F, Fp = pair._nodes(sign, N)
+    near = np.round(w) if sign == "+" else np.floor(w) + 0.5
+    S2 = (np.sin(math.pi * (w - near)) / math.pi) ** 2
+    dw = w[:, None] - nu[None, :]
+    tiny = np.abs(dw) < 1e-4
+    dws = np.where(tiny, 1.0, dw)
+    terms = (F / dws ** 2 + Fp / dws) * S2[:, None]
+    terms[tiny] = (F + Fp * dw)[tiny] * _sinc2(dw[tiny])
+    return terms.sum(axis=1)
+
+
+@given(m=st.sampled_from([0, 1, 2]),
+       alpha=st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+       delta=st.floats(min_value=1.0, max_value=3.0),
+       sign=st.sampled_from("+-"),
+       node=st.integers(min_value=-4000, max_value=4000),
+       offsets=st.lists(st.floats(min_value=-1e-4, max_value=1e-4),
+                        min_size=1, max_size=4),
+       spread=st.lists(st.floats(min_value=-4000.0, max_value=4000.0),
+                       min_size=1, max_size=8))
+# every example builds up to 2*10^4 nodes, so a failure is reported as
+# found rather than shrunk
+@settings(max_examples=12, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_g_real_matches_dense_sum(m, alpha, delta, sign, node, offsets,
+                                  spread):
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    nu = node + (0.5 if sign == "-" else 0.0)
+    w = np.concatenate([[nu, nu + 1.0, 0.0, 0.5], nu + np.asarray(offsets),
+                        spread, np.linspace(-3.0, 3.0, 25)])
+    x = w / delta
+    g = pair.g_real(sign, x)
+    assert np.max(np.abs(g - dense_g_real(pair, sign, x))) <= 1e-13
+
+
+@pytest.mark.parametrize("m,alpha,delta", SMALL_GRID)
+def test_g_real_independent_of_call_history(m, alpha, delta):
+    x = np.linspace(-30.0, 30.0, 601)
+    for sign in "+-":
+        fresh = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+        used = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+        used.g_real(sign, np.array([-2000.0, 2000.0]) / delta)
+        assert np.array_equal(fresh.g_real(sign, x), used.g_real(sign, x))
+
+
+def test_g_real_far_out_and_node_memory_limit():
+    pair = OddExtremalPair(m=0, alpha=0.75, delta=1.0)
+    x = np.concatenate([1e5 - np.linspace(0.0, 3.0, 13),
+                        -1e5 + np.linspace(0.0, 3.0, 13)])
+    f = pair.f_odd_vec(x)
+    gp, gm = pair.g_real("+", x), pair.g_real("-", x)
+    assert np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))
+    assert np.all(gm <= f + 1e-15) and np.all(f <= gp + 1e-15)
+    with pytest.raises(ResourceError):
+        pair.g_real("+", np.array([1e7]))
