@@ -17,8 +17,7 @@ import csv
 import sys
 
 from szeta import bounds as bd
-from szeta.selftest import _default_zeros
-from szeta.zeta_core import load_zeros
+from szeta.zeta_core import bundled_zeros, load_zeros
 
 
 def main() -> None:
@@ -29,7 +28,7 @@ def main() -> None:
     ap.add_argument("--zeros", help="zero-ordinate table path")
     args = ap.parse_args()
 
-    zeros = load_zeros(args.zeros) if args.zeros else _default_zeros()
+    zeros = load_zeros(args.zeros) if args.zeros else bundled_zeros()
     w = csv.writer(sys.stdout)
     w.writerow(["n", "alpha", "t", "lower_main", "upper_main",
                 "err_scale", "observed", "inside", "region_ok"])

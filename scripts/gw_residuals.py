@@ -19,8 +19,7 @@ from szeta import explicit_formula as ef
 from szeta.numkit import sieve_mangoldt
 from szeta.odd_extremal import OddExtremalPair
 from szeta.poisson_extremal import PoissonExtremalPair
-from szeta.selftest import _default_zeros
-from szeta.zeta_core import load_zeros
+from szeta.zeta_core import bundled_zeros, load_zeros
 
 
 def main() -> None:
@@ -35,7 +34,7 @@ def main() -> None:
     ap.add_argument("--zeros", help="zero-ordinate table path")
     args = ap.parse_args()
 
-    zeros = load_zeros(args.zeros) if args.zeros else _default_zeros()
+    zeros = load_zeros(args.zeros) if args.zeros else bundled_zeros()
     table = sieve_mangoldt(
         int(math.ceil(math.exp(2 * math.pi * args.delta))) + 1)
     kernels = (

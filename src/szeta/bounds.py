@@ -19,15 +19,8 @@ from typing import Optional
 
 import scipy.special
 
-from .numkit import DomainError, polylog_H
-from .zeta_core import SnValue, ZeroTable, s_n_direct
-
-Sign = str
-
-
-def _check_sign(sign: Sign) -> None:
-    if sign not in ("+", "-"):
-        raise DomainError(f"sign must be '+' or '-', got {sign!r}")
+from .numkit import DomainError, Sign, _check_sign, polylog_H
+from .zeta_core import ZeroTable, s_n_direct
 
 
 def _loglog(t: float) -> float:
@@ -316,11 +309,9 @@ class EnvelopeCheck:
 
 def check_envelope(n: int, alpha: float, t: float, c: float,
                    zeros: Optional[ZeroTable] = None,
-                   observed: Optional[SnValue] = None,
                    slack: float = 10.0) -> EnvelopeCheck:
-    """Compare a measured S_n value (computed directly when not supplied)
-    against the envelope band [lower_main - slack*err_lo,
-    upper_main + slack*err_hi].
+    """Compare S_n measured by the direct route against the envelope band
+    [lower_main - slack*err_lo, upper_main + slack*err_hi].
 
     Report-only by contract: a violated region does not raise, it only
     clears ``region_ok`` in the report (desk-scale t rarely reaches the
@@ -332,10 +323,7 @@ def check_envelope(n: int, alpha: float, t: float, c: float,
     except DomainError:
         region_ok = False
     env = _envelope_terms(n, alpha, t, c)
-    if observed is None:
-        observed = s_n_direct(n, alpha, t, zeros=zeros)
-    if (observed.n, observed.alpha, observed.t) != (n, alpha, t):
-        raise DomainError("observed SnValue parameters do not match")
+    observed = s_n_direct(n, alpha, t, zeros=zeros)
     lo = env.lower_main - slack * env.err_scale_lower
     hi = env.upper_main + slack * env.err_scale_upper
     return EnvelopeCheck(envelope=env, observed=observed.value,

@@ -8,8 +8,8 @@ verify    explicit-formula / representation / asymptotic / envelope runs
 selftest  the full acceptance suite
 
 Exit codes: 0 success (verify: within band), 1 verification outside its
-band or selftest failure, 2 usage error, 3 parameter-region violation,
-4 missing zeros file.
+band or selftest failure, 2 usage error, 3 parameter-region violation or
+t beyond the zero table, 4 missing or malformed zeros file.
 
 Output is deterministic: JSON fields appear in fixed insertion order
 and every float is rendered with 15 significant digits in scientific
@@ -23,12 +23,12 @@ import csv
 import io
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import bounds as bd
 from . import explicit_formula as ef
-from . import selftest as stst
 from . import zeta_core as zc
 from .numkit import DomainError
 from .odd_extremal import OddExtremalPair
@@ -46,14 +46,11 @@ class Config:
     """Resolved runtime configuration."""
 
     zeros_path: str | None = None
-    mangoldt_limit: int = 2
     tol: float = 1e-5
     slack: float = 10.0
     output: str = "json"
 
     def __post_init__(self):
-        if self.mangoldt_limit < 2:
-            raise DomainError("mangoldt_limit must be >= 2")
         if self.tol <= 0:
             raise DomainError("tol must be > 0")
 
@@ -124,7 +121,6 @@ def build_config(args) -> Config:
     zeros = getattr(args, "zeros", None) or filecfg.get("zeros_path")
     return Config(
         zeros_path=zeros,
-        mangoldt_limit=int(filecfg.get("mangoldt_limit", 2)),
         tol=float(getattr(args, "tol", None)
                   or filecfg.get("tol", 1e-5)),
         slack=float(getattr(args, "slack", None)
@@ -136,57 +132,48 @@ def build_config(args) -> Config:
 
 def _load_zeros(cfg: Config) -> zc.ZeroTable:
     if cfg.zeros_path is None:
-        return stst._default_zeros()
+        return zc.bundled_zeros()
     try:
         return zc.load_zeros(cfg.zeros_path)
     except OSError:
         print(f"error: zeros file not found: {cfg.zeros_path}",
               file=sys.stderr)
-        sys.exit(EXIT_ZEROS)
+    except zc.ZeroTableError as exc:
+        print(f"error: malformed zeros file: {exc}", file=sys.stderr)
+    sys.exit(EXIT_ZEROS)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _pair(family: str, args) -> ef.Kernel:
+    """The extremal pair of ``family`` with the parameters in ``args``."""
+    if family == "poisson":
+        return PoissonExtremalPair(beta=args.beta, delta=args.delta)
+    return OddExtremalPair(m=args.m, alpha=args.alpha, delta=args.delta)
+
+
 def cmd_extremal(args) -> int:
     cfg = build_config(args)
-    if args.family == "poisson":
-        pair = PoissonExtremalPair(beta=args.beta, delta=args.delta)
-        params = {"family": "poisson", "beta": args.beta,
-                  "delta": args.delta}
-        ev = lambda s, x: float(pair.m_real(s, x))
-        ft = pair.ft_m
-        l1 = pair.l1_gap
-        target = pair.h
-    else:
-        pair = OddExtremalPair(m=args.m, alpha=args.alpha,
-                               delta=args.delta)
-        params = {"family": "odd", "m": args.m, "alpha": args.alpha,
-                  "delta": args.delta}
-        ev = lambda s, x: float(pair.g_real(s, x)[0])
-        ft = pair.ft_g
-        l1 = pair.l1_gap_odd
-        target = pair.f_odd
-    out = dict(params)
+    pair = _pair(args.family, args)
+    out = pair.describe()
     if args.eval is not None:
+        x = np.array([args.eval])
         out["x"] = args.eval
-        out["target"] = float(target(args.eval))
-        out["majorant"] = ev("+", args.eval)
-        out["minorant"] = ev("-", args.eval)
-        out["formula"] = "interpolation_series" \
-            if args.family == "odd" else "closed_form"
+        out["target"] = float(pair.target(x)[0])
+        out["majorant"] = float(pair.real("+", x)[0])
+        out["minorant"] = float(pair.real("-", x)[0])
+        out["formula"] = pair.formula["real"]
     if args.ft is not None:
         out["xi"] = args.ft
-        out["ft_majorant"] = ft("+", args.ft)
-        out["ft_minorant"] = ft("-", args.ft)
-        out["formula"] = "frequency_series" \
-            if args.family == "odd" else "closed_form"
+        out["ft_majorant"] = pair.ft("+", args.ft)
+        out["ft_minorant"] = pair.ft("-", args.ft)
+        out["formula"] = pair.formula["ft"]
     if args.l1:
-        out["l1_majorant"] = l1("+")
-        out["l1_minorant"] = l1("-")
-        out["formula"] = "closed_sigma_integral" \
-            if args.family == "odd" else "closed_form"
+        out["l1_majorant"] = pair.l1_gap("+")
+        out["l1_minorant"] = pair.l1_gap("-")
+        out["formula"] = pair.formula["l1_gap"]
     _emit(out, cfg)
     return EXIT_OK
 
@@ -220,10 +207,8 @@ def cmd_bound(args) -> int:
             while a <= hi + 1e-12:
                 alphas.append(round(a, 12))
                 a += step
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                rows = list(pool.map(
-                    lambda a: _envelope_row(args.n, a, args.t, args.c),
-                    alphas))
+            rows = [_envelope_row(args.n, a, args.t, args.c)
+                    for a in alphas]
             buf = io.StringIO()
             w = csv.DictWriter(buf, fieldnames=_CSV_COLS,
                                lineterminator="\n")
@@ -244,12 +229,8 @@ def cmd_bound(args) -> int:
 
 def _verify_gw(args, cfg: Config) -> int:
     zeros = _load_zeros(cfg)
-    if args.kernel == "poisson":
-        kernel = PoissonExtremalPair(beta=args.beta, delta=args.delta)
-    else:
-        kernel = OddExtremalPair(m=args.m, alpha=args.alpha,
-                                 delta=args.delta)
-    rep = ef.gw_evaluate(kernel, args.sign, args.t, args.delta, zeros)
+    rep = ef.gw_evaluate(_pair(args.kernel, args), args.sign, args.t,
+                         args.delta, zeros)
     band = rep.zero_tail_bound + rep.prime_tail_bound + cfg.tol
     out = rep.to_dict()
     out["band"] = band
@@ -262,7 +243,7 @@ def _verify_rep(args, cfg: Config) -> int:
     zeros = _load_zeros(cfg)
     rep = ef.rep_sum(args.n, args.alpha, args.t, zeros)
     direct = zc.s_n_direct(args.n, args.alpha, args.t, zeros)
-    band = (0.05 + rep.est_error) if args.n == -1 else 5.0
+    band = ef.rep_band(rep)
     out = {"n": args.n, "alpha": args.alpha, "t": args.t,
            "zero_sum": rep.value, "direct": direct.value,
            "difference": rep.value - direct.value, "band": band,
@@ -278,9 +259,7 @@ def _verify_appendix(args, cfg: Config) -> int:
         if v is not None:
             params[key] = v
     chk = ef.appendix_asymptotic(args.id, params)
-    band = stst._A_BANDS.get((args.id, args.m or 0),
-                             stst._B_BANDS.get((args.id, args.m or 0),
-                                               cfg.slack))
+    band = ef.APPENDIX_BANDS.get((args.id, args.m or 0), cfg.slack)
     out = chk.to_dict()
     out["band"] = band
     out["within_band"] = chk.deviation_multiple <= band
@@ -309,9 +288,13 @@ def cmd_verify(args) -> int:
     except DomainError as exc:
         print(f"region violation: {exc}", file=sys.stderr)
         return EXIT_REGION
+    except zc.ZeroTableError as exc:
+        print(f"outside the zero table: {exc}", file=sys.stderr)
+        return EXIT_REGION
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest as stst
     cfg = build_config(args)
     zeros_path = cfg.zeros_path
     try:

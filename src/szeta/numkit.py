@@ -28,6 +28,14 @@ class DomainError(ValueError):
     """Input outside an operation's mathematical domain."""
 
 
+Sign = str  # "+" (majorant) or "-" (minorant)
+
+
+def _check_sign(sign: Sign) -> None:
+    if sign not in ("+", "-"):
+        raise DomainError(f"sign must be '+' or '-', got {sign!r}")
+
+
 class ResourceError(RuntimeError):
     """Requested table or computation exceeds the configured resource limit."""
 
@@ -198,12 +206,17 @@ def re_digamma_quarter(u: float) -> float:
 # von Mangoldt sieve
 # ---------------------------------------------------------------------------
 
-def sieve_mangoldt(X: int, memory_limit: int = 10 ** 8) -> MangoldtTable:
+# largest sieve limit: 17 bytes per entry, 1.7 GB at 10^8
+_SIEVE_LIMIT = 10 ** 8
+
+
+def sieve_mangoldt(X: int) -> MangoldtTable:
     """Exact Lambda(n) for n <= X by Eratosthenes + prime-power fill."""
     if X < 2:
         raise DomainError("sieve limit must be >= 2")
-    if X > memory_limit:
-        raise ResourceError(f"sieve limit {X} exceeds memory limit {memory_limit}")
+    if X > _SIEVE_LIMIT:
+        raise ResourceError(
+            f"sieve limit {X} exceeds memory limit {_SIEVE_LIMIT}")
     is_comp = np.zeros(X + 1, dtype=bool)
     is_comp[:2] = True
     for p in range(2, int(math.isqrt(X)) + 1):
@@ -258,27 +271,29 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float,
 # tail-bounded series summation
 # ---------------------------------------------------------------------------
 
+_MAX_TERMS = 200_000
+
+
 def sum_tail_bounded(term: Callable[[int], float],
                      tail_bound: Callable[[int], float],
-                     tol: float, k_start: int = 0,
-                     max_terms: int = 200_000) -> SeriesResult:
-    """Sum term(k) for k >= k_start until tail_bound(K) <= tol.
+                     tol: float) -> SeriesResult:
+    """Sum term(k) for k >= 0 until tail_bound(K) <= tol.
 
     ``tail_bound(K)`` must majorize |sum_{k>=K} term(k)|; that is the
-    caller's contract.  At least one term is always consumed.
+    caller's contract.  At least one term is always consumed; after
+    _MAX_TERMS terms the sum gives up with AccuracyError.
     """
     if tol <= 0:
         raise DomainError("tol must be > 0")
     total = 0.0
-    k = k_start
+    k = 0
     while True:
         total += term(k)
         k += 1
         tb = tail_bound(k)
         if tb <= tol:
-            return SeriesResult(value=total, tail_bound=tb,
-                                terms_used=k - k_start)
-        if k - k_start >= max_terms:
+            return SeriesResult(value=total, tail_bound=tb, terms_used=k)
+        if k >= _MAX_TERMS:
             raise AccuracyError(
                 f"series tail bound {tb:.3e} still above tol {tol:.3e} "
-                f"after {max_terms} terms", total)
+                f"after {_MAX_TERMS} terms", total)

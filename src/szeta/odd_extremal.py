@@ -52,10 +52,11 @@ from functools import cached_property
 import numpy as np
 import scipy.special
 
-from .numkit import DomainError, ResourceError, sum_tail_bounded
+from .numkit import (DomainError, ResourceError, Sign, _check_sign,
+                     sum_tail_bounded)
 
-Sign = str
-
+# absolute tolerance of the truncated interpolation and frequency series
+_SERIES_TOL = 1e-12
 # g_real: nodes summed directly on each side of the nearest one, and the
 # number of far-field polynomial coefficients; |r/j| <= 1/34 in the far
 # field, so the dropped powers are below 34^-11 ~ 7e-18 relative
@@ -66,29 +67,22 @@ _FAR_TERMS = 11
 # _NODE_MEMORY bytes fail early instead of exhausting memory
 _BYTES_PER_NODE = 8 * (3 + _FAR_TERMS + 32)
 _NODE_MEMORY = 1 << 30
-
-
-def _check_sign(sign: Sign) -> None:
-    if sign not in ("+", "-"):
-        raise DomainError(f"sign must be '+' or '-', got {sign!r}")
+# the target's sigma-sums run over blocks of about this many
+# (sigma-node x point) elements, to bound their temporaries
+_SIGMA_BLOCK = 250_000
 
 
 @dataclass(frozen=True)
 class OddExtremalPair:
-    """Parameters (m, alpha, delta) of the odd-family extremal pair.
-
-    ``series_tol`` is the absolute tolerance targeted by the truncated
-    interpolation series and frequency series; ``n_max`` is the minimum
-    node budget (it is extended automatically when a tighter budget is
-    required for the requested tolerance).
-    """
+    """Parameters (m, alpha, delta) of the odd-family extremal pair; an
+    explicit_formula.Kernel on top of g_real, g_eval, ft_g and f_odd_vec."""
 
     m: int
     alpha: float
     delta: float
-    series_tol: float = 1e-12
-    n_max: int = 0
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    formula = {"real": "interpolation_series", "ft": "frequency_series",
+               "l1_gap": "closed_sigma_integral"}
 
     def __post_init__(self):
         if self.m < 0 or self.m != int(self.m):
@@ -97,13 +91,6 @@ class OddExtremalPair:
             raise DomainError(f"alpha must lie in [1/2, 1), got {self.alpha}")
         if self.delta < 1.0:
             raise DomainError(f"delta must be >= 1, got {self.delta}")
-        if self.series_tol <= 0:
-            raise DomainError("series_tol must be > 0")
-        if self.n_max == 0:
-            object.__setattr__(self, "n_max",
-                               max(int(math.ceil(10 * self.delta)), 50))
-        if self.n_max < 10 * self.delta:
-            raise DomainError(f"n_max must be >= 10*delta, got {self.n_max}")
 
     @cached_property
     def _gamma_j(self) -> tuple:
@@ -153,46 +140,26 @@ class OddExtremalPair:
     # target functions
     # ------------------------------------------------------------------
 
-    def f_odd_vec(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized f(x); absolute error ~1e-15."""
+    def _sigma_sum(self, integrand, x) -> np.ndarray:
+        """sum over the sigma grid of w * integrand(u^2, x), for each x."""
         u, w = self._sigma_grid()
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         u2 = u[:, None] ** 2
         out = np.empty(len(x))
-        block = max(1, int(2e6 / len(u)))
+        block = max(1, _SIGMA_BLOCK // len(u))
         for i0 in range(0, len(x), block):
-            x2 = x[None, i0:i0 + block] ** 2
-            # log((1+x^2)/(u^2+x^2)) by two cancellation-free routes:
-            # log1p for small |arg| (large x), direct log quotient when
-            # u^2 + x^2 is small (arg near -1)
-            arg = (u2 - 1.0) / (1.0 + x2)
-            direct = np.log(u2 + x2) - np.log1p(x2)
-            logval = np.where(arg > -0.5,
-                              np.log1p(np.maximum(arg, -1.0 + 1e-16)),
-                              direct)
-            out[i0:i0 + block] = -0.5 * np.einsum("i,ij->j", w, logval)
+            out[i0:i0 + block] = np.einsum(
+                "i,ij->j", w, integrand(u2, x[None, i0:i0 + block]))
         return out
 
-    def f_odd(self, x: float) -> float:
-        """Even, nonnegative target function (sigma-integral value)."""
-        return float(self.f_odd_vec(np.array([float(x)]))[0])
+    def f_odd_vec(self, x: np.ndarray) -> np.ndarray:
+        """Vectorized f(x), the even, nonnegative target; absolute error
+        ~1e-15."""
+        return -0.5 * self._sigma_sum(_log_quotient, x)
 
     def f_even_vec(self, x: np.ndarray) -> np.ndarray:
-        u, w = self._sigma_grid()
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        u2 = u[:, None] ** 2
-        out = np.empty(len(x))
-        block = max(1, int(2e6 / len(u)))
-        for i0 in range(0, len(x), block):
-            xb = x[None, i0:i0 + block]
-            x2 = xb ** 2
-            integrand = xb * (1.0 - u2) / ((u2 + x2) * (1.0 + x2))
-            out[i0:i0 + block] = np.einsum("i,ij->j", w, integrand)
-        return out
-
-    def f_even(self, x: float) -> float:
-        """Companion odd function; equals -d/dx of f_odd."""
-        return float(self.f_even_vec(np.array([float(x)]))[0])
+        """Vectorized fe(x), the companion odd function -f'(x)."""
+        return self._sigma_sum(_even_integrand, x)
 
     # ------------------------------------------------------------------
     # interpolation series for g+/g-
@@ -230,19 +197,20 @@ class OddExtremalPair:
         return tuple(a[lo:lo + 2 * N + 1] for a in built[1:])
 
     def _budget(self, sign: Sign, R: float) -> int:
-        """Node budget meeting series_tol for |Re w| <= R (w = delta*z).
+        """Node budget meeting _SERIES_TOL for |Re w| <= R (w = delta*z).
 
-        The dense floor ~20 nodes per unit x serves small arguments; for
-        large R it is capped at 2R + 2000 (nodes must only outrun the
-        evaluation window, the tail test below does the rest).  The tail
-        test reads only the slice |nu| <= N, so the budget depends on R
-        alone.  Raises ResourceError when the node data of a budget would
-        exceed _NODE_MEMORY bytes.
+        At least 10*delta nodes.  The dense floor ~20 nodes per unit x
+        serves small arguments; for large R it is capped at 2R + 2000
+        (nodes must only outrun the evaluation window, the tail test
+        below does the rest).  The tail test reads only the slice
+        |nu| <= N, so the budget depends on R alone.  Raises
+        ResourceError when the node data of a budget would exceed
+        _NODE_MEMORY bytes.
         """
         dense = min(int(math.ceil(50 + 20 * R / self.delta)),
                     int(math.ceil(2 * R)) + 2000)
-        N = max(self.n_max, dense, int(math.ceil(2 * R + 20)))
         d = self.delta
+        N = max(int(math.ceil(10 * d)), dense, int(math.ceil(2 * R + 20)))
         while True:
             if (2 * N + 1) * _BYTES_PER_NODE > _NODE_MEMORY:
                 raise ResourceError(
@@ -257,7 +225,7 @@ class OddExtremalPair:
                                / d ** 3))
             tail = (2 * CF * d * d / ((N - R) ** 2 * N)
                     + CFp * d ** 3 / N ** 3) / math.pi ** 2
-            if tail <= self.series_tol:
+            if tail <= _SERIES_TOL:
                 return N
             N = int(N * 1.5) + 10
 
@@ -323,7 +291,7 @@ class OddExtremalPair:
         nearest nodes are summed directly (the nearest one through a
         guarded sinc within 1e-4 of it), and the rest through the
         far-field polynomial of the module docstring.  The node budget N
-        comes from max |w| and series_tol; a call costs O(N log N) for the
+        comes from max |w| and _SERIES_TOL; a call costs O(N log N) for the
         far-field coefficients of a new N plus O(_NEAR_NODES + _FAR_TERMS)
         per point, in O(N + len(x)) memory.  Raises ResourceError when N
         would exceed the node memory limit (|delta*x| beyond about 7e5).
@@ -425,7 +393,7 @@ class OddExtremalPair:
                 return (K + 2) * abs(self._B_exp(u)) / u / (
                     1.0 - math.exp(-2 * math.pi * d))
 
-            res = sum_tail_bounded(term, tail, self.series_tol)
+            res = sum_tail_bounded(term, tail, _SERIES_TOL)
             return poly + res.value
 
         def term(k):
@@ -445,7 +413,7 @@ class OddExtremalPair:
                 return math.inf
             return tb / (1.0 - q)
 
-        res = sum_tail_bounded(term, tail, self.series_tol)
+        res = sum_tail_bounded(term, tail, _SERIES_TOL)
         return res.value
 
     def _f_integral(self) -> float:
@@ -489,6 +457,55 @@ class OddExtremalPair:
             g = self.g_real(sign, x)
             self._cache[key] = 2.0 * float(np.max(np.abs(g) * (1.0 + x * x)))
         return self._cache[key]
+
+    # ------------------------------------------------------------------
+    # kernel interface
+    # ------------------------------------------------------------------
+
+    def describe(self) -> dict:
+        return {"family": "odd", "m": self.m, "alpha": self.alpha,
+                "delta": self.delta}
+
+    def target(self, x: np.ndarray) -> np.ndarray:
+        return self.f_odd_vec(x)
+
+    def real(self, sign: Sign, x: np.ndarray) -> np.ndarray:
+        return self.g_real(sign, x)
+
+    def complex(self, sign: Sign, z: complex) -> complex:
+        return self.g_eval(sign, z)
+
+    def ft(self, sign: Sign, xi: float) -> float:
+        return self.ft_g(sign, xi)
+
+    def l1_gap(self, sign: Sign) -> float:
+        return self.l1_gap_odd(sign)
+
+    def tail_envelope(self, sign: Sign) -> float:
+        return self.decay_envelope_const(sign)
+
+
+def _log_quotient(u2, x):
+    """log((u^2+x^2)/(1+x^2)) by two cancellation-free routes: log1p(arg)
+    for small |arg| (large x), direct log quotient when u^2 + x^2 is small
+    (arg near -1).  Works in place: block-sized temporaries cost page
+    faults on every block."""
+    x2 = x ** 2
+    direct = u2 + x2
+    np.log(direct, out=direct)
+    direct -= np.log1p(x2)
+    arg = (u2 - 1.0) / (1.0 + x2)
+    use_log1p = arg > -0.5
+    np.maximum(arg, -1.0 + 1e-16, out=arg)
+    np.log1p(arg, out=arg)
+    np.copyto(direct, arg, where=use_log1p)
+    return direct
+
+
+def _even_integrand(u2, x):
+    """x (1-u^2)/((u^2+x^2)(1+x^2)), the sigma-integrand of fe."""
+    x2 = x ** 2
+    return x * (1.0 - u2) / ((u2 + x2) * (1.0 + x2))
 
 
 def _sinc2(r):

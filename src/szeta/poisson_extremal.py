@@ -16,22 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DomainError
-
-Sign = str  # "+" or "-"
-
-
-def _check_sign(sign: Sign) -> None:
-    if sign not in ("+", "-"):
-        raise DomainError(f"sign must be '+' or '-', got {sign!r}")
+from .numkit import DomainError, Sign, _check_sign
 
 
 @dataclass(frozen=True)
 class PoissonExtremalPair:
-    """Parameters (beta, delta) of the extremal pair for beta/(beta^2+x^2)."""
+    """Parameters (beta, delta) of the extremal pair for beta/(beta^2+x^2);
+    an explicit_formula.Kernel on top of m_real, m_eval and ft_m."""
 
     beta: float
     delta: float
+    formula = {"real": "closed_form", "ft": "closed_form",
+               "l1_gap": "closed_form"}
 
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
@@ -41,9 +37,10 @@ class PoissonExtremalPair:
 
     # -- target kernel -----------------------------------------------------
 
-    def h(self, x):
+    def target(self, x):
         """Poisson kernel beta/(beta^2 + x^2); accepts scalars or arrays."""
         b = self.beta
+        x = np.asarray(x, dtype=np.float64)
         return b / (b * b + x * x)
 
     # -- denominator (e^{pi b d} -/+ e^{-pi b d})^2 -----------------------
@@ -125,6 +122,35 @@ class PoissonExtremalPair:
             return 1.0
         a = math.pi * self.beta * self.delta
         return 1.0 + 4.0 / (math.exp(a) - math.exp(-a)) ** 2
+
+    # -- kernel interface --------------------------------------------------
+
+    def describe(self) -> dict:
+        return {"family": "poisson", "beta": self.beta, "delta": self.delta}
+
+    def real(self, sign: Sign, x) -> np.ndarray:
+        return np.atleast_1d(self.m_real(sign, x))
+
+    def complex(self, sign: Sign, z: complex) -> complex:
+        return self.m_eval(sign, z)
+
+    def ft(self, sign: Sign, xi: float) -> float:
+        return self.ft_m(sign, xi)
+
+    def tail_envelope(self, sign: Sign) -> float:
+        """K with |m_sign(x)| <= K/x^2 on the real axis, exactly.
+
+        |m| <= h * ((e^a + e^-a)/(e^a -/+ e^-a))^2 with a = pi b d, and
+        h(x) <= b/x^2, so K = b * coth^2(a) ('+') or b ('-').
+        """
+        _check_sign(sign)
+        a = math.pi * self.beta * self.delta
+        if sign == "+":
+            ratio = ((math.exp(a) + math.exp(-a))
+                     / (math.exp(a) - math.exp(-a))) ** 2
+        else:
+            ratio = 1.0
+        return self.beta * ratio
 
 
 def _sinc_pi(w: complex) -> complex:

@@ -68,12 +68,6 @@ def _result(name: str, t0: float, failures: list, **details) -> CheckResult:
                        runtime=time.perf_counter() - t0, details=details)
 
 
-def _default_zeros() -> zc.ZeroTable:
-    from importlib import resources
-    path = resources.files("szeta.data") / "zeros2000.txt"
-    return zc.load_zeros(str(path), source="bundled")
-
-
 # ---------------------------------------------------------------------------
 # quadrature oracles
 # ---------------------------------------------------------------------------
@@ -180,7 +174,7 @@ def check_poisson_suite() -> CheckResult:
     for beta in betas:
         for delta in deltas:
             p = PoissonExtremalPair(beta=beta, delta=delta)
-            h = p.h(xgrid)
+            h = p.target(xgrid)
             for sign, s in (("+", 1.0), ("-", -1.0)):
                 tag = f"beta={beta} delta={delta} sign={sign}"
                 viol = float(np.min(s * (p.m_real(sign, xgrid) - h)))
@@ -192,7 +186,7 @@ def check_poisson_suite() -> CheckResult:
                 k = np.arange(0, 20, dtype=np.float64)
                 nodes = (k if sign == "+" else k + 0.5) / delta
                 nd = float(np.max(np.abs(p.m_real(sign, nodes)
-                                         - p.h(nodes))))
+                                         - p.target(nodes))))
                 worst["node"] = max(worst["node"], nd)
                 if nd > 1e-10:
                     failures.append(f"nodes {tag}: {nd:.2e}")
@@ -284,7 +278,7 @@ def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
     """Residual of the zeros-vs-primes identity within truncation tails."""
     t0 = time.perf_counter()
     if zeros is None:
-        zeros = _default_zeros()
+        zeros = zc.bundled_zeros()
     failures = []
     reports = []
     table = sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)
@@ -356,20 +350,6 @@ def check_corollary_integral() -> CheckResult:
 # 6. asymptotic displays vs. direct evaluation
 # ---------------------------------------------------------------------------
 
-# Calibrated deviation-multiple bands (multiples of the displayed error
-# scale).  The displayed error scales suppress the (2m+2)!-sized
-# coefficients of the next-order terms, so at desk-scale x the measured
-# multiples for the m=1 cases sit far above 10 even though the ratio to
-# the main term behaves; the bands below are measured envelopes with
-# ~30% headroom, and monotone-ratio checks at m=0 cover the "improving
-# with x" requirement where the asymptotics are already in regime.
-_A_BANDS = {("A1", 0): 20.0, ("A1", 1): 2200.0,
-            ("A2", 0): 20.0, ("A2", 1): 2200.0,
-            ("A3", 0): 10.0, ("A3", 1): 10.0}
-_B_BANDS = {("B1", 0): 25.0, ("B1", 1): 4000.0,
-            ("B2", 0): 10.0, ("B2", 1): 10.0}
-
-
 def check_appendix() -> CheckResult:
     """Integral/sieve displays against their main terms and bounds."""
     t0 = time.perf_counter()
@@ -391,7 +371,7 @@ def check_appendix() -> CheckResult:
                         params["k"] = 1
                     chk = ef.appendix_asymptotic(aid, params)
                     record(f"{aid} x={x:g} a={alpha} m={m}", chk,
-                           _A_BANDS[(aid, m)])
+                           ef.APPENDIX_BANDS[(aid, m)])
             # A4: exact inequality (alpha > 1/2 branch)
             chk = ef.appendix_asymptotic("A4", {"x": x, "alpha": alpha})
             summary[f"A4 x={x:g} a={alpha}"] = chk.direct - chk.main_term
@@ -408,7 +388,8 @@ def check_appendix() -> CheckResult:
         for aid, m in (("B1", 0), ("B1", 1), ("B2", 0)):
             chk = ef.appendix_asymptotic(aid, {"x": x, "alpha": 0.7,
                                                "m": m, "k": 1})
-            record(f"{aid} x={x:g} m={m}", chk, _B_BANDS[(aid, m)])
+            record(f"{aid} x={x:g} m={m}", chk,
+                   ef.APPENDIX_BANDS[(aid, m)])
             if m == 0:
                 ratio_track[aid].append(
                     abs(chk.direct / chk.main_term - 1.0))
@@ -434,7 +415,7 @@ def check_representation(zeros: Optional[zc.ZeroTable] = None) \
     """Zero-sum representation vs. the direct route, within bands."""
     t0 = time.perf_counter()
     if zeros is None:
-        zeros = _default_zeros()
+        zeros = zc.bundled_zeros()
     failures = []
     rows = []
     for n, alpha, t in ((-1, 0.75, 100.0), (1, 0.6, 100.0),
@@ -442,7 +423,7 @@ def check_representation(zeros: Optional[zc.ZeroTable] = None) \
         rep = ef.rep_sum(n, alpha, t, zeros)
         direct = zc.s_n_direct(n, alpha, t, zeros)
         diff = rep.value - direct.value
-        band = (0.05 + rep.est_error) if n == -1 else 5.0
+        band = ef.rep_band(rep)
         rows.append({"n": n, "alpha": alpha, "t": t, "diff": diff,
                      "band": band})
         if abs(diff) > band:
@@ -500,7 +481,7 @@ def check_count_cross_route(zeros: Optional[zc.ZeroTable] = None) \
     """Counting-function route vs. direct argument, plus the size cap."""
     t0 = time.perf_counter()
     if zeros is None:
-        zeros = _default_zeros()
+        zeros = zc.bundled_zeros()
     failures = []
     rows = []
     for t in (25.3, 40.2, 55.7, 70.4, 95.1):
@@ -526,7 +507,7 @@ def check_count_cross_route(zeros: Optional[zc.ZeroTable] = None) \
 def run_all(zeros_path: Optional[str] = None) -> list[CheckResult]:
     """Run the full acceptance suite; shares one zero table throughout."""
     zeros = (zc.load_zeros(zeros_path) if zeros_path
-             else _default_zeros())
+             else zc.bundled_zeros())
     return [
         check_poisson_suite(),
         check_odd_suite(),

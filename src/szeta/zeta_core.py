@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import (AccuracyError, DomainError, MangoldtTable,
-                     quad_adaptive, sieve_mangoldt)
+from .numkit import AccuracyError, DomainError, quad_adaptive, sieve_mangoldt
 
 
 class ZeroTableError(ValueError):
@@ -100,6 +99,13 @@ def load_zeros(path, precision: float = 1e-9,
                      source=source or str(path))
 
 
+def bundled_zeros() -> ZeroTable:
+    """The first 2000 ordinates, shipped with the package."""
+    from importlib import resources
+    path = resources.files("szeta.data") / "zeros2000.txt"
+    return load_zeros(str(path), source="bundled")
+
+
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin zeta and its logarithmic derivative
 # ---------------------------------------------------------------------------
@@ -136,7 +142,7 @@ def _zeta_em(s: complex):
     return z, zp
 
 
-def zeta(s: complex, tol: float = 1e-12) -> complex:
+def zeta(s: complex) -> complex:
     """zeta(s) for Re s > 0, s != 1 (Euler-Maclaurin)."""
     s = complex(s)
     if s.real <= 0:
@@ -146,30 +152,9 @@ def zeta(s: complex, tol: float = 1e-12) -> complex:
     return _zeta_em(s)[0]
 
 
-def zeta_deriv(s: complex, tol: float = 1e-12) -> complex:
-    """zeta'(s) for Re s > 0, s != 1."""
+def zeta_logderiv(s: complex) -> complex:
+    """zeta'/zeta(s), Euler-Maclaurin for both zeta and zeta'."""
     s = complex(s)
-    if s.real <= 0:
-        raise DomainError("zeta: Re s must be > 0")
-    if abs(s - 1.0) < 1e-8:
-        raise DomainError("zeta: s too close to the pole at 1")
-    return _zeta_em(s)[1]
-
-
-def zeta_logderiv(s: complex, tol: float = 1e-12,
-                  table: MangoldtTable | None = None) -> complex:
-    """zeta'/zeta(s).
-
-    Euler-Maclaurin for both zeta and zeta'; if a von Mangoldt table is
-    supplied and Re s >= 1.5, the absolutely convergent Dirichlet series
-    -sum Lambda(n) n^{-s} is used instead (cross-check route).
-    """
-    s = complex(s)
-    if table is not None and s.real >= 1.5:
-        n = np.arange(2, table.limit + 1, dtype=np.float64)
-        lam = table.values[2:]
-        val = -complex(np.sum(lam * np.exp(-s * np.log(n))))
-        return val
     z, zp = _zeta_em(s)
     if abs(z) < 1e-6:
         raise ConditioningError(f"zeta({s}) ~ {abs(z):.2e}: too close "

@@ -1,12 +1,11 @@
 import pytest
 
 from szeta import zeta_core as zc
-from szeta.selftest import _default_zeros
 
 
 @pytest.fixture(scope="session")
 def zeros() -> zc.ZeroTable:
-    return _default_zeros()
+    return zc.bundled_zeros()
 
 
 @pytest.fixture(scope="session")

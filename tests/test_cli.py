@@ -35,6 +35,28 @@ class TestExitCodes:
                     "--zeros", "/no/such/file.txt")
         assert r.returncode == 4
 
+    def test_malformed_zeros_exit4(self, tmp_path):
+        p = tmp_path / "z.txt"
+        p.write_text("14.134725\nnot-a-number\n")
+        r = run_cli("verify", "gw", "--kernel", "poisson",
+                    "--delta", "1", "--t", "50", "--zeros", str(p))
+        assert r.returncode == 4
+        assert "line 2" in r.stderr
+
+    def test_gw_beyond_zero_table_exit3(self, zeros):
+        r = run_cli("verify", "gw", "--kernel", "poisson",
+                    "--delta", "1", "--t", "3000")
+        assert r.returncode == 3
+        assert r.stderr.count("\n") == 1
+        assert repr(float(zeros.ordinates[-1])) in r.stderr
+
+    def test_rep_beyond_zero_table_exit3(self, zeros):
+        r = run_cli("verify", "rep", "--n", "1", "--alpha", "0.6",
+                    "--t", "2600")
+        assert r.returncode == 3
+        assert r.stderr.count("\n") == 1
+        assert repr(float(zeros.ordinates[-1])) in r.stderr
+
     def test_verify_ok_exit0(self):
         r = run_cli("verify", "rep", "--n", "1", "--alpha", "0.6",
                     "--t", "100")
@@ -141,3 +163,11 @@ def test_main_callable_in_process(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["delta"] == 1.5
+
+
+def test_cli_does_not_import_selftest():
+    code = "import sys, szeta.cli; print('szeta.selftest' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -102,6 +103,41 @@ class TestGwEvaluate:
         p = PoissonExtremalPair(beta=0.25, delta=1.5)
         with pytest.raises(DomainError):
             ef.gw_evaluate(p, "+", 50.0, 2.0, zeros)
+
+
+class TestThirdKernel:
+    class Fejer:
+        """(sin pi d x/(pi x))^2 with transform (d - |xi|)_+; only what
+        gw_evaluate uses of the Kernel interface.  Not a majorant or
+        minorant of anything, so the sign is ignored."""
+
+        def __init__(self, delta):
+            self.delta = delta
+
+        def describe(self):
+            return {"family": "fejer", "delta": self.delta}
+
+        def real(self, sign, x):
+            return self.delta ** 2 * np.sinc(self.delta * np.asarray(x)) ** 2
+
+        def complex(self, sign, z):
+            return (cmath.sin(math.pi * self.delta * z) / (math.pi * z)) ** 2
+
+        def ft(self, sign, xi):
+            return max(self.delta - abs(xi), 0.0)
+
+        def tail_envelope(self, sign):
+            return 1.0 / math.pi ** 2
+
+    def test_fejer_closes_explicit_formula(self, zeros):
+        table = sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)
+        for delta in (1.0, 1.5, 2.0):
+            kernel = self.Fejer(delta)
+            for t in (30.0, 50.0, 100.0, 150.0):
+                rep = ef.gw_evaluate(kernel, "+", t, delta, zeros,
+                                     mangoldt=table)
+                assert rep.kernel == {"family": "fejer", "delta": delta}
+                assert abs(rep.residual) <= rep.zero_tail_bound + 1e-5
 
 
 class TestRepSum:

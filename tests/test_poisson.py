@@ -26,7 +26,7 @@ def test_parameter_validation():
 def test_bracketing(beta, delta):
     p = PoissonExtremalPair(beta=beta, delta=delta)
     x = np.linspace(-20, 20, 801)
-    h = p.h(x)
+    h = p.target(x)
     assert np.all(p.m_real("+", x) >= h - 1e-11)
     assert np.all(p.m_real("-", x) <= h + 1e-11)
 
@@ -96,7 +96,7 @@ def test_envelope_const(beta, delta):
     x = np.linspace(-50, 50, 2001)
     for sign in "+-":
         K = p.envelope_const(sign)
-        assert np.all(np.abs(p.m_real(sign, x)) <= K * p.h(x) + 1e-13)
+        assert np.all(np.abs(p.m_real(sign, x)) <= K * p.target(x) + 1e-13)
 
 
 def test_gap_decreases_with_delta():
