@@ -116,18 +116,24 @@ def _read_config_file(path: str) -> dict:
 
 
 def build_config(args) -> Config:
+    """Flags over the config file over the defaults; an invalid value
+    exits with EXIT_USAGE and one stderr line that names it."""
     filecfg = _read_config_file(getattr(args, "config", None)
                                 or "szeta.cfg")
     zeros = getattr(args, "zeros", None) or filecfg.get("zeros_path")
-    return Config(
-        zeros_path=zeros,
-        tol=float(getattr(args, "tol", None)
-                  or filecfg.get("tol", 1e-5)),
-        slack=float(getattr(args, "slack", None)
-                    or filecfg.get("slack", 10.0)),
-        output=getattr(args, "output", None)
-        or filecfg.get("output", "json"),
-    )
+    tol, slack = getattr(args, "tol", None), getattr(args, "slack", None)
+    try:
+        return Config(
+            zeros_path=zeros,
+            tol=float(filecfg.get("tol", 1e-5) if tol is None else tol),
+            slack=float(filecfg.get("slack", 10.0)
+                        if slack is None else slack),
+            output=getattr(args, "output", None)
+            or filecfg.get("output", "json"),
+        )
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
 
 
 def _load_zeros(cfg: Config) -> zc.ZeroTable:

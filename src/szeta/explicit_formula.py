@@ -43,10 +43,13 @@ EULER_GAMMA = 0.5772156649015328606
 class Kernel(Protocol):
     """A bandlimited majorant ('+') / minorant ('-') pair of exponential
     type 2 pi delta, as gw_evaluate and the CLI use it; ``formula`` names
-    how ``real``, ``ft`` and ``l1_gap`` are computed."""
+    how ``real``, ``ft`` and ``l1_gap`` are computed, and ``ft_error``
+    bounds the truncation error of each ``ft`` value (0 for a closed
+    form)."""
 
     delta: float
     formula: Mapping[str, str]
+    ft_error: float
 
     def describe(self) -> dict:
         """Family name and parameters, in a fixed key order."""
@@ -60,8 +63,9 @@ class Kernel(Protocol):
     def complex(self, sign: Sign, z: complex) -> complex:
         """Value at a complex point z."""
 
-    def ft(self, sign: Sign, xi: float) -> float:
-        """Fourier transform, supported in [-delta, delta]."""
+    def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
+        """Fourier transform at each xi, supported in [-delta, delta]:
+        an array for an array xi, a float for a scalar xi."""
 
     def l1_gap(self, sign: Sign) -> float:
         """L1 distance between the pair member and the target."""
@@ -159,12 +163,13 @@ def _phi_reg(xi: np.ndarray) -> np.ndarray:
     return np.where(small, taylor, direct)
 
 
-def _gamma_integral(ft: Callable[[float], float], t: float,
+def _gamma_integral(ft: Callable[[np.ndarray], np.ndarray], t: float,
                     delta: float) -> float:
     """(1/2pi) int K(t-x) Re psi(1/4+ix/2) dx via the Fourier-side formula.
 
     Composite Gauss-Legendre panels sized to half the period 1/t of the
-    cosine factor; the transform itself is smooth on (0, delta].
+    cosine factor; the transform itself is smooth on (0, delta].  ``ft``
+    is called on the whole node grid at once.
     """
     ft0 = ft(0.0)
     npan = max(16, int(math.ceil(2.0 * max(t, 1.0) * delta)))
@@ -174,7 +179,7 @@ def _gamma_integral(ft: Callable[[float], float], t: float,
     half = 0.5 * (edges[1:] - edges[:-1])
     xi = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     wq = (half[:, None] * gw[None, :]).ravel()
-    hv = np.array([ft(x) for x in xi])
+    hv = ft(xi)
     cosf = np.cos(2.0 * math.pi * xi * t)
     i1 = float(np.dot(wq, (hv * cosf - ft0) / xi))
     i2 = float(np.dot(wq, hv * cosf * _phi_reg(xi)))
@@ -218,11 +223,12 @@ def _zero_tail_bound(env_k: float, t: float, t0: float) -> float:
 # prime-power sum
 # ---------------------------------------------------------------------------
 
-def prime_sum(kernel_ft: Callable[[float], float], t: float, delta: float,
-              table: MangoldtTable) -> float:
+def prime_sum(kernel_ft: Callable[[np.ndarray], np.ndarray], t: float,
+              delta: float, table: MangoldtTable) -> float:
     """(1/pi) sum over prime powers n of Lambda(n) n^{-1/2}
     kernel_ft(log n / 2pi) cos(t log n); finite since the transform
-    vanishes beyond delta (i.e. for n > e^{2 pi delta})."""
+    vanishes beyond delta (i.e. for n > e^{2 pi delta}).  ``kernel_ft``
+    is called once, on the array of all log n / 2pi."""
     if delta <= 0:
         raise DomainError("delta must be > 0")
     limit = math.exp(2.0 * math.pi * delta)
@@ -235,7 +241,7 @@ def prime_sum(kernel_ft: Callable[[float], float], t: float, delta: float,
     xi = logn / (2.0 * math.pi)
     keep = xi <= delta
     n, logn, xi = n[keep], logn[keep], xi[keep]
-    ftv = np.array([kernel_ft(x) for x in xi])
+    ftv = kernel_ft(xi)
     terms = (table.values[n] / np.sqrt(n.astype(np.float64))
              * ftv * np.cos(t * logn))
     return float(np.sum(terms)) / math.pi
@@ -346,13 +352,15 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     log_pi = ft(0.0) * math.log(math.pi) / (2.0 * math.pi)
     gamma_int = _gamma_integral(ft, t, delta)
     psum = prime_sum(ft, t, delta, mangoldt)
+    # the prime sum with every transform value replaced by its error bound
+    ptail = kernel.ft_error * prime_sum(np.ones_like, 0.0, delta, mangoldt)
 
     residual = zero_side - (arch - log_pi + gamma_int - psum)
     return GwReport(t=t, delta=delta, kernel=kernel.describe(), sign=sign,
                     zero_side=zero_side, zero_tail_bound=ztail,
                     arch_terms=arch, gamma_integral=gamma_int,
                     log_pi_term=log_pi, prime_sum=psum,
-                    prime_tail_bound=0.0, residual=residual)
+                    prime_tail_bound=ptail, residual=residual)
 
 
 # ---------------------------------------------------------------------------

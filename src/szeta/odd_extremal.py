@@ -83,6 +83,7 @@ class OddExtremalPair:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     formula = {"real": "interpolation_series", "ft": "frequency_series",
                "l1_gap": "closed_sigma_integral"}
+    ft_error = _SERIES_TOL  # each ft_g value stops at this tail bound
 
     def __post_init__(self):
         if self.m < 0 or self.m != int(self.m):
@@ -141,15 +142,16 @@ class OddExtremalPair:
     # ------------------------------------------------------------------
 
     def _sigma_sum(self, integrand, x) -> np.ndarray:
-        """sum over the sigma grid of w * integrand(u^2, x), for each x."""
+        """sum over the sigma grid of w * integrand(u, x), for each x, as
+        a matrix product over blocks of about _SIGMA_BLOCK elements."""
         u, w = self._sigma_grid()
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        u2 = u[:, None] ** 2
+        u = u[:, None]
         out = np.empty(len(x))
         block = max(1, _SIGMA_BLOCK // len(u))
         for i0 in range(0, len(x), block):
             out[i0:i0 + block] = np.einsum(
-                "i,ij->j", w, integrand(u2, x[None, i0:i0 + block]))
+                "i,ij->j", w, integrand(u, x[None, i0:i0 + block]))
         return out
 
     def f_odd_vec(self, x: np.ndarray) -> np.ndarray:
@@ -329,48 +331,56 @@ class OddExtremalPair:
     # Fourier transform
     # ------------------------------------------------------------------
 
-    def _B(self, u: float) -> float:
+    def _B(self, u: np.ndarray) -> np.ndarray:
         """B(u) = integral of (sigma-alpha)^{2m} (e^{-2 pi u (sigma-1/2)}
-        - e^{-2 pi u}); closed form for u >= 1, quadrature below (the
-        closed form cancels catastrophically as u -> 0)."""
-        if u < 1.0:
-            un, wn = self._sigma_grid()
-            return float(np.dot(
-                wn, np.exp(-2 * math.pi * u * un) - math.exp(-2 * math.pi * u)))
-        return self._B_poly(u) + self._B_exp(u)
+        - e^{-2 pi u}), elementwise; closed form for u >= 1, quadrature
+        below (the closed form cancels catastrophically as u -> 0)."""
+        out = np.empty(u.shape)
+        low = u < 1.0
+        out[low] = self._sigma_sum(_laplace_integrand, u[low])
+        out[~low] = self._B_poly(u[~low]) + self._B_exp(u[~low])
+        return out
 
-    def _B_poly(self, u: float) -> float:
+    def _B_poly(self, u: np.ndarray) -> np.ndarray:
         c = 2.0 * math.pi * u
         return (math.factorial(2 * self.m)
-                * math.exp(-c * (self.alpha - 0.5)) / c ** (2 * self.m + 1))
+                * np.exp(-c * (self.alpha - 0.5)) / c ** (2 * self.m + 1))
 
-    def _B_exp(self, u: float) -> float:
+    def _B_exp(self, u: np.ndarray) -> np.ndarray:
         c = 2.0 * math.pi * u
         L = 1.5 - self.alpha
         g = self._gamma_j
         s = sum(g[j] * L ** (2 * self.m + 1 - j) / c ** j
                 for j in range(2 * self.m + 2))
-        return -math.exp(-c) * s
+        return -np.exp(-c) * s
 
-    def ft_g(self, sign: Sign, xi: float) -> float:
-        """Fourier transform of g; identically 0 for |xi| > delta.
+    def ft_g(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
+        """Fourier transform of g at each xi (a float for a scalar xi);
+        identically 0 for |xi| >= delta.
 
         For 0 < |xi| < delta the value is a series over frequencies
-        xi + k*delta grouped in cancelling pairs; for alpha = 1/2 the
-        slowly-decaying polynomial part is resummed in closed form with
-        Hurwitz zeta / cotangent lattice sums.  At xi = 0 the closed
-        sigma-integral form is used (for alpha = 1/2, m = 0 this is the
-        one-sided limit from xi > 0; the transform has a jump there).
+        xi + k*delta grouped in cancelling pairs, summed for all xi at
+        once, each xi until its own tail bound is <= _SERIES_TOL; for
+        alpha = 1/2 the slowly-decaying polynomial part is resummed in
+        closed form with Hurwitz zeta / cotangent lattice sums.  At xi = 0
+        the closed sigma-integral form is used (for alpha = 1/2, m = 0 this
+        is the one-sided limit from xi > 0; the transform has a jump there).
         """
         _check_sign(sign)
-        xi = abs(float(xi))
+        axi = np.abs(np.asarray(xi, dtype=np.float64))
+        out = np.where(np.isnan(axi), axi, 0.0)
+        zero = axi == 0.0
+        if np.any(zero):
+            gap = self.l1_gap_odd(sign)
+            out[zero] = self._f_integral() + (gap if sign == "+" else -gap)
+        inner = (axi > 0.0) & (axi < self.delta)
+        if np.any(inner):
+            out[inner] = self._ft_series(sign, axi[inner])
+        return float(out) if out.ndim == 0 else out
+
+    def _ft_series(self, sign: Sign, xi: np.ndarray) -> np.ndarray:
+        """The shifted-frequency series of ft_g at 0 < xi < delta."""
         d = self.delta
-        if xi > d:
-            return 0.0
-        if xi == 0.0:
-            if sign == "+":
-                return self._f_integral() + self.l1_gap_odd("+")
-            return self._f_integral() - self.l1_gap_odd("-")
         alt = (sign == "-")
         beta2 = 2.0 * math.pi * (self.alpha - 0.5)  # decay rate of B_poly
 
@@ -390,7 +400,7 @@ class OddExtremalPair:
 
             def tail(K):
                 u = xi + K * d
-                return (K + 2) * abs(self._B_exp(u)) / u / (
+                return (K + 2) * np.abs(self._B_exp(u)) / u / (
                     1.0 - math.exp(-2 * math.pi * d))
 
             res = sum_tail_bounded(term, tail, _SERIES_TOL)
@@ -475,7 +485,7 @@ class OddExtremalPair:
     def complex(self, sign: Sign, z: complex) -> complex:
         return self.g_eval(sign, z)
 
-    def ft(self, sign: Sign, xi: float) -> float:
+    def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
         return self.ft_g(sign, xi)
 
     def l1_gap(self, sign: Sign) -> float:
@@ -485,11 +495,12 @@ class OddExtremalPair:
         return self.decay_envelope_const(sign)
 
 
-def _log_quotient(u2, x):
+def _log_quotient(u, x):
     """log((u^2+x^2)/(1+x^2)) by two cancellation-free routes: log1p(arg)
     for small |arg| (large x), direct log quotient when u^2 + x^2 is small
     (arg near -1).  Works in place: block-sized temporaries cost page
     faults on every block."""
+    u2 = u ** 2
     x2 = x ** 2
     direct = u2 + x2
     np.log(direct, out=direct)
@@ -502,8 +513,15 @@ def _log_quotient(u2, x):
     return direct
 
 
-def _even_integrand(u2, x):
+def _laplace_integrand(u, x):
+    """e^{-2 pi x u} - e^{-2 pi x}, the sigma-integrand of B(x)."""
+    c = -2 * math.pi * x
+    return np.exp(c * u) - np.exp(c)
+
+
+def _even_integrand(u, x):
     """x (1-u^2)/((u^2+x^2)(1+x^2)), the sigma-integrand of fe."""
+    u2 = u ** 2
     x2 = x ** 2
     return x * (1.0 - u2) / ((u2 + x2) * (1.0 + x2))
 
@@ -527,8 +545,10 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _lattice_sum(s: int, xi: float, d: float, alternating: bool) -> float:
-    """Sum over all integers k of (+/-1)^k (xi + k d)^{-s}, 0 < xi < d.
+def _lattice_sum(s: int, xi: np.ndarray, d: float,
+                 alternating: bool) -> np.ndarray:
+    """Sum over all integers k of (+/-1)^k (xi + k d)^{-s}, 0 < xi < d,
+    elementwise.
 
     Conditionally convergent for s = 1 (cotangent/cosecant closed forms,
     symmetric principal value); absolutely convergent via Hurwitz zeta
@@ -537,8 +557,8 @@ def _lattice_sum(s: int, xi: float, d: float, alternating: bool) -> float:
     q = xi / d
     if s == 1:
         if alternating:
-            return math.pi / math.sin(math.pi * q) / d
-        return math.pi / math.tan(math.pi * q) / d
+            return math.pi / np.sin(math.pi * q) / d
+        return math.pi / np.tan(math.pi * q) / d
     zeta = scipy.special.zeta
     sgn = (-1.0) ** s
     if not alternating:

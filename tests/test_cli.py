@@ -156,6 +156,20 @@ class TestConfigFile:
         assert r.returncode == 4
         assert "/also/missing.txt" in r.stderr
 
+    def test_zero_tol_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "gw", "--kernel", "poisson", "--delta", "1",
+                  "--t", "50", "--tol", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tol" in err
+
+    def test_zero_slack_flag_is_used(self, capsys):
+        rc = main(["verify", "envelope", "--n", "0", "--alpha", "0.75",
+                   "--t", "500", "--slack", "0"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["slack"] == 0.0
+
 
 def test_main_callable_in_process(capsys):
     rc = main(["extremal", "poisson", "--beta", "0.2", "--delta",

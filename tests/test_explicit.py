@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalar_ft import scalar_ft_g, scalar_ft_m
 from szeta import explicit_formula as ef
 from szeta import zeta_core as zc
 from szeta.numkit import DomainError, sieve_mangoldt
@@ -105,11 +106,54 @@ class TestGwEvaluate:
             ef.gw_evaluate(p, "+", 50.0, 2.0, zeros)
 
 
+class ScalarLoopFt:
+    """A pair whose ft loops over frequencies with a scalar oracle."""
+
+    def __init__(self, pair, scalar_ft):
+        self.pair, self.scalar_ft = pair, scalar_ft
+
+    def __getattr__(self, name):
+        return getattr(self.pair, name)
+
+    def ft(self, sign, xi):
+        if np.ndim(xi) == 0:
+            return self.scalar_ft(self.pair, sign, xi)
+        return np.array([self.scalar_ft(self.pair, sign, x) for x in xi])
+
+
+def test_batched_fourier_side_matches_scalar_loop(zeros):
+    # the eight configurations of selftest.check_explicit_formula
+    table = sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)
+    for t, delta in ((50.0, 1.5), (100.0, 2.0)):
+        for pair, scalar_ft in (
+                (PoissonExtremalPair(beta=0.25, delta=delta), scalar_ft_m),
+                (OddExtremalPair(m=0, alpha=0.75, delta=delta),
+                 scalar_ft_g)):
+            for sign in "+-":
+                got = ef.gw_evaluate(pair, sign, t, delta, zeros,
+                                     mangoldt=table).to_dict()
+                want = ef.gw_evaluate(ScalarLoopFt(pair, scalar_ft), sign,
+                                      t, delta, zeros,
+                                      mangoldt=table).to_dict()
+                assert got.keys() == want.keys()
+                if pair.ft_error:
+                    assert 0.0 < got["prime_tail_bound"] < 1e-9
+                else:
+                    assert got["prime_tail_bound"] == 0.0
+                for key, v in got.items():
+                    if isinstance(v, float):
+                        assert abs(v - want[key]) <= 1e-12, key
+                    else:
+                        assert v == want[key], key
+
+
 class TestThirdKernel:
     class Fejer:
         """(sin pi d x/(pi x))^2 with transform (d - |xi|)_+; only what
         gw_evaluate uses of the Kernel interface.  Not a majorant or
         minorant of anything, so the sign is ignored."""
+
+        ft_error = 0.0
 
         def __init__(self, delta):
             self.delta = delta
@@ -124,7 +168,7 @@ class TestThirdKernel:
             return (cmath.sin(math.pi * self.delta * z) / (math.pi * z)) ** 2
 
         def ft(self, sign, xi):
-            return max(self.delta - abs(xi), 0.0)
+            return np.maximum(self.delta - np.abs(xi), 0.0)
 
         def tail_envelope(self, sign):
             return 1.0 / math.pi ** 2

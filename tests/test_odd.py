@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from scalar_ft import scalar_ft_g
 from szeta.numkit import DomainError, ResourceError
 from szeta.odd_extremal import OddExtremalPair, _sinc2
 
@@ -81,6 +82,32 @@ def test_ft_support_and_value_at_zero(m, alpha, delta):
         # even in xi
         assert pair.ft_g(sign, 0.4 * delta) == pytest.approx(
             pair.ft_g(sign, -0.4 * delta), rel=1e-12)
+
+
+# xi/delta: 0, negative, in band, at and past delta.  For alpha = 1/2
+# and m >= 1 the lattice sums and the pair series cancel like
+# xi^-(2m+2) as xi -> 0, so below about delta/4 both codes keep only
+# the digits the cancellation leaves and differ by their rounding.
+FT_XI = np.array([0.0, 0.25, -0.3, 0.5, -0.64, 0.8, 0.999, 1.0, -1.0,
+                  1.2, -3.0])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 0.9])
+@pytest.mark.parametrize("delta", [1.0, 1.5, 2.0])
+def test_ft_array_matches_scalar_oracle(m, alpha, delta):
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    xi = FT_XI * delta
+    for sign in "+-":
+        got = pair.ft(sign, xi)
+        want = np.array([scalar_ft_g(pair, sign, x) for x in xi])
+        assert got.shape == xi.shape
+        assert np.all(np.abs(got - want)
+                      <= np.maximum(1e-13 * np.abs(want), 1e-15))
+        assert np.all(got[np.abs(FT_XI) >= 1.0] == 0.0)
+        one = pair.ft(sign, float(xi[2]))
+        assert type(one) is float
+        assert one == pytest.approx(want[2], rel=1e-13, abs=1e-15)
 
 
 @pytest.mark.parametrize("m,alpha,delta", SMALL_GRID)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalar_ft import scalar_ft_m
 from szeta.numkit import DomainError
 from szeta.poisson_extremal import PoissonExtremalPair
 
@@ -75,6 +76,23 @@ def test_ft_support_and_positivity(beta, delta):
             v = p.ft_m(sign, xi)
             assert v > 0
             assert v == p.ft_m(sign, -xi)
+
+
+@given(BETAS, DELTAS)
+@settings(max_examples=40, deadline=None)
+def test_ft_array_matches_scalar_oracle(beta, delta):
+    p = PoissonExtremalPair(beta=beta, delta=delta)
+    xi = delta * np.array([0.0, 0.3, -0.3, 0.9, 1.0, -1.0001, 2.0, 1e300])
+    for sign in "+-":
+        got = p.ft(sign, xi)
+        want = np.array([scalar_ft_m(p, sign, x) for x in xi])
+        assert got.shape == xi.shape
+        assert np.all(np.abs(got - want)
+                      <= np.maximum(1e-13 * np.abs(want), 1e-15))
+        assert np.all(got[5:] == 0.0)
+        one = p.ft(sign, 0.3 * delta)
+        assert type(one) is float
+        assert one == pytest.approx(want[1], rel=1e-13)
 
 
 @given(BETAS, DELTAS)
