@@ -274,11 +274,6 @@ def logzeta_halfline_bound(t: float) -> float:
     return 0.5 * math.log(2.0) * math.log(t) / _loglog(t)
 
 
-def logzeta_halfline_error_scale(t: float) -> float:
-    """Scale log t/(log log t)^2 of the unquantified error term."""
-    return math.log(t) / _loglog(t) ** 2
-
-
 # ---------------------------------------------------------------------------
 # report-only envelope comparison
 # ---------------------------------------------------------------------------

@@ -8,12 +8,17 @@ verify    explicit-formula / representation / asymptotic / envelope runs
 selftest  the full acceptance suite
 
 Exit codes: 0 success (verify: within band), 1 verification outside its
-band or selftest failure, 2 usage error, 3 parameter-region violation or
-t beyond the zero table, 4 missing or malformed zeros file.
+band or selftest failure, 2 usage error (including an unknown config key
+or an unreadable --config file), 3 parameter-region violation or t
+beyond the zero table, 4 missing or malformed zeros file.
 
 Output is deterministic: JSON fields appear in fixed insertion order
 and every float is rendered with 15 significant digits in scientific
 notation, so identical flags produce byte-identical output.
+
+The commands that read a zero table (verify gw/rep/envelope, selftest)
+also read a key=value config file: --config PATH, or ./szeta.cfg when
+present.  Its one key is ``zeros_path``; --zeros takes precedence.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -39,20 +44,6 @@ EXIT_BAND = 1
 EXIT_USAGE = 2
 EXIT_REGION = 3
 EXIT_ZEROS = 4
-
-
-@dataclass
-class Config:
-    """Resolved runtime configuration."""
-
-    zeros_path: str | None = None
-    tol: float = 1e-5
-    slack: float = 10.0
-    output: str = "json"
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise DomainError("tol must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +80,8 @@ def dumps(obj, _ind: str = "") -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _emit(obj: dict, cfg: Config) -> None:
-    if cfg.output == "json":
+def _emit(obj: dict, output: str) -> None:
+    if output == "json":
         print(dumps(obj))
     else:
         for k, v in obj.items():
@@ -101,49 +92,43 @@ def _emit(obj: dict, cfg: Config) -> None:
 # configuration / zero-table resolution
 # ---------------------------------------------------------------------------
 
-def _read_config_file(path: str) -> dict:
-    out = {}
+def _usage_error(msg: str) -> NoReturn:
+    print(f"error: {msg}", file=sys.stderr)
+    sys.exit(EXIT_USAGE)
+
+
+def _zeros_path(args) -> str | None:
+    """--zeros, else zeros_path= from the config file (--config, or
+    ./szeta.cfg if it exists), else None (the bundled table).  The file
+    is checked even when --zeros is given: an unreadable --config file
+    or any key other than zeros_path is a usage error."""
+    name = args.config or "szeta.cfg"
     try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line and "=" in line:
-                    k, v = line.split("=", 1)
-                    out[k.strip()] = v.strip()
-    except OSError:
-        pass
-    return out
+        with open(name) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        if args.config:
+            _usage_error(f"cannot read config file {name}: {exc.strerror}")
+        lines = []
+    from_file = None
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if line and "=" in line:
+            k, v = line.split("=", 1)
+            if k.strip() != "zeros_path":
+                _usage_error(f"unknown config key '{k.strip()}' in {name} "
+                             f"(the only key is zeros_path)")
+            from_file = v.strip()
+    return args.zeros or from_file
 
 
-def build_config(args) -> Config:
-    """Flags over the config file over the defaults; an invalid value
-    exits with EXIT_USAGE and one stderr line that names it."""
-    filecfg = _read_config_file(getattr(args, "config", None)
-                                or "szeta.cfg")
-    zeros = getattr(args, "zeros", None) or filecfg.get("zeros_path")
-    tol, slack = getattr(args, "tol", None), getattr(args, "slack", None)
-    try:
-        return Config(
-            zeros_path=zeros,
-            tol=float(filecfg.get("tol", 1e-5) if tol is None else tol),
-            slack=float(filecfg.get("slack", 10.0)
-                        if slack is None else slack),
-            output=getattr(args, "output", None)
-            or filecfg.get("output", "json"),
-        )
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
-
-
-def _load_zeros(cfg: Config) -> zc.ZeroTable:
-    if cfg.zeros_path is None:
+def _load_zeros(path: str | None) -> zc.ZeroTable:
+    if path is None:
         return zc.bundled_zeros()
     try:
-        return zc.load_zeros(cfg.zeros_path)
+        return zc.load_zeros(path)
     except OSError:
-        print(f"error: zeros file not found: {cfg.zeros_path}",
-              file=sys.stderr)
+        print(f"error: zeros file not found: {path}", file=sys.stderr)
     except zc.ZeroTableError as exc:
         print(f"error: malformed zeros file: {exc}", file=sys.stderr)
     sys.exit(EXIT_ZEROS)
@@ -161,7 +146,6 @@ def _pair(family: str, args) -> ef.Kernel:
 
 
 def cmd_extremal(args) -> int:
-    cfg = build_config(args)
     pair = _pair(args.family, args)
     out = pair.describe()
     if args.eval is not None:
@@ -180,7 +164,7 @@ def cmd_extremal(args) -> int:
         out["l1_majorant"] = pair.l1_gap("+")
         out["l1_minorant"] = pair.l1_gap("-")
         out["formula"] = pair.formula["l1_gap"]
-    _emit(out, cfg)
+    _emit(out, args.output)
     return EXIT_OK
 
 
@@ -197,7 +181,6 @@ def _envelope_row(n: int, alpha: float, t: float, c: float) -> dict:
 
 
 def cmd_bound(args) -> int:
-    cfg = build_config(args)
     if not args.sweep and args.alpha is None:
         print("error: either --alpha or --sweep is required",
               file=sys.stderr)
@@ -226,27 +209,29 @@ def cmd_bound(args) -> int:
             sys.stdout.write(buf.getvalue())
         else:
             env = bd.envelope(args.n, args.alpha, args.t, args.c)
-            _emit(env.to_dict(), cfg)
+            _emit(env.to_dict(), args.output)
     except DomainError as exc:
         print(f"region violation: {exc}", file=sys.stderr)
         return EXIT_REGION
     return EXIT_OK
 
 
-def _verify_gw(args, cfg: Config) -> int:
-    zeros = _load_zeros(cfg)
+def _verify_gw(args) -> int:
+    if args.tol <= 0:
+        _usage_error("tol must be > 0")
+    zeros = _load_zeros(_zeros_path(args))
     rep = ef.gw_evaluate(_pair(args.kernel, args), args.sign, args.t,
                          args.delta, zeros)
-    band = rep.zero_tail_bound + rep.prime_tail_bound + cfg.tol
+    band = rep.zero_tail_bound + rep.prime_tail_bound + args.tol
     out = rep.to_dict()
     out["band"] = band
     out["within_band"] = abs(rep.residual) <= band
-    _emit(out, cfg)
+    _emit(out, args.output)
     return EXIT_OK if out["within_band"] else EXIT_BAND
 
 
-def _verify_rep(args, cfg: Config) -> int:
-    zeros = _load_zeros(cfg)
+def _verify_rep(args) -> int:
+    zeros = _load_zeros(_zeros_path(args))
     rep = ef.rep_sum(args.n, args.alpha, args.t, zeros)
     direct = zc.s_n_direct(args.n, args.alpha, args.t, zeros)
     band = ef.rep_band(rep)
@@ -254,43 +239,43 @@ def _verify_rep(args, cfg: Config) -> int:
            "zero_sum": rep.value, "direct": direct.value,
            "difference": rep.value - direct.value, "band": band,
            "within_band": abs(rep.value - direct.value) <= band}
-    _emit(out, cfg)
+    _emit(out, args.output)
     return EXIT_OK if out["within_band"] else EXIT_BAND
 
 
-def _verify_appendix(args, cfg: Config) -> int:
+def _verify_appendix(args) -> int:
     params = {"x": args.x}
     for key in ("alpha", "m", "k", "beta"):
         v = getattr(args, key, None)
         if v is not None:
             params[key] = v
     chk = ef.appendix_asymptotic(args.id, params)
-    band = ef.APPENDIX_BANDS.get((args.id, args.m or 0), cfg.slack)
+    band = ef.APPENDIX_BANDS.get((args.id, args.m or 0), args.slack)
     out = chk.to_dict()
     out["band"] = band
     out["within_band"] = chk.deviation_multiple <= band
-    _emit(out, cfg)
+    _emit(out, args.output)
     return EXIT_OK if out["within_band"] else EXIT_BAND
 
 
-def _verify_envelope(args, cfg: Config) -> int:
-    zeros = _load_zeros(cfg) if args.with_observed else None
+def _verify_envelope(args) -> int:
+    path = _zeros_path(args)
+    zeros = _load_zeros(path) if args.with_observed else None
     try:
         chk = bd.check_envelope(args.n, args.alpha, args.t, args.c,
-                                zeros=zeros, slack=cfg.slack)
+                                zeros=zeros, slack=args.slack)
     except DomainError as exc:
         print(f"region violation: {exc}", file=sys.stderr)
         return EXIT_REGION
-    _emit(chk.to_dict(), cfg)
+    _emit(chk.to_dict(), args.output)
     return EXIT_OK  # report-only by contract
 
 
 def cmd_verify(args) -> int:
-    cfg = build_config(args)
     try:
         return {"gw": _verify_gw, "rep": _verify_rep,
                 "appendix": _verify_appendix,
-                "envelope": _verify_envelope}[args.what](args, cfg)
+                "envelope": _verify_envelope}[args.what](args)
     except DomainError as exc:
         print(f"region violation: {exc}", file=sys.stderr)
         return EXIT_REGION
@@ -301,8 +286,7 @@ def cmd_verify(args) -> int:
 
 def cmd_selftest(args) -> int:
     from . import selftest as stst
-    cfg = build_config(args)
-    zeros_path = cfg.zeros_path
+    zeros_path = _zeros_path(args)
     try:
         results = stst.run_all(zeros_path)
     except (OSError, zc.ZeroTableError) as exc:
@@ -325,12 +309,14 @@ def cmd_selftest(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _common(p):
-    p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--output", choices=("json", "csv", "text"))
+def _output_flag(p):
+    p.add_argument("--output", choices=("json", "text"), default="json")
+
+
+def _zeros_flags(p):
     p.add_argument("--zeros", help="path to a zero-ordinate table")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--slack", type=float)
+    p.add_argument("--config",
+                   help="key=value file with zeros_path (default ./szeta.cfg)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eval", type=float)
         p.add_argument("--ft", type=float)
         p.add_argument("--l1", action="store_true")
-        _common(p)
+        _output_flag(p)
         p.set_defaults(func=cmd_extremal)
 
     b = sub.add_parser("bound", help="bound envelopes")
@@ -362,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--t", type=float, required=True)
     b.add_argument("--c", type=float, default=1.0)
     b.add_argument("--sweep", help="alpha:lo:hi:step")
-    _common(b)
+    _output_flag(b)
     b.set_defaults(func=cmd_bound)
 
     v = sub.add_parser("verify", help="run a verification")
@@ -376,12 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--delta", type=float, required=True)
     g.add_argument("--sign", choices=("+", "-"), default="+")
     g.add_argument("--t", type=float, required=True)
-    _common(g)
+    g.add_argument("--tol", type=float, default=1e-5)
+    _output_flag(g)
+    _zeros_flags(g)
     r = vsub.add_parser("rep")
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--alpha", type=float, required=True)
     r.add_argument("--t", type=float, required=True)
-    _common(r)
+    _output_flag(r)
+    _zeros_flags(r)
     a = vsub.add_parser("appendix")
     a.add_argument("--id", required=True,
                    choices=("A1", "A2", "A3", "A4", "A5",
@@ -391,19 +380,22 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--m", type=int)
     a.add_argument("--k", type=int)
     a.add_argument("--beta", type=float)
-    _common(a)
+    a.add_argument("--slack", type=float, default=10.0)
+    _output_flag(a)
     e = vsub.add_parser("envelope")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--alpha", type=float, required=True)
     e.add_argument("--t", type=float, required=True)
     e.add_argument("--c", type=float, default=1.0)
     e.add_argument("--with-observed", action="store_true")
-    _common(e)
+    e.add_argument("--slack", type=float, default=10.0)
+    _output_flag(e)
+    _zeros_flags(e)
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("selftest", help="run the acceptance suite")
     s.add_argument("--json", action="store_true")
-    _common(s)
+    _zeros_flags(s)
     s.set_defaults(func=cmd_selftest)
     return ap
 

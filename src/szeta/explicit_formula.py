@@ -32,8 +32,8 @@ from typing import Callable, Mapping, Optional, Protocol
 
 import numpy as np
 
-from .numkit import (AccuracyError, DomainError, MangoldtTable, ResourceError,
-                     Sign, _check_sign, quad_adaptive, sieve_mangoldt)
+from .numkit import (AccuracyError, DomainError, MangoldtTable, Sign,
+                     _check_sign, quad_adaptive, sieve_mangoldt)
 from .odd_extremal import OddExtremalPair
 from .zeta_core import SnValue, ZeroTable, ZeroTableError
 
@@ -271,51 +271,19 @@ def prime_sum_envelope_poisson(sign: Sign, beta: float, delta: float) -> float:
     return num / ((0.25 - beta * beta) * (1.0 + q) ** 2)
 
 
-@dataclass(frozen=True)
-class OddPrimeEnvelope:
-    """Main term and error scale bounding -/+ (1/pi) of the odd-family
-    prime sum from above (sign '+' resp. '-')."""
-
-    main: float
-    error_scale: float
-
-
-def prime_sum_envelope_odd(m: int, alpha: float, delta: float,
-                           c: float) -> OddPrimeEnvelope:
-    """One-sided envelope for the odd-family prime sum in the region
-    pi delta (1-alpha)^2 >= c."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    if not 0.5 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [1/2, 1), got {alpha}")
-    if c <= 0:
-        raise DomainError("c must be > 0")
-    if math.pi * delta * (1.0 - alpha) ** 2 < c:
-        raise DomainError(
-            f"region violated: pi*delta*(1-alpha)^2 = "
-            f"{math.pi * delta * (1.0 - alpha) ** 2:.6g} < c = {c}")
-    grow = math.exp((2.0 - 2.0 * alpha) * math.pi * delta)
-    main = ((2.0 * alpha - 1.0) * math.factorial(2 * m)
-            / (alpha * (1.0 - alpha)) * grow
-            / (2.0 * math.pi * delta) ** (2 * m + 2))
-    err = grow / ((1.0 - alpha) ** 2 * delta ** (2 * m + 3))
-    return OddPrimeEnvelope(main=main, error_scale=err)
-
-
 # ---------------------------------------------------------------------------
 # explicit-formula evaluation
 # ---------------------------------------------------------------------------
 
 def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
                 zeros: ZeroTable,
-                lambda_limit: Optional[int] = None,
                 mangoldt: Optional[MangoldtTable] = None) -> GwReport:
     """Evaluate both sides of the explicit formula for the shifted kernel
     x -> kernel(t - x) and report the truncation residual.
 
-    ``delta`` must match the kernel's bandwidth parameter; ``lambda_limit``
-    caps the sieve size (must be >= e^{2 pi delta}); a prebuilt Mangoldt
-    table may be supplied to amortize sieving across calls.
+    ``delta`` must match the kernel's bandwidth parameter; a prebuilt
+    Mangoldt table may be supplied to amortize sieving across calls
+    (prime_sum rejects one shorter than e^{2 pi delta}).
     """
     _check_sign(sign)
     gam = np.asarray(zeros.ordinates)
@@ -334,14 +302,9 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     if t >= t0:
         raise ZeroTableError(
             f"t = {t} not covered by the zero table (last ordinate {t0})")
-    needed = int(math.ceil(math.exp(2.0 * math.pi * delta)))
-    if lambda_limit is None:
-        lambda_limit = needed
-    if lambda_limit < needed:
-        raise ResourceError(
-            f"lambda_limit {lambda_limit} below e^(2 pi delta) = {needed}")
     if mangoldt is None:
-        mangoldt = sieve_mangoldt(lambda_limit)
+        mangoldt = sieve_mangoldt(
+            int(math.ceil(math.exp(2.0 * math.pi * delta))))
 
     zvals = kernel.real(sign, t - gam) + kernel.real(sign, t + gam)
     zero_side = float(np.sum(zvals))

@@ -111,20 +111,6 @@ class PoissonExtremalPair:
             return 2.0 * math.pi * q / (1.0 - q)
         return 2.0 * math.pi * q / (1.0 + q)
 
-    # -- decay envelope ----------------------------------------------------
-
-    def envelope_const(self, sign: Sign) -> float:
-        """K with 0 <= m_sign(x) <= K * h(x) on the real axis (exact).
-
-        For the majorant K = 1 + 4/(e^{pi b d} - e^{-pi b d})^2; the
-        minorant sits below h so K = 1.
-        """
-        _check_sign(sign)
-        if sign == "-":
-            return 1.0
-        a = math.pi * self.beta * self.delta
-        return 1.0 + 4.0 / (math.exp(a) - math.exp(-a)) ** 2
-
     # -- kernel interface --------------------------------------------------
 
     def describe(self) -> dict:

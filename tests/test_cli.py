@@ -171,6 +171,69 @@ class TestConfigFile:
         assert json.loads(capsys.readouterr().out)["slack"] == 0.0
 
 
+_ARGV = {
+    "extremal poisson": ["extremal", "poisson", "--beta", "0.25",
+                         "--delta", "1", "--l1"],
+    "extremal odd": ["extremal", "odd", "--m", "0", "--alpha", "0.6",
+                     "--delta", "1", "--l1"],
+    "bound": ["bound", "--n", "1", "--alpha", "0.75", "--t", "1e30"],
+    "verify gw": ["verify", "gw", "--kernel", "poisson", "--delta", "1",
+                  "--t", "50"],
+    "verify rep": ["verify", "rep", "--n", "1", "--alpha", "0.6",
+                   "--t", "100"],
+    "verify appendix": ["verify", "appendix", "--id", "B4", "--x", "1e5",
+                        "--beta", "0.25"],
+    "verify envelope": ["verify", "envelope", "--n", "0", "--alpha",
+                        "0.75", "--t", "500"],
+    "selftest": ["selftest"],
+}
+_UNREAD = {
+    "extremal poisson": ("--config", "--zeros", "--tol", "--slack"),
+    "extremal odd": ("--config", "--zeros", "--tol", "--slack"),
+    "bound": ("--config", "--zeros", "--tol", "--slack"),
+    "verify gw": ("--slack",),
+    "verify rep": ("--tol", "--slack"),
+    "verify appendix": ("--config", "--zeros", "--tol"),
+    "verify envelope": ("--tol",),
+    "selftest": ("--output", "--tol", "--slack"),
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *((c, f, "json" if f == "--output" else "1")
+      for c, flags in _UNREAD.items() for f in flags),
+    *((c, "--output", "csv") for c in _ARGV if c != "selftest"),
+])
+def test_flag_a_command_does_not_read_is_usage_error(command, flag, value,
+                                                     capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_ARGV[command] + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("explicit", [True, False])
+    def test_unknown_key_is_usage_error(self, tmp_path, monkeypatch,
+                                        capsys, explicit):
+        (tmp_path / "szeta.cfg").write_text("tol=1e-5\n")
+        monkeypatch.chdir(tmp_path)
+        argv = _ARGV["verify rep"] + (["--config", "szeta.cfg"]
+                                      if explicit else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'tol'" in err
+
+    def test_missing_explicit_config_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_ARGV["verify rep"] + ["--config", "/no/such.cfg"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "/no/such.cfg" in err
+
+
 def test_main_callable_in_process(capsys):
     rc = main(["extremal", "poisson", "--beta", "0.2", "--delta",
                "1.5", "--l1"])

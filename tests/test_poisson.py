@@ -113,8 +113,22 @@ def test_envelope_const(beta, delta):
     p = PoissonExtremalPair(beta=beta, delta=delta)
     x = np.linspace(-50, 50, 2001)
     for sign in "+-":
-        K = p.envelope_const(sign)
+        K = p.tail_envelope(sign) / beta
         assert np.all(np.abs(p.m_real(sign, x)) <= K * p.target(x) + 1e-13)
+
+
+@given(BETAS, DELTAS)
+@settings(max_examples=40, deadline=None)
+def test_tail_envelope_bounds_decay(beta, delta):
+    # the zero-tail bound of gw_evaluate relies on |m(x)| <= K/x^2; the
+    # bound is sharp as |x| -> oo, hence the relative rounding slack
+    p = PoissonExtremalPair(beta=beta, delta=delta)
+    x = np.geomspace(1e-2, 1e6, 3001)
+    x = np.concatenate([-x, x])
+    for sign in "+-":
+        K = p.tail_envelope(sign)
+        assert np.all(np.abs(p.m_real(sign, x)) * x ** 2
+                      <= K * (1.0 + 1e-12))
 
 
 def test_gap_decreases_with_delta():
