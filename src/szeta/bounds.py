@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import scipy.special
-
-from .numkit import DomainError, Sign, _check_sign, polylog_H
+from .numkit import DomainError, Sign, _check_sign, hurwitz_zeta, polylog_H
 from .zeta_core import ZeroTable, s_n_direct
 
 
@@ -118,11 +116,11 @@ def theorem1_constant(n: int, sign: Sign) -> float:
     if n == 0:
         return 0.25
     if n % 2 == 0:
-        z = scipy.special.zeta
+        zn, zn2 = hurwitz_zeta(n, 1.0), hurwitz_zeta(n + 2, 1.0)
         return (math.sqrt(2.0) / (math.pi * 2.0 ** (n + 1))
                 * math.sqrt((1.0 - 2.0 ** (-n - 2)) * (1.0 - 2.0 ** (-n + 1))
-                            * z(n) * z(n + 2) / (1.0 - 2.0 ** (-n))))
-    base = scipy.special.zeta(n + 1) / (math.pi * 2.0 ** (n + 1))
+                            * zn * zn2 / (1.0 - 2.0 ** (-n))))
+    base = hurwitz_zeta(n + 1, 1.0) / (math.pi * 2.0 ** (n + 1))
     damp = 1.0 - 2.0 ** (-n)
     if n % 4 == 1:
         return base if sign == "-" else damp * base

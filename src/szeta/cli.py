@@ -8,9 +8,10 @@ verify    explicit-formula / representation / asymptotic / envelope runs
 selftest  the full acceptance suite
 
 Exit codes: 0 success (verify: within band), 1 verification outside its
-band or selftest failure, 2 usage error (including an unknown config key
-or an unreadable --config file), 3 parameter-region violation or t
-beyond the zero table, 4 missing or malformed zeros file.
+band or selftest failure, 2 usage error (including an unknown config key,
+a config line that is not key=value, or an unreadable --config file),
+3 parameter-region violation or t beyond the zero table, 4 missing or
+malformed zeros file.
 
 Output is deterministic: JSON fields appear in fixed insertion order
 and every float is rendered with 15 significant digits in scientific
@@ -80,8 +81,10 @@ def dumps(obj, _ind: str = "") -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _emit(obj: dict, output: str) -> None:
-    if output == "json":
+def _emit(obj: dict, output: str | None) -> None:
+    """Print obj as JSON (--output json, the default) or as key: value
+    lines (--output text)."""
+    if output != "text":
         print(dumps(obj))
     else:
         for k, v in obj.items():
@@ -111,14 +114,18 @@ def _zeros_path(args) -> str | None:
             _usage_error(f"cannot read config file {name}: {exc.strerror}")
         lines = []
     from_file = None
-    for line in lines:
+    for num, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
-        if line and "=" in line:
-            k, v = line.split("=", 1)
-            if k.strip() != "zeros_path":
-                _usage_error(f"unknown config key '{k.strip()}' in {name} "
-                             f"(the only key is zeros_path)")
-            from_file = v.strip()
+        if not line:
+            continue
+        if "=" not in line:
+            _usage_error(f"{name} line {num}: expected key=value, "
+                         f"got '{line}'")
+        k, v = line.split("=", 1)
+        if k.strip() != "zeros_path":
+            _usage_error(f"unknown config key '{k.strip()}' in {name} "
+                         f"(the only key is zeros_path)")
+        from_file = v.strip()
     return args.zeros or from_file
 
 
@@ -185,6 +192,8 @@ def cmd_bound(args) -> int:
         print("error: either --alpha or --sweep is required",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.sweep and args.output is not None:
+        _usage_error("--sweep always writes CSV; it takes no --output")
     try:
         if args.sweep:
             name, lo, hi, step = args.sweep.split(":")
@@ -217,8 +226,8 @@ def cmd_bound(args) -> int:
 
 
 def _verify_gw(args) -> int:
-    if args.tol <= 0:
-        _usage_error("tol must be > 0")
+    if not math.isfinite(args.tol) or args.tol <= 0:
+        _usage_error("tol must be finite and > 0")
     zeros = _load_zeros(_zeros_path(args))
     rep = ef.gw_evaluate(_pair(args.kernel, args), args.sign, args.t,
                          args.delta, zeros)
@@ -310,7 +319,8 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _output_flag(p):
-    p.add_argument("--output", choices=("json", "text"), default="json")
+    # None (no flag) prints JSON; bound --sweep rejects an explicit flag
+    p.add_argument("--output", choices=("json", "text"), default=None)
 
 
 def _zeros_flags(p):

@@ -292,12 +292,11 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     if abs(delta - kernel.delta) > 1e-12:
         raise DomainError(
             f"delta {delta} does not match kernel delta {kernel.delta}")
-    if (isinstance(kernel, OddExtremalPair) and kernel.alpha == 0.5
-            and kernel.m == 0):
+    if isinstance(kernel, OddExtremalPair) and kernel.alpha == 0.5:
         raise DomainError(
-            "odd kernel with m=0, alpha=1/2 unsupported here: its transform "
-            "is numerically ill-conditioned near 0, where the digamma "
-            "integral needs it")
+            "odd kernel with alpha=1/2 unsupported here: near xi = 0, where "
+            "the digamma integral needs it, its transform jumps (m=0) or "
+            "loses every digit to cancellation (m>=1)")
     t0 = float(gam[-1])
     if t >= t0:
         raise ZeroTableError(
@@ -457,6 +456,13 @@ APPENDIX_BANDS = {("A1", 0): 20.0, ("A1", 1): 2200.0,
                   ("B2", 0): 10.0, ("B2", 1): 10.0}
 
 
+def _appendix_tol(main: float) -> float:
+    """Quadrature tolerance of the integral items A1-A3: 1e-10, relative
+    to the main term once that exceeds 1.  An absolute 1e-10 is below the
+    rounding floor of an integral above about 1e4 (A3 at x = 1e8)."""
+    return 1e-10 * max(1.0, abs(main))
+
+
 def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
     """Evaluate one of the asymptotic facts: the direct quantity (adaptive
     quadrature for integral items A1-A5, exact sieve for sum items B1-B4),
@@ -471,9 +477,10 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         m, alpha, x = _req(params, "m", "alpha", "x")
         _check_alpha_x(alpha, x, params.get("c"))
         p = 2 * m + 2
-        direct = quad_adaptive(
-            lambda u: u ** (-alpha) * math.log(u) ** (-p), 2.0, x, tol=1e-10)
         main = x ** (1 - alpha) / ((1 - alpha) * math.log(x) ** p)
+        direct = quad_adaptive(
+            lambda u: u ** (-alpha) * math.log(u) ** (-p), 2.0, x,
+            tol=_appendix_tol(main))
         err = x ** (1 - alpha) / ((1 - alpha) ** 2 * math.log(x) ** (p + 1))
         return AsymptoticCheck(id=pid, params=params, direct=direct,
                                main_term=main, error_scale=err)
@@ -484,12 +491,12 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         _check_alpha_x(alpha, x, params.get("c"))
         p = 2 * m + 2
         lx = math.log(x)
-        direct = quad_adaptive(
-            lambda u: u ** (-alpha) * (k * lx + math.log(u)) ** (-p),
-            2.0, x, tol=1e-10)
         main = (x ** (1 - alpha) / ((1 - alpha) * ((k + 1) * lx) ** p)
                 - 2.0 ** (1 - alpha)
                 / ((1 - alpha) * (k * lx + math.log(2.0)) ** p))
+        direct = quad_adaptive(
+            lambda u: u ** (-alpha) * (k * lx + math.log(u)) ** (-p),
+            2.0, x, tol=_appendix_tol(main))
         err = (x ** (1 - alpha)
                / ((1 - alpha) ** 2 * ((k + 1) * lx) ** (p + 1)))
         return AsymptoticCheck(id=pid, params=params, direct=direct,
@@ -501,12 +508,12 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         _check_alpha_x(alpha, x, None)
         p = 2 * m + 2
         lx = math.log(x)
-        direct = quad_adaptive(
-            lambda u: u ** (alpha - 1) * ((k + 2) * lx - math.log(u)) ** (-p),
-            2.0, x, tol=1e-10)
         main = (x ** alpha / (alpha * ((k + 1) * lx) ** p)
                 - 2.0 ** alpha
                 / (alpha * ((k + 2) * lx - math.log(2.0)) ** p))
+        direct = quad_adaptive(
+            lambda u: u ** (alpha - 1) * ((k + 2) * lx - math.log(u)) ** (-p),
+            2.0, x, tol=_appendix_tol(main))
         err = x ** alpha / (((k + 1) * lx) ** (p + 1))
         return AsymptoticCheck(id=pid, params=params, direct=direct,
                                main_term=main, error_scale=err)

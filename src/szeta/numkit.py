@@ -4,9 +4,10 @@ Everything downstream (kernel construction, explicit-formula checks, bound
 envelopes) is built on the handful of primitives in this module:
 
 * ``polylog_H``      -- the shifted polylogarithm H_n(x) = sum_k x^k/(k+1)^n
+* ``hurwitz_zeta``   -- zeta(s, q) at integer s >= 2, elementwise in q
 * ``re_digamma_quarter`` -- Re psi(1/4 + iu/2) on the whole real line
 * ``sieve_mangoldt`` -- exact von Mangoldt table with Chebyshev psi prefix
-* ``quad_adaptive``  -- adaptive quadrature (finite and semi-infinite ranges)
+* ``quad_adaptive``  -- adaptive Gauss-Kronrod quadrature on finite ranges
 * ``sum_tail_bounded`` -- series summation with caller-supplied tail majorant;
   terms and tails may be arrays, summed elementwise, each element stopping
   at its own tail bound
@@ -18,12 +19,10 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 
 
 class DomainError(ValueError):
@@ -179,7 +178,8 @@ def polylog_H(n: int, x: float) -> float:
 # Re psi(1/4 + iu/2)
 # ---------------------------------------------------------------------------
 
-# Bernoulli numbers B_2 .. B_16 for the asymptotic tail of psi
+# Bernoulli numbers B_2 .. B_16: the asymptotic tail of psi and the
+# Euler-Maclaurin tails of hurwitz_zeta and zeta_core._zeta_em
 _BERN = [1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
          5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510]
 
@@ -203,6 +203,48 @@ def _digamma_complex(z: complex) -> complex:
 def re_digamma_quarter(u: float) -> float:
     """Re psi(1/4 + iu/2), absolute error <= 1e-12, any real u."""
     return float(_digamma_complex(complex(0.25, 0.5 * abs(u))).real)
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz zeta(s, q)
+# ---------------------------------------------------------------------------
+
+# terms of hurwitz_zeta summed directly before the Euler-Maclaurin tail
+_HZ_DIRECT = 12
+
+
+def hurwitz_zeta(s: int, q: float | np.ndarray) -> float | np.ndarray:
+    """zeta(s, q) = sum_{k>=0} (q+k)^-s for integer s >= 2 and 0 < q <= 1,
+    elementwise (a float for a scalar q); zeta(s) = hurwitz_zeta(s, 1).
+
+    Euler-Maclaurin: the first N = _HZ_DIRECT terms are summed directly,
+    and with x = q + N the rest is
+
+        x^(1-s)/(s-1) + x^-s/2 + sum_{j=1..M} B_2j/(2j)! (s)_(2j-1) x^(1-s-2j)
+
+    over the M = 8 Bernoulli numbers of _BERN, where (s)_r is the rising
+    factorial.  Its remainder is at most 4 (s)_2M x^(1-s-2M) /
+    ((2 pi)^2M (s+2M-1)) (Johansson, Numer. Algorithms 69 (2015),
+    Theorem 1).  That bound is largest at s = 2, q -> 0, where it is
+    6.4e-18, and zeta(s, q) >= 1, so it stays far below the rounding error.
+    """
+    if int(s) != s or s < 2:
+        raise DomainError(f"s must be an integer >= 2, got {s}")
+    s = int(s)
+    q = np.asarray(q, dtype=np.float64)
+    if not np.all((q > 0.0) & (q <= 1.0)):
+        raise DomainError("q must lie in (0, 1]")
+    x = q + _HZ_DIRECT
+    xs = x ** -s
+    total = 0.0
+    for j in range(len(_BERN), 0, -1):  # every sum runs smallest first
+        rising = math.prod(range(s, s + 2 * j - 1))
+        total = total + (_BERN[j - 1] / math.factorial(2 * j) * rising
+                         * xs * x ** (1 - 2 * j))
+    total = total + 0.5 * xs + x * xs / (s - 1)
+    for k in range(_HZ_DIRECT - 1, -1, -1):
+        total = total + (q + k) ** -s
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -243,31 +285,97 @@ def sieve_mangoldt(X: int) -> MangoldtTable:
 # quadrature
 # ---------------------------------------------------------------------------
 
+# QUADPACK's qk15 rule on [-1, 1]: the 15 Kronrod nodes in ascending order
+# (every second one, 0 included, is a 7-point Gauss node) with the Kronrod
+# weights, and the Gauss weights placed at the Gauss nodes
+_XK15 = (0.991455371120812639206854697526329,
+         0.949107912342758524526189684047851,
+         0.864864423359769072789712788640926,
+         0.741531185599394439863864773280788,
+         0.586087235467691130294144845693013,
+         0.405845151377397166906606412076961,
+         0.207784955007898467600689403773245)
+_WK15 = (0.022935322010529224963732008058970,
+         0.063092092629978553290700663189204,
+         0.104790010322250183839876322541518,
+         0.140653259715525918745189590510238,
+         0.169004726639267902826583426598550,
+         0.190350578064785409913256402421014,
+         0.204432940075298892414161999234649,
+         0.209482141084727828012999174891714)
+_WG7 = (0.129484966168869693270611432679082,
+        0.279705391489276667901467771423780,
+        0.381830050505118944950369775488975,
+        0.417959183673469387755102040816327)
+_GK_NODES = np.array([-x for x in _XK15] + [0.0] + list(_XK15[::-1]))
+_GK_WK = np.array(_WK15 + _WK15[-2::-1])
+_GK_WG = np.zeros(15)
+_GK_WG[1::2] = _WG7 + _WG7[-2::-1]
+# subdivision budget of quad_adaptive
+_QUAD_INTERVALS = 400
+_EPS = np.finfo(np.float64).eps
+
+
+def _gk15(f: Callable[[float], float], a: float, b: float):
+    """(K15 value, error estimate) of the integral of f over [a, b], with
+    QUADPACK's qk15 estimate: |K15 - G7| scaled by (200 |K15 - G7| /
+    resasc)^1.5, and never below 50 eps times the integral of |f|."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fv = np.array([f(x) for x in (c + h * _GK_NODES).tolist()],
+                  dtype=np.float64)
+    resk = _GK_WK @ fv
+    diff = abs((resk - _GK_WG @ fv) * h)
+    resabs = abs(h) * (_GK_WK @ np.abs(fv))
+    resasc = abs(h) * (_GK_WK @ np.abs(fv - 0.5 * resk))
+    err = diff
+    if resasc != 0.0 and diff != 0.0:
+        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
+    return float(resk * h), float(max(err, 50.0 * _EPS * resabs))
+
+
 def quad_adaptive(f: Callable[[float], float], a: float, b: float,
                   tol: float = 1e-10) -> float:
-    """Integral of f over [a, b] with claimed absolute error <= tol.
+    """Integral of f over the finite interval [a, b], returned only when
+    its estimated absolute error is <= tol.
 
-    Adaptive bisection with an embedded Gauss/Kronrod rule pair; infinite
-    endpoints are handled by tail transformation.  Raises AccuracyError
-    (carrying the best estimate) when the subdivision budget is exhausted
-    without reaching tol.
+    Global adaptive bisection with the Gauss-Kronrod G7-K15 pair, as in
+    QUADPACK's QAG: the interval with the largest error estimate is
+    halved until the estimates sum to <= tol.  f is called on one float
+    at a time.  Raises DomainError for a non-finite endpoint, and
+    AccuracyError, carrying the best estimate, when the estimates still
+    sum to more than tol at _QUAD_INTERVALS intervals, when an interval
+    is too narrow to halve, or when f returns a non-finite value.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be > 0")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
-        try:
-            val, err = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=0.0,
-                                            limit=400)
-        except scipy.integrate.IntegrationWarning:
-            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-            val, err = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=0.0,
-                                            limit=400)
-            if err > 100 * tol:
-                raise AccuracyError(
-                    f"quadrature error estimate {err:.3e} exceeds tol {tol:.3e}",
-                    val)
-    return val
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"endpoints must be finite, got [{a}, {b}]")
+    ends = [(a, b)]
+    val, err = _gk15(f, a, b)
+    vals, errs = [val], [err]
+    while True:
+        total, total_err = math.fsum(vals), math.fsum(errs)
+        if not math.isfinite(total + total_err):
+            raise AccuracyError("integrand is not finite on the range", total)
+        if total_err <= tol:
+            return total
+        if len(ends) >= _QUAD_INTERVALS:
+            raise AccuracyError(
+                f"quadrature error estimate {total_err:.3e} exceeds tol "
+                f"{tol:.3e} after {_QUAD_INTERVALS} intervals", total)
+        i = errs.index(max(errs))
+        lo, hi = ends[i]
+        mid = 0.5 * (lo + hi)
+        if not min(lo, hi) < mid < max(lo, hi):
+            raise AccuracyError(
+                f"quadrature error estimate {total_err:.3e} exceeds tol "
+                f"{tol:.3e} on an interval too narrow to halve", total)
+        ends[i] = (lo, mid)
+        vals[i], errs[i] = _gk15(f, lo, mid)
+        ends.append((mid, hi))
+        val, err = _gk15(f, mid, hi)
+        vals.append(val)
+        errs.append(err)
 
 
 # ---------------------------------------------------------------------------

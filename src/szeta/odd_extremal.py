@@ -50,10 +50,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.special
 
 from .numkit import (DomainError, ResourceError, Sign, _check_sign,
-                     sum_tail_bounded)
+                     hurwitz_zeta, sum_tail_bounded)
 
 # absolute tolerance of the truncated interpolation and frequency series
 _SERIES_TOL = 1e-12
@@ -559,7 +558,7 @@ def _lattice_sum(s: int, xi: np.ndarray, d: float,
         if alternating:
             return math.pi / np.sin(math.pi * q) / d
         return math.pi / np.tan(math.pi * q) / d
-    zeta = scipy.special.zeta
+    zeta = hurwitz_zeta
     sgn = (-1.0) ** s
     if not alternating:
         return (zeta(s, q) + sgn * zeta(s, 1.0 - q)) / d ** s

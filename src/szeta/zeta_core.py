@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import AccuracyError, DomainError, quad_adaptive, sieve_mangoldt
+from .numkit import (_BERN, AccuracyError, DomainError, quad_adaptive,
+                     sieve_mangoldt)
 
 
 class ZeroTableError(ValueError):
@@ -111,7 +112,7 @@ def bundled_zeros() -> ZeroTable:
 # ---------------------------------------------------------------------------
 
 # B_2, B_4, ..., B_12
-_B2K = [1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730]
+_B2K = _BERN[:6]
 
 
 def _zeta_em(s: complex):
@@ -170,16 +171,16 @@ _SIGMA_TRUNC = 40.0
 _LOGZETA_CACHE: dict = {}
 
 
-def _im_log_zeta_series(sigma: float, t: float) -> float:
-    """Im log zeta(sigma+it) by the absolutely convergent principal
-    series (sigma >= 3); tail < 1e-13 with 4000 terms."""
+def _log_zeta_series(s: complex) -> complex:
+    """log zeta(s) by the absolutely convergent principal series
+    sum Lambda(n)/log(n) n^-s over n < 4000 (Re s >= 3); the dropped tail
+    is below 4000^(1-sigma)/(sigma-1), 3.1e-8 at sigma = 3."""
     if "tbl" not in _LOGZETA_CACHE:
         tbl = sieve_mangoldt(3999)
         n = np.arange(2, 4000, dtype=np.float64)
         _LOGZETA_CACHE["tbl"] = (np.log(n), tbl.values[2:4000] / np.log(n))
     logn, lam_over_log = _LOGZETA_CACHE["tbl"]
-    s = complex(sigma, t)
-    return complex(np.sum(lam_over_log * np.exp(-s * logn))).imag
+    return complex(np.sum(lam_over_log * np.exp(-s * logn)))
 
 
 def _im_log_zeta(alpha: float, t: float) -> float:
@@ -190,9 +191,9 @@ def _im_log_zeta(alpha: float, t: float) -> float:
     with interval halving until each step rotates by < pi/2.
     """
     if alpha >= 3.0:
-        return _im_log_zeta_series(alpha, t)
+        return _log_zeta_series(complex(alpha, t)).imag
     # walk from 3 down to alpha
-    arg = _im_log_zeta_series(3.0, t)
+    arg = _log_zeta_series(complex(3.0, t)).imag
     sig_from = 3.0
     z_from = zeta(complex(sig_from, t))
     stack = [alpha]
@@ -283,6 +284,11 @@ def delta_const(n: int, alpha: float) -> float:
     k = (n + 1) // 2
 
     def integrand(sig: float) -> float:
+        if sig >= 8.0:
+            # zeta(sig) - 1 < 2^(1-sig): the series keeps the relative
+            # precision of log zeta, which log of a computed zeta ~ 1 loses
+            return ((sig - alpha) ** (2 * k - 2)
+                    * _log_zeta_series(complex(sig, 0.0)).real)
         if abs(sig - 1.0) < 1e-13:
             sig += 1e-13
         z = _zeta_em(complex(sig, 0.0))[0].real

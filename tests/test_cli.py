@@ -124,6 +124,19 @@ class TestBound:
         out = json.loads(r.stdout)
         assert out["lower_main"] < 0 < out["upper_main"]
 
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_sweep_with_output_is_usage_error(self, output, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--n", "1", "--t", "1e30", "--c", "0.1",
+                  "--sweep", "alpha:0.6:0.8:0.05", "--output", output])
+        assert exc.value.code == 2
+        assert "--output" in capsys.readouterr().err
+
+    def test_point_output_text(self, capsys):
+        assert main(["bound", "--n", "1", "--alpha", "0.75", "--t", "1e30",
+                     "--c", "0.25", "--output", "text"]) == 0
+        assert "lower_main: " in capsys.readouterr().out
+
     def test_sweep_monotone_alpha_column(self):
         r = run_cli("bound", "--n", "1", "--t", "1e30", "--c", "0.1",
                     "--sweep", "alpha:0.6:0.8:0.05")
@@ -160,6 +173,15 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "gw", "--kernel", "poisson", "--delta", "1",
                   "--t", "50", "--tol", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tol" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tol_flag_is_usage_error(self, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "gw", "--kernel", "poisson", "--delta", "1",
+                  "--t", "50", "--tol", tol])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "tol" in err
@@ -226,6 +248,16 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'tol'" in err
 
+    def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("# zeros\n\nzeros_path /no/such/file\n")
+        with pytest.raises(SystemExit) as exc:
+            main(_ARGV["verify rep"] + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(cfg) in err and "line 3" in err
+
     def test_missing_explicit_config_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(_ARGV["verify rep"] + ["--config", "/no/such.cfg"])
@@ -248,3 +280,52 @@ def test_cli_does_not_import_selftest():
                        text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def test_gw_odd_alpha_half_exit3():
+    r = run_cli("verify", "gw", "--kernel", "odd", "--m", "2", "--alpha",
+                "0.5", "--delta", "1.5", "--t", "50")
+    assert r.returncode == 3
+    assert r.stderr.count("\n") == 1 and "alpha=1/2" in r.stderr
+    assert r.stdout == ""
+
+
+# scipy is a test oracle only: no command may import it
+_NO_SCIPY = """import sys
+from szeta.cli import main
+rc = main(sys.argv[1:])
+print("scipy modules:", [m for m in sys.modules if m.startswith("scipy")])
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremal", "poisson", "--beta", "0.25", "--delta", "1", "--l1"],
+    ["extremal", "odd", "--m", "0", "--alpha", "0.5", "--delta", "1",
+     "--ft", "0"],
+    ["bound", "--n", "1", "--alpha", "0.75", "--t", "1e30", "--c", "0.25"],
+    ["bound", "--n", "1", "--t", "1e30", "--c", "0.1", "--sweep",
+     "alpha:0.6:0.8:0.05"],
+    ["verify", "gw", "--kernel", "poisson", "--beta", "0.25", "--delta",
+     "1.5", "--t", "50"],
+    ["verify", "rep", "--n", "1", "--alpha", "0.6", "--t", "100"],
+    ["verify", "appendix", "--id", "B1", "--x", "1e6", "--alpha", "0.75",
+     "--m", "0"],
+    ["verify", "envelope", "--n", "0", "--alpha", "0.75", "--t", "500",
+     "--with-observed"],
+], ids=["extremal poisson", "extremal odd", "bound", "bound sweep",
+        "verify gw", "verify rep", "verify appendix", "verify envelope"])
+def test_readme_command_imports_no_scipy(argv):
+    r = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "scipy modules: []"
+
+
+def test_selftest_imports_no_scipy():
+    code = ("import sys, szeta.selftest; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

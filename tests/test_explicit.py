@@ -54,6 +54,19 @@ class TestGammaIntegral:
         with pytest.raises(DomainError):
             ef.gw_evaluate(kernel, "+", 30.0, 1.0, zeros)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_odd_alpha_half_rejected_for_every_m(self, m, monkeypatch):
+        # rejected before the zero-table check (t = 30 is beyond this
+        # table) and before any sieve
+        def no_sieve(*args):
+            raise AssertionError("sieve_mangoldt called")
+        monkeypatch.setattr(ef, "sieve_mangoldt", no_sieve)
+        kernel = OddExtremalPair(m=m, alpha=0.5, delta=1.5)
+        zeros = zc.ZeroTable(ordinates=np.array([14.13, 21.02]),
+                             precision=1e-2, source="stub")
+        with pytest.raises(DomainError, match="alpha=1/2"):
+            ef.gw_evaluate(kernel, "+", 30.0, 1.5, zeros)
+
 
 class TestPrimeSum:
     def test_needs_full_sieve(self, mangoldt):

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from szeta.numkit import (AccuracyError, DomainError, MangoldtTable,
-                          polylog_H, quad_adaptive, re_digamma_quarter,
-                          sieve_mangoldt, sum_tail_bounded)
+from szeta import explicit_formula as ef
+from szeta import selftest
+from szeta import zeta_core as zc
+from szeta.numkit import (_BERN, _GK_NODES, _GK_WG, _GK_WK, _HZ_DIRECT,
+                          AccuracyError, DomainError, MangoldtTable,
+                          hurwitz_zeta, polylog_H, quad_adaptive,
+                          re_digamma_quarter, sieve_mangoldt,
+                          sum_tail_bounded)
 
 
 class TestPolylog:
@@ -79,6 +84,159 @@ class TestQuad:
     def test_integrable_singularity(self):
         val = quad_adaptive(lambda x: math.log(x), 0.0, 1.0, 1e-10)
         assert val == pytest.approx(-1.0, abs=1e-8)
+
+    def test_rule_pair(self):
+        # the 7 Gauss nodes and weights sit inside the 15 Kronrod nodes;
+        # K15 is exact through degree 22, G7 through degree 13
+        x, w = np.polynomial.legendre.leggauss(7)
+        assert np.allclose(_GK_NODES[1::2], x, rtol=0, atol=1e-15)
+        assert np.allclose(_GK_WG[1::2], w, rtol=0, atol=1e-15)
+        assert not np.any(_GK_WG[0::2])
+        for k in range(23):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert _GK_WK @ _GK_NODES ** k == pytest.approx(exact,
+                                                            abs=1e-15)
+            if k < 14:
+                assert _GK_WG @ _GK_NODES ** k == pytest.approx(
+                    exact, abs=1e-15)
+
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0),
+                                     (math.nan, 1.0)])
+    def test_infinite_endpoint_rejected(self, a, b):
+        with pytest.raises(DomainError):
+            quad_adaptive(math.exp, a, b, 1e-10)
+
+    def test_tol_must_be_positive(self):
+        for tol in (0.0, -1e-10, math.nan):
+            with pytest.raises(DomainError):
+                quad_adaptive(math.exp, 0.0, 1.0, tol)
+
+    def test_divergent_integral_raises_with_best(self):
+        with pytest.raises(AccuracyError) as exc:
+            quad_adaptive(lambda x: 1.0 / x, 0.0, 1.0, 1e-10)
+        assert math.isfinite(exc.value.best) and exc.value.best > 10.0
+
+    def test_tol_below_rounding_raises(self):
+        # never returns with an estimate above tol: the 50 eps |f| floor
+        # of every interval keeps a 1e-20 tolerance out of reach
+        with pytest.raises(AccuracyError) as exc:
+            quad_adaptive(math.exp, 0.0, 1.0, 1e-20)
+        assert exc.value.best == pytest.approx(math.e - 1.0, rel=1e-15)
+
+    def test_nonfinite_integrand_raises(self):
+        with pytest.raises(AccuracyError):
+            quad_adaptive(lambda x: math.nan, 0.0, 1.0, 1e-10)
+
+
+def _rhs_a(aid, x, alpha, m, k):
+    return ef.appendix_asymptotic(aid, {"x": x, "alpha": alpha, "m": m,
+                                        "k": k})
+
+
+# every caller of quad_adaptive, over the parameters the library, its
+# CLI, the selftest and the benchmark use
+QUAD_CALL_SITES = {
+    "s_n_direct": lambda: [zc.s_n_direct(n, a, t) for n in (1, 2, 3)
+                           for a in (0.5, 0.6, 0.75)
+                           for t in (50.0, 100.0, 1000.0)],
+    "delta_const": lambda: [zc.delta_const(n, a) for n in (1, 3, 5)
+                            for a in (0.5, 0.75, 1.0, 3.0)],
+    "appendix A1-A3": lambda: [_rhs_a(aid, x, a, m, 1)
+                               for aid in ("A1", "A2", "A3")
+                               for x in (1e5, 1.3e5, 1e6)
+                               for a in (0.6, 0.7, 0.8) for m in (0, 1)],
+    "selftest check 5": selftest.check_corollary_integral,
+}
+
+
+def _quad_calls(monkeypatch, run) -> list:
+    """(f, a, b, tol) of every quad_adaptive call that run() makes."""
+    calls = []
+
+    def recording(f, a, b, tol=1e-10):
+        calls.append((f, a, b, tol))
+        return quad_adaptive(f, a, b, tol)
+    for module in (zc, ef, selftest):
+        monkeypatch.setattr(module, "quad_adaptive", recording)
+    run()
+    assert calls
+    return calls
+
+
+@pytest.mark.parametrize("site", QUAD_CALL_SITES)
+def test_quad_matches_quadpack_at_call_sites(site, monkeypatch):
+    from scipy.integrate import quad
+    for f, a, b, tol in _quad_calls(monkeypatch, QUAD_CALL_SITES[site]):
+        ref = quad(f, a, b, epsabs=tol, epsrel=0.0, limit=400)[0]
+        assert abs(quad_adaptive(f, a, b, tol) - ref) <= tol
+
+
+@pytest.mark.parametrize("aid,x,alpha,m,k", [("A2", 1e8, 0.6, 2, 2),
+                                             ("A2", 1e8, 0.5, 2, 2),
+                                             ("A1", 1e6, 0.6, 2, 1),
+                                             ("A3", 1e8, 0.5, 1, 2)])
+def test_quad_matches_mpmath_where_quadpack_misses(aid, x, alpha, m, k):
+    # scipy's quad misses these by 1.5e-9 to 9e-8, 15 to 900 times tol
+    # (in the A2 cases while reporting success); a 30-digit mpmath
+    # quadrature split at the decades does not
+    import mpmath
+    p, lx = 2 * m + 2, math.log(x)
+    f = {"A1": lambda u: u ** -alpha * mpmath.log(u) ** -p,
+         "A2": lambda u: u ** -alpha * (k * lx + mpmath.log(u)) ** -p,
+         "A3": lambda u: (u ** (alpha - 1)
+                          * ((k + 2) * lx - mpmath.log(u)) ** -p)}[aid]
+    with mpmath.workdps(30):
+        pts = [2] + [mpmath.mpf(10) ** j
+                     for j in range(1, round(math.log10(x)) + 1)]
+        ref = float(mpmath.quad(f, pts))
+    assert _rhs_a(aid, x, alpha, m, k).direct == pytest.approx(ref,
+                                                                abs=1e-10)
+
+
+class TestHurwitzZeta:
+    # q in [1e-8, 1]: log-spaced, q -> 0, and q at and next to 1
+    Q = np.concatenate([np.geomspace(1e-8, 1.0, 400),
+                        [1e-8, 1e-4, 0.5, 1.0 - 2.0 ** -52, 1.0]])
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+    def test_against_scipy(self, s):
+        from scipy.special import zeta
+        got = hurwitz_zeta(s, self.Q)
+        assert np.all(np.abs(got / zeta(s, self.Q) - 1.0) <= 1e-14)
+
+    @pytest.mark.parametrize("s", [2, 3, 6, 13])
+    def test_against_mpmath(self, s):
+        import mpmath
+        q = self.Q[::20]
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.zeta(s, mpmath.mpf(float(v))))
+                            for v in q])
+        assert np.all(np.abs(hurwitz_zeta(s, q) / ref - 1.0) <= 1e-15)
+
+    def test_riemann_zeta_values(self):
+        assert hurwitz_zeta(2, 1.0) == pytest.approx(math.pi ** 2 / 6,
+                                                     rel=1e-16)
+        assert hurwitz_zeta(4, 1.0) == pytest.approx(math.pi ** 4 / 90,
+                                                     rel=1e-16)
+        assert type(hurwitz_zeta(3, 1.0)) is float
+        assert hurwitz_zeta(3, np.array([1.0])).shape == (1,)
+
+    def test_remainder_bound(self):
+        # Johansson's bound 4 (s)_2M x^(1-s-2M) / ((2 pi)^2M (s+2M-1)),
+        # x = q + N >= N, against zeta(s, q) >= 1, over the s it serves
+        M = len(_BERN)
+        for s in range(2, 60):
+            rising = math.prod(s + i for i in range(2 * M))
+            bound = (4 * rising * _HZ_DIRECT ** (1 - s - 2 * M)
+                     / ((2 * math.pi) ** (2 * M) * (s + 2 * M - 1)))
+            assert bound < 1e-17
+
+    @pytest.mark.parametrize("s,q", [(1, 0.5), (2.5, 0.5), (0, 0.5),
+                                     (2, 0.0), (2, -0.1), (2, 1.5),
+                                     (2, math.nan)])
+    def test_domain(self, s, q):
+        with pytest.raises(DomainError):
+            hurwitz_zeta(s, q)
 
 
 class TestSumTail:

@@ -136,3 +136,32 @@ def test_gap_decreases_with_delta():
         gaps = [PoissonExtremalPair(beta=0.25, delta=d).l1_gap(sign)
                 for d in (1.0, 2.0, 4.0)]
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+def _check1_frequencies():
+    """(b, w) of every cosine transform that selftest check 1 takes."""
+    for b in (0.05, 0.15, 0.3, 0.45):
+        for d in (1.0, 1.5, 3.0):
+            yield b, 0.0
+            yield b, 2 * math.pi * d
+            for xi in (0.3 * d, 0.7 * d, 1.2 * d):
+                for w in (xi, d + xi, abs(d - xi)):
+                    yield b, 2 * math.pi * w
+
+
+def test_cos_integral_matches_qawf():
+    # check 1's oracle against QUADPACK's QAWF, which it replaces, and
+    # against the closed form (pi/2) exp(-b w)
+    from scipy.integrate import quad
+    from szeta.selftest import _cos_integral
+    for b, w in _check1_frequencies():
+        f = lambda x: b / (b * b + x * x)
+        # the calls of the QAWF oracle, warnings silenced as there
+        if w == 0.0:
+            ref = quad(f, 0.0, np.inf, epsabs=1e-13, full_output=1)[0]
+        else:
+            ref = quad(f, 0.0, np.inf, weight="cos", wvar=w, limlst=300,
+                       epsabs=1e-13, full_output=1)[0]
+        got = _cos_integral(b, w)
+        assert abs(got - ref) <= 1e-11
+        assert abs(got - 0.5 * math.pi * math.exp(-b * w)) <= 1e-13
