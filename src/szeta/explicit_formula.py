@@ -78,7 +78,7 @@ class Kernel(Protocol):
 # report types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GwReport:
     """Both sides of the explicit formula for one (kernel, sign, t)."""
 
@@ -305,9 +305,12 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
         mangoldt = sieve_mangoldt(
             int(math.ceil(math.exp(2.0 * math.pi * delta))))
 
-    zvals = kernel.real(sign, t - gam) + kernel.real(sign, t + gam)
-    zero_side = float(np.sum(zvals))
+    # the envelope first: a kernel may calibrate it on a window of its
+    # own, which should not displace the zero side's cached work
     ztail = _zero_tail_bound(kernel.tail_envelope(sign), t, t0)
+    # one window for both shifts, so both share one node budget
+    zvals = kernel.real(sign, np.concatenate([t - gam, t + gam]))
+    zero_side = float(np.sum(zvals[:len(gam)] + zvals[len(gam):]))
 
     arch = 2.0 * kernel.complex(sign, complex(t, 0.5)).real
     ft = partial(kernel.ft, sign)

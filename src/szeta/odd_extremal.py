@@ -38,8 +38,10 @@ Caches live in the pair's ``_cache``: the sigma grid; one node set per
 sign, grown outward when a larger budget N is needed; and the far-field
 coefficients of the most recent N per sign.  Every call reads exactly the
 slice |nu| <= N of its own budget N, which depends on the evaluation
-window alone, so results do not depend on earlier calls.  A budget whose
-node data would exceed _NODE_MEMORY bytes raises ResourceError.
+window alone, so results do not depend on earlier calls.  Budgets lie on
+the grid of 2^a 3^b numbers, so nearby windows share one N and with it
+the far-field coefficients.  A budget whose node data would exceed
+_NODE_MEMORY bytes raises ResourceError.
 """
 
 from __future__ import annotations
@@ -203,15 +205,20 @@ class OddExtremalPair:
         At least 10*delta nodes.  The dense floor ~20 nodes per unit x
         serves small arguments; for large R it is capped at 2R + 2000
         (nodes must only outrun the evaluation window, the tail test
-        below does the rest).  The tail test reads only the slice
+        below does the rest).  Every candidate N, the first and each
+        1.5x growth step, is rounded up to the next 2^a 3^b number
+        (_fft_len), so windows of similar R share a budget and its
+        far-field coefficients.  The tail test reads only the slice
         |nu| <= N, so the budget depends on R alone.  Raises
-        ResourceError when the node data of a budget would exceed
-        _NODE_MEMORY bytes.
+        ResourceError, before any node is built, when the node data of a
+        budget would exceed _NODE_MEMORY bytes: for R > 707 588 at delta < 10,
+        and from at most R > 708 578 at larger delta.
         """
         dense = min(int(math.ceil(50 + 20 * R / self.delta)),
                     int(math.ceil(2 * R)) + 2000)
         d = self.delta
-        N = max(int(math.ceil(10 * d)), dense, int(math.ceil(2 * R + 20)))
+        N = _fft_len(max(int(math.ceil(10 * d)), dense,
+                         int(math.ceil(2 * R + 20))))
         while True:
             if (2 * N + 1) * _BYTES_PER_NODE > _NODE_MEMORY:
                 raise ResourceError(
@@ -228,7 +235,7 @@ class OddExtremalPair:
                     + CFp * d ** 3 / N ** 3) / math.pi ** 2
             if tail <= _SERIES_TOL:
                 return N
-            N = int(N * 1.5) + 10
+            N = _fft_len(int(N * 1.5) + 10)
 
     def g_eval(self, sign: Sign, z: complex) -> complex:
         """Majorant ('+') or minorant ('-') value at complex z."""
@@ -295,7 +302,7 @@ class OddExtremalPair:
         comes from max |w| and _SERIES_TOL; a call costs O(N log N) for the
         far-field coefficients of a new N plus O(_NEAR_NODES + _FAR_TERMS)
         per point, in O(N + len(x)) memory.  Raises ResourceError when N
-        would exceed the node memory limit (|delta*x| beyond about 7e5).
+        would exceed the node memory limit (|delta*x| > 7.08e5).
         """
         _check_sign(sign)
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))

@@ -113,6 +113,33 @@ class TestGwEvaluate:
         assert abs(r_many.residual) <= abs(r_few.residual) + 1e-9
         assert r_many.zero_tail_bound < r_few.zero_tail_bound
 
+    def test_odd_far_field_shared_across_calls(self, zeros, mangoldt):
+        pair = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
+        for sign in "+-":
+            ef.gw_evaluate(pair, sign, 154.0, 1.5, zeros,
+                           mangoldt=mangoldt)
+            far = pair._cache[("far", sign)]
+            for t in (30.0, 90.0, 150.0):
+                ef.gw_evaluate(pair, sign, t, 1.5, zeros,
+                               mangoldt=mangoldt)
+                assert pair._cache[("far", sign)] is far
+
+    def test_zero_side_is_sum_of_both_shifts(self, zeros, mangoldt,
+                                             monkeypatch):
+        pair = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
+        gam = zeros.ordinates
+        t = 90.0
+        for sign in "+-":
+            rep = ef.gw_evaluate(pair, sign, t, 1.5, zeros,
+                                 mangoldt=mangoldt)
+            N = pair._budget(sign, 1.5 * (t + float(gam[-1])))
+            with monkeypatch.context() as mp:
+                mp.setattr(OddExtremalPair, "_budget",
+                           lambda self, sign, R: N)
+                want = (np.sum(pair.real(sign, t - gam))
+                        + np.sum(pair.real(sign, t + gam)))
+            assert abs(rep.zero_side - want) <= 1e-12
+
     def test_delta_mismatch_rejected(self, zeros):
         p = PoissonExtremalPair(beta=0.25, delta=1.5)
         with pytest.raises(DomainError):

@@ -7,7 +7,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from scalar_ft import scalar_ft_g
 from szeta.numkit import DomainError, ResourceError
-from szeta.odd_extremal import OddExtremalPair, _sinc2
+from szeta.odd_extremal import (_SERIES_TOL, OddExtremalPair, _fft_len,
+                                _sinc2)
 
 SMALL_GRID = [(0, 0.5, 1.0), (0, 0.75, 1.5), (1, 0.6, 1.0),
               (2, 0.9, 2.0)]
@@ -187,6 +188,38 @@ def test_g_real_independent_of_call_history(m, alpha, delta):
         assert np.array_equal(fresh.g_real(sign, x), used.g_real(sign, x))
 
 
+def _is_3_smooth(n):
+    while n % 2 == 0:
+        n //= 2
+    while n % 3 == 0:
+        n //= 3
+    return n == 1
+
+
+def test_fft_len_is_smallest_3_smooth():
+    smooth = [n for n in range(1, 5000) if _is_3_smooth(n)]
+    for n in range(1, 4000):
+        assert _fft_len(n) == min(s for s in smooth if s >= n)
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.5, 3.0])
+def test_budget_on_3_smooth_grid_meets_tail_test(delta):
+    pair = OddExtremalPair(m=0, alpha=0.75, delta=delta)
+    d = delta
+    for sign in "+-":
+        for R in (0.0, 0.4, 3.0, 17.5, 150.0, 2515.6, 3812.0, 4004.0,
+                  1.2e4, 1e5):
+            N = pair._budget(sign, R)
+            assert _is_3_smooth(N) and N > 2 * R
+            # the tail test of _budget, recomputed on the slice
+            nu, F, Fp = pair._nodes(sign, N)
+            CF = np.max(np.abs(F) * (d * d + nu * nu) / (d * d))
+            CFp = np.max(np.abs(Fp) * (d ** 3 + np.abs(nu) ** 3) / d ** 3)
+            tail = (2 * CF * d * d / ((N - R) ** 2 * N)
+                    + CFp * d ** 3 / N ** 3) / math.pi ** 2
+            assert tail <= _SERIES_TOL
+
+
 def test_g_real_far_out_and_node_memory_limit():
     pair = OddExtremalPair(m=0, alpha=0.75, delta=1.0)
     x = np.concatenate([1e5 - np.linspace(0.0, 3.0, 13),
@@ -197,3 +230,24 @@ def test_g_real_far_out_and_node_memory_limit():
     assert np.all(gm <= f + 1e-15) and np.all(f <= gp + 1e-15)
     with pytest.raises(ResourceError):
         pair.g_real("+", np.array([1e7]))
+
+
+class NodesBuilt(Exception):
+    pass
+
+
+def test_node_memory_limit_raises_before_any_node(monkeypatch):
+    def no_nodes(self, sign, N):
+        raise NodesBuilt(N)
+    # a budget that passes the memory check reaches _nodes and raises
+    # NodesBuilt, so ResourceError means no node was built
+    monkeypatch.setattr(OddExtremalPair, "_nodes", no_nodes)
+    for delta in (1.0, 1.5):
+        pair = OddExtremalPair(m=0, alpha=0.75, delta=delta)
+        with pytest.raises(ResourceError, match="node memory limit"):
+            pair.g_real("+", np.array([1e7 / delta]))
+        # the largest window below the limit rounds up to 2^3 3^11 nodes
+        with pytest.raises(NodesBuilt, match="1417176"):
+            pair._budget("+", 707_588.0)
+        with pytest.raises(ResourceError):
+            pair._budget("+", 707_588.5)

@@ -118,3 +118,12 @@ class TestDeltaConst:
             0.4 ** 2 / 2, rel=1e-12)
         assert zc.delta_const(4, 0.75) == pytest.approx(
             -0.25 ** 4 / 24, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 9, 21])
+    def test_odd_beyond_limit_rejected_before_quadrature(self, n,
+                                                         monkeypatch):
+        def no_quad(*args):
+            raise AssertionError("quad_adaptive called")
+        monkeypatch.setattr(zc, "quad_adaptive", no_quad)
+        with pytest.raises(DomainError, match="odd n <= 5"):
+            zc.delta_const(n, 0.75)
