@@ -159,15 +159,6 @@ class BoundEnvelope:
         if not self.lower_main <= 0.0 <= self.upper_main:
             raise ValueError("main terms must bracket 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "alpha": self.alpha, "t": self.t, "c": self.c,
-            "lower_main": self.lower_main, "upper_main": self.upper_main,
-            "ell": self.ell, "err_scale": self.err_scale,
-            "err_scale_lower": self.err_scale_lower,
-            "err_scale_upper": self.err_scale_upper,
-        }
-
 
 def envelope(n: int, alpha: float, t: float, c: float) -> BoundEnvelope:
     """Uniform bound envelope for S_n in the region
@@ -201,13 +192,6 @@ def _envelope_terms(n: int, alpha: float, t: float,
                          err_scale_lower=err_lo, err_scale_upper=err_hi)
 
 
-def corollary5_omega(n: int) -> float:
-    """Parity weight in the coarse envelope cap: 1 for odd n, sqrt2 even."""
-    if n < -1:
-        raise DomainError(f"n must be >= -1, got {n}")
-    return 1.0 if n % 2 else math.sqrt(2.0)
-
-
 # ---------------------------------------------------------------------------
 # interpolation optimizer
 # ---------------------------------------------------------------------------
@@ -229,9 +213,6 @@ class InterpParams:
             raise ValueError("a + b must equal 1")
         if not 0.5 - 1e-9 <= self.lam <= 2.0 + 1e-9:
             raise ValueError(f"lambda = {self.lam} outside [1/2, 2]")
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "lam": self.lam, "nu": self.nu}
 
 
 def interp_params(n: int, alpha: float, t: float) -> InterpParams:
@@ -262,17 +243,6 @@ def interp_params(n: int, alpha: float, t: float) -> InterpParams:
 
 
 # ---------------------------------------------------------------------------
-# critical-line log-zeta bound
-# ---------------------------------------------------------------------------
-
-def logzeta_halfline_bound(t: float) -> float:
-    """Main term (log 2 / 2) log t / log log t bounding log|zeta(1/2+it)|."""
-    if _loglog(t) < 4.0:
-        raise DomainError(f"log log t < 4 at t = {t}")
-    return 0.5 * math.log(2.0) * math.log(t) / _loglog(t)
-
-
-# ---------------------------------------------------------------------------
 # report-only envelope comparison
 # ---------------------------------------------------------------------------
 
@@ -290,14 +260,6 @@ class EnvelopeCheck:
     band_upper: float
     inside: bool
     region_ok: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "envelope": self.envelope.to_dict(), "observed": self.observed,
-            "observed_method": self.observed_method, "slack": self.slack,
-            "band_lower": self.band_lower, "band_upper": self.band_upper,
-            "inside": self.inside, "region_ok": self.region_ok,
-        }
 
 
 def check_envelope(n: int, alpha: float, t: float, c: float,

@@ -9,9 +9,10 @@ selftest  the full acceptance suite
 
 Exit codes: 0 success (verify: within band), 1 verification outside its
 band or selftest failure, 2 usage error (including an unknown config key,
-a config line that is not key=value, or an unreadable --config file),
-3 parameter-region violation or t beyond the zero table, 4 missing or
-malformed zeros file.
+a config line that is not key=value, an unreadable --config file, or a
+malformed --sweep), 3 parameter-region violation, t beyond the zero
+table, or a resource limit (DomainError, ZeroTableError and ResourceError,
+mapped in ``main``), 4 missing or malformed zeros file.
 
 Output is deterministic: JSON fields appear in fixed insertion order
 and every float is rendered with 15 significant digits in scientific
@@ -29,6 +30,7 @@ import csv
 import io
 import math
 import sys
+from dataclasses import asdict
 from typing import NoReturn
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from . import bounds as bd
 from . import explicit_formula as ef
 from . import zeta_core as zc
-from .numkit import DomainError
+from .numkit import DomainError, ResourceError
 from .odd_extremal import OddExtremalPair
 from .poisson_extremal import PoissonExtremalPair
 
@@ -187,41 +189,55 @@ def _envelope_row(n: int, alpha: float, t: float, c: float) -> dict:
             "observed": "", "flag": ""}
 
 
+# most rows of one bound --sweep
+_SWEEP_ROWS = 10_000
+
+
+def _sweep_alphas(spec: str) -> list[float]:
+    """LO, LO + STEP, ... up to HI for --sweep alpha:LO:HI:STEP; any other
+    spec, non-finite numbers, STEP <= 0, LO > HI or more than _SWEEP_ROWS
+    rows is a usage error."""
+    name, *nums = spec.split(":")
+    try:
+        lo, hi, step = map(float, nums)
+    except ValueError:
+        _usage_error(f"--sweep must be alpha:LO:HI:STEP, got '{spec}'")
+    if name != "alpha":
+        _usage_error(f"only alpha sweeps are supported, got '{name}'")
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or lo > hi:
+        _usage_error(f"--sweep needs finite LO <= HI and STEP > 0, "
+                     f"got '{spec}'")
+    alphas = []
+    a = lo
+    while a <= hi + 1e-12:
+        if len(alphas) == _SWEEP_ROWS:
+            _usage_error(f"--sweep '{spec}' has more than "
+                         f"{_SWEEP_ROWS} rows")
+        alphas.append(round(a, 12))
+        a += step
+    return alphas
+
+
 def cmd_bound(args) -> int:
     if not args.sweep and args.alpha is None:
         print("error: either --alpha or --sweep is required",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.sweep and args.output is not None:
+    if not args.sweep:
+        env = bd.envelope(args.n, args.alpha, args.t, args.c)
+        _emit(asdict(env), args.output)
+        return EXIT_OK
+    if args.output is not None:
         _usage_error("--sweep always writes CSV; it takes no --output")
-    try:
-        if args.sweep:
-            name, lo, hi, step = args.sweep.split(":")
-            if name != "alpha":
-                raise DomainError("only alpha sweeps are supported")
-            lo, hi, step = float(lo), float(hi), float(step)
-            alphas = []
-            a = lo
-            while a <= hi + 1e-12:
-                alphas.append(round(a, 12))
-                a += step
-            rows = [_envelope_row(args.n, a, args.t, args.c)
-                    for a in alphas]
-            buf = io.StringIO()
-            w = csv.DictWriter(buf, fieldnames=_CSV_COLS,
-                               lineterminator="\n")
-            w.writeheader()
-            for row in rows:
-                w.writerow({k: (_jfloat(v).strip('"')
-                                if isinstance(v, float) else v)
-                            for k, v in row.items()})
-            sys.stdout.write(buf.getvalue())
-        else:
-            env = bd.envelope(args.n, args.alpha, args.t, args.c)
-            _emit(env.to_dict(), args.output)
-    except DomainError as exc:
-        print(f"region violation: {exc}", file=sys.stderr)
-        return EXIT_REGION
+    rows = [_envelope_row(args.n, a, args.t, args.c)
+            for a in _sweep_alphas(args.sweep)]
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=_CSV_COLS, lineterminator="\n")
+    w.writeheader()
+    for row in rows:
+        w.writerow({k: (_jfloat(v).strip('"') if isinstance(v, float) else v)
+                    for k, v in row.items()})
+    sys.stdout.write(buf.getvalue())
     return EXIT_OK
 
 
@@ -232,7 +248,7 @@ def _verify_gw(args) -> int:
     rep = ef.gw_evaluate(_pair(args.kernel, args), args.sign, args.t,
                          args.delta, zeros)
     band = rep.zero_tail_bound + rep.prime_tail_bound + args.tol
-    out = rep.to_dict()
+    out = asdict(rep)
     out["band"] = band
     out["within_band"] = abs(rep.residual) <= band
     _emit(out, args.output)
@@ -260,7 +276,8 @@ def _verify_appendix(args) -> int:
             params[key] = v
     chk = ef.appendix_asymptotic(args.id, params)
     band = ef.APPENDIX_BANDS.get((args.id, args.m or 0), args.slack)
-    out = chk.to_dict()
+    out = asdict(chk)
+    out["deviation_multiple"] = chk.deviation_multiple
     out["band"] = band
     out["within_band"] = chk.deviation_multiple <= band
     _emit(out, args.output)
@@ -268,41 +285,25 @@ def _verify_appendix(args) -> int:
 
 
 def _verify_envelope(args) -> int:
-    path = _zeros_path(args)
+    path = _zeros_path(args)  # checks the config file in either case
     zeros = _load_zeros(path) if args.with_observed else None
-    try:
-        chk = bd.check_envelope(args.n, args.alpha, args.t, args.c,
-                                zeros=zeros, slack=args.slack)
-    except DomainError as exc:
-        print(f"region violation: {exc}", file=sys.stderr)
-        return EXIT_REGION
-    _emit(chk.to_dict(), args.output)
+    chk = bd.check_envelope(args.n, args.alpha, args.t, args.c,
+                            zeros=zeros, slack=args.slack)
+    _emit(asdict(chk), args.output)
     return EXIT_OK  # report-only by contract
 
 
 def cmd_verify(args) -> int:
-    try:
-        return {"gw": _verify_gw, "rep": _verify_rep,
-                "appendix": _verify_appendix,
-                "envelope": _verify_envelope}[args.what](args)
-    except DomainError as exc:
-        print(f"region violation: {exc}", file=sys.stderr)
-        return EXIT_REGION
-    except zc.ZeroTableError as exc:
-        print(f"outside the zero table: {exc}", file=sys.stderr)
-        return EXIT_REGION
+    return {"gw": _verify_gw, "rep": _verify_rep,
+            "appendix": _verify_appendix,
+            "envelope": _verify_envelope}[args.what](args)
 
 
 def cmd_selftest(args) -> int:
     from . import selftest as stst
-    zeros_path = _zeros_path(args)
-    try:
-        results = stst.run_all(zeros_path)
-    except (OSError, zc.ZeroTableError) as exc:
-        print(f"error: cannot load zeros: {exc}", file=sys.stderr)
-        return EXIT_BAND
+    results = stst.run_all(_load_zeros(_zeros_path(args)))
     if args.json:
-        print(dumps({"checks": [r.to_dict() for r in results],
+        print(dumps({"checks": [asdict(r) for r in results],
                      "passed": all(r.passed for r in results)}))
     else:
         for r in results:
@@ -412,7 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DomainError as exc:
+        msg = f"region violation: {exc}"
+    except zc.ZeroTableError as exc:
+        msg = f"outside the zero table: {exc}"
+    except ResourceError as exc:
+        msg = f"resource limit: {exc}"
+    print(msg, file=sys.stderr)
+    return EXIT_REGION
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Explicit-formula evaluation, prime-power sums with closed-form envelopes,
-zero-sum representations of S_n, and asymptotic integral/sum oracles.
+"""Explicit-formula evaluation, prime-power sums, zero-sum representations
+of S_n, and asymptotic integral/sum oracles.
 
 The central operation compares the two sides of the Guinand-Weil explicit
 formula for the bandlimited extremal kernels: the sum over zeta zeros of a
@@ -103,18 +103,6 @@ class GwReport:
         if abs(self.residual - expect) > 1e-9 * (1.0 + abs(expect)):
             raise ValueError("residual field inconsistent with components")
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t, "delta": self.delta, "kernel": dict(self.kernel),
-            "sign": self.sign, "zero_side": self.zero_side,
-            "zero_tail_bound": self.zero_tail_bound,
-            "arch_terms": self.arch_terms,
-            "gamma_integral": self.gamma_integral,
-            "log_pi_term": self.log_pi_term, "prime_sum": self.prime_sum,
-            "prime_tail_bound": self.prime_tail_bound,
-            "residual": self.residual,
-        }
-
 
 @dataclass(frozen=True)
 class AsymptoticCheck:
@@ -134,13 +122,6 @@ class AsymptoticCheck:
     def deviation_multiple(self) -> float:
         """|direct - main_term| as a multiple of error_scale."""
         return abs(self.direct - self.main_term) / self.error_scale
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id, "params": dict(self.params), "direct": self.direct,
-            "main_term": self.main_term, "error_scale": self.error_scale,
-            "deviation_multiple": self.deviation_multiple,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -247,30 +228,6 @@ def prime_sum(kernel_ft: Callable[[np.ndarray], np.ndarray], t: float,
     return float(np.sum(terms)) / math.pi
 
 
-def prime_sum_envelope_poisson(sign: Sign, beta: float, delta: float) -> float:
-    """Closed-form one-sided envelope for the Poisson-kernel prime sum.
-
-    Sign '+': the majorant prime sum is bounded below by the returned
-    (negative) value; sign '-': the minorant prime sum is bounded above by
-    the returned (positive) value.  Both share the numerator
-    2 b e^{(1-2b) pi d} - 2^{1/2-b}(1/2+b)^2 + 2^{1/2+b} e^{-4 pi b d}(1/2-b)^2,
-    and the bounds hold up to O(d^4/b) resp. O(b d^4) corrections.
-    """
-    _check_sign(sign)
-    if not 0.0 < beta < 0.5:
-        raise DomainError(f"beta must lie in (0, 1/2), got {beta}")
-    if delta < 1.0:
-        raise DomainError(f"delta must be >= 1, got {delta}")
-    num = (2.0 * beta * math.exp((1.0 - 2.0 * beta) * math.pi * delta)
-           - 2.0 ** (0.5 - beta) * (0.5 + beta) ** 2
-           + 2.0 ** (0.5 + beta) * math.exp(-4.0 * math.pi * beta * delta)
-           * (0.5 - beta) ** 2)
-    q = math.exp(-2.0 * math.pi * beta * delta)
-    if sign == "+":
-        return -num / ((0.25 - beta * beta) * (1.0 - q) ** 2)
-    return num / ((0.25 - beta * beta) * (1.0 + q) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # explicit-formula evaluation
 # ---------------------------------------------------------------------------
@@ -287,8 +244,6 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     """
     _check_sign(sign)
     gam = np.asarray(zeros.ordinates)
-    if len(gam) == 0:
-        raise ZeroTableError("zero table is empty")
     if abs(delta - kernel.delta) > 1e-12:
         raise DomainError(
             f"delta {delta} does not match kernel delta {kernel.delta}")
@@ -365,10 +320,10 @@ def rep_sum(n: int, alpha: float, t: float, zeros: ZeroTable) -> SnValue:
     if n == -1 and alpha == 0.5:
         raise DomainError("n = -1 requires alpha > 1/2")
     gam = np.asarray(zeros.ordinates)
-    if len(gam) == 0 or gam[-1] < t + 10.0:
+    if gam[-1] < t + 10.0:
         raise ZeroTableError(
             f"insufficient zero coverage near t = {t}: table ends at "
-            f"{gam[-1] if len(gam) else 'empty'}")
+            f"{gam[-1]}")
     t0 = float(gam[-1])
     dens2 = _density_tail(t, t0) + _density_tail(-t, t0)
 

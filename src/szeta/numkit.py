@@ -5,8 +5,7 @@ envelopes) is built on the handful of primitives in this module:
 
 * ``polylog_H``      -- the shifted polylogarithm H_n(x) = sum_k x^k/(k+1)^n
 * ``hurwitz_zeta``   -- zeta(s, q) at integer s >= 2, elementwise in q
-* ``re_digamma_quarter`` -- Re psi(1/4 + iu/2) on the whole real line
-* ``sieve_mangoldt`` -- exact von Mangoldt table with Chebyshev psi prefix
+* ``sieve_mangoldt`` -- exact von Mangoldt table by the sieve of Eratosthenes
 * ``quad_adaptive``  -- adaptive Gauss-Kronrod quadrature on finite ranges
 * ``sum_tail_bounded`` -- series summation with caller-supplied tail majorant;
   terms and tails may be arrays, summed elementwise, each element stopping
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -69,26 +68,11 @@ class SeriesResult:
 class MangoldtTable:
     """Exact von Mangoldt values Lambda(n) for 2 <= n <= limit.
 
-    ``values[n]`` is Lambda(n) (indices 0 and 1 are zero padding) and
-    ``psi_prefix[n]`` is the Chebyshev function psi(n) = sum_{k<=n} Lambda(k).
+    ``values[n]`` is Lambda(n); indices 0 and 1 are zero padding.
     """
 
     limit: int
     values: np.ndarray
-    psi_prefix: np.ndarray
-
-    def lam(self, n: int) -> float:
-        if not 2 <= n <= self.limit:
-            raise DomainError(f"n={n} outside table range [2, {self.limit}]")
-        return float(self.values[n])
-
-    def psi(self, x: float) -> float:
-        """Chebyshev psi(x) = sum of Lambda(n) over n <= x."""
-        if x < 2:
-            return 0.0
-        if x > self.limit:
-            raise DomainError(f"x={x} beyond table limit {self.limit}")
-        return float(self.psi_prefix[int(math.floor(x))])
 
 
 # ---------------------------------------------------------------------------
@@ -175,39 +159,13 @@ def polylog_H(n: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Re psi(1/4 + iu/2)
-# ---------------------------------------------------------------------------
-
-# Bernoulli numbers B_2 .. B_16: the asymptotic tail of psi and the
-# Euler-Maclaurin tails of hurwitz_zeta and zeta_core._zeta_em
-_BERN = [1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
-         5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510]
-
-
-def _digamma_complex(z: complex) -> complex:
-    """psi(z) for Re z > 0 via recurrence shift + 8-term asymptotic series."""
-    shift = 0.0 + 0.0j
-    while abs(z) < 10.0:
-        shift -= 1.0 / z
-        z = z + 1.0
-    # psi(z) ~ log z - 1/(2z) - sum B_{2k}/(2k z^{2k})
-    inv2 = 1.0 / (z * z)
-    s = 0.0 + 0.0j
-    p = inv2
-    for k, b in enumerate(_BERN, start=1):
-        s += b / (2 * k) * p
-        p *= inv2
-    return shift + np.log(z) - 0.5 / z - s
-
-
-def re_digamma_quarter(u: float) -> float:
-    """Re psi(1/4 + iu/2), absolute error <= 1e-12, any real u."""
-    return float(_digamma_complex(complex(0.25, 0.5 * abs(u))).real)
-
-
-# ---------------------------------------------------------------------------
 # Hurwitz zeta(s, q)
 # ---------------------------------------------------------------------------
+
+# Bernoulli numbers B_2 .. B_16: the Euler-Maclaurin tails of hurwitz_zeta
+# and zeta_core._zeta_em
+_BERN = [1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
+         5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510]
 
 # terms of hurwitz_zeta summed directly before the Euler-Maclaurin tail
 _HZ_DIRECT = 12
@@ -278,7 +236,7 @@ def sieve_mangoldt(X: int) -> MangoldtTable:
         while q <= X:
             lam[q] = lp
             q *= int(p)
-    return MangoldtTable(limit=X, values=lam, psi_prefix=np.cumsum(lam))
+    return MangoldtTable(limit=X, values=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -59,15 +59,17 @@ class PoissonExtremalPair:
 
         The quotient form has removable singularities at z = +/- i*beta;
         near those points the factored product of shifted sinc kernels is
-        used instead.  |Im z| is capped at 700/(2*pi*delta) so the complex
-        sine cannot overflow double precision.
+        used instead.  |Im z| above 700/(2*pi*delta) raises DomainError:
+        there the complex cosine overflows double precision.
         """
         _check_sign(sign)
         b, d = self.beta, self.delta
         z = complex(z)
         cap = 700.0 / (2.0 * math.pi * d)
         if abs(z.imag) > cap:
-            z = complex(z.real, math.copysign(cap, z.imag))
+            raise DomainError(
+                f"|Im z| = {abs(z.imag):.6g} exceeds 700/(2 pi delta) = "
+                f"{cap:.6g}, beyond which cos(2 pi delta z) overflows")
         D = self._denom(sign)
         if min(abs(z - 1j * b), abs(z + 1j * b)) < 1e-4:
             # factored form: 4 b sin(pi d (z+ib)) sin(pi d (z-ib))

@@ -55,10 +55,6 @@ class CheckResult:
     runtime: float
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "runtime": self.runtime, "details": self.details}
-
 
 def _result(name: str, t0: float, failures: list, **details) -> CheckResult:
     details = dict(details)
@@ -528,10 +524,11 @@ def check_count_cross_route(zeros: Optional[zc.ZeroTable] = None) \
 # driver
 # ---------------------------------------------------------------------------
 
-def run_all(zeros_path: Optional[str] = None) -> list[CheckResult]:
-    """Run the full acceptance suite; shares one zero table throughout."""
-    zeros = (zc.load_zeros(zeros_path) if zeros_path
-             else zc.bundled_zeros())
+def run_all(zeros: Optional[zc.ZeroTable] = None) -> list[CheckResult]:
+    """Run the full acceptance suite on one zero table (None: the bundled
+    one), shared by every check that reads zeros."""
+    if zeros is None:
+        zeros = zc.bundled_zeros()
     return [
         check_poisson_suite(),
         check_odd_suite(),

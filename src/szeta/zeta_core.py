@@ -168,8 +168,6 @@ def zeta_logderiv(s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 _SIGMA_TRUNC = 40.0
-# largest odd n for which delta_const's sigma-integral meets its tolerance
-_DELTA_CONST_MAX_ODD = 5
 _LOGZETA_CACHE: dict = {}
 
 
@@ -233,7 +231,7 @@ def s_n_direct(n: int, alpha: float, t: float,
         raise DomainError(f"alpha must lie in [1/2, 4], got {alpha}")
     if t <= 0:
         raise DomainError("t must be > 0")
-    if zeros is not None and len(zeros):
+    if zeros is not None:
         o = zeros.ordinates
         i = int(np.searchsorted(o, t))
         near = min((abs(t - o[j]) for j in (max(i - 1, 0),
@@ -267,52 +265,6 @@ def s_n_direct(n: int, alpha: float, t: float,
             * 2.0 ** (-_SIGMA_TRUNC)) / math.pi
     return SnValue(n=n, alpha=alpha, t=t, value=val, method="direct",
                    est_error=1e-9 + tail)
-
-
-def delta_const(n: int, alpha: float) -> float:
-    """Limiting constants of S_{n,alpha} as t -> 0+ (n >= 1).
-
-    Even n = 2k: closed form (-1)^{k-1}(1-alpha)^{2k}/(2k)!.  Odd
-    n = 2k-1: the iterated integral collapses (Cauchy repeated
-    integration) to a single weighted integral of log|zeta| along the
-    real axis, taken up to sigma = _SIGMA_TRUNC = 40.  The dropped tail
-    int_40^inf (sigma-alpha)^{2k-2} log zeta(sigma) dsigma, about
-    40^{2k-2} 2^{-40}/log 2, is 1e-12 at n = 1, 2e-9 at n = 3 and 4e-6 at
-    n = 5 (5e-8 in the constant); odd n >= 7 raises DomainError, since
-    the tail (6e-3 at n = 7) and the quadrature's rounding floor both
-    exceed its tolerance there.
-    """
-    if n < 1:
-        raise DomainError("delta_const requires n >= 1")
-    if n % 2 and n > _DELTA_CONST_MAX_ODD:
-        raise DomainError(
-            f"delta_const supports odd n <= {_DELTA_CONST_MAX_ODD}, got {n}")
-    if n % 2 == 0:
-        k = n // 2
-        return (-1.0) ** (k - 1) * (1.0 - alpha) ** (2 * k) \
-            / math.factorial(2 * k)
-    k = (n + 1) // 2
-
-    def integrand(sig: float) -> float:
-        if sig >= 8.0:
-            # zeta(sig) - 1 < 2^(1-sig): the series keeps the relative
-            # precision of log zeta, which log of a computed zeta ~ 1 loses
-            return ((sig - alpha) ** (2 * k - 2)
-                    * _log_zeta_series(complex(sig, 0.0)).real)
-        if abs(sig - 1.0) < 1e-13:
-            sig += 1e-13
-        z = _zeta_em(complex(sig, 0.0))[0].real
-        return (sig - alpha) ** (2 * k - 2) * math.log(abs(z))
-
-    # log|zeta| has an integrable log singularity at sigma = 1
-    parts = []
-    if alpha < 1.0:
-        parts.append(quad_adaptive(integrand, alpha, 1.0, 1e-11))
-        parts.append(quad_adaptive(integrand, 1.0, _SIGMA_TRUNC, 1e-11))
-    else:
-        parts.append(quad_adaptive(integrand, alpha, _SIGMA_TRUNC, 1e-11))
-    return (-1.0) ** (k - 1) / math.pi * sum(parts) \
-        / math.factorial(2 * k - 2)
 
 
 def smooth_count(t: float) -> float:

@@ -92,10 +92,6 @@ class TestEnvelope:
         scale = abs(vals[0]) * step * 50
         assert all(d <= scale for d in diffs)
 
-    def test_omega(self):
-        assert bd.corollary5_omega(1) == 1.0
-        assert bd.corollary5_omega(2) == pytest.approx(math.sqrt(2.0))
-
 
 class TestInterp:
     @given(st.sampled_from([0, 2, 4]), ALPHAS)
@@ -117,17 +113,6 @@ class TestInterp:
             val = (cp + cm) / ip.lam + ch * ip.lam / 2
             assert val == pytest.approx(
                 bd.c_even(n, alpha, t, "+"), rel=1e-13)
-
-
-class TestLogZeta:
-    def test_main_term(self):
-        t = math.exp(math.exp(4.0))
-        assert bd.logzeta_halfline_bound(t) == pytest.approx(
-            math.log(2) / 2 * math.exp(4.0) / 4.0, rel=1e-12)
-
-    def test_region(self):
-        with pytest.raises(DomainError):
-            bd.logzeta_halfline_bound(1e6)
 
 
 class TestCheckEnvelope:

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -63,6 +64,28 @@ class TestExitCodes:
         assert r.returncode == 0
         out = json.loads(r.stdout)
         assert out["within_band"] is True
+
+    @pytest.mark.parametrize("argv,prefix", [
+        ("extremal odd --m 0 --alpha 1.2 --delta 1 --l1",
+         "region violation: "),
+        ("extremal poisson --beta 0.7 --delta 1 --l1", "region violation: "),
+        ("extremal odd --m 0 --alpha 0.75 --delta 1 --eval 1e7",
+         "resource limit: "),
+        ("verify gw --kernel odd --m 0 --alpha 0.55 --delta 3 --t 30",
+         "resource limit: "),
+    ], ids=["odd alpha", "poisson beta", "odd eval budget", "gw sieve"])
+    def test_library_error_exit3_one_line(self, argv, prefix, capsys):
+        assert main(argv.split()) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(prefix)
+
+    def test_selftest_missing_zeros_exit4(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--zeros", "/no/such/file"])
+        assert exc.value.code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "/no/such/file" in err
 
     def test_envelope_report_only_exit0(self):
         r = run_cli("verify", "envelope", "--n", "0", "--alpha",
@@ -136,6 +159,23 @@ class TestBound:
         assert main(["bound", "--n", "1", "--alpha", "0.75", "--t", "1e30",
                      "--c", "0.25", "--output", "text"]) == 0
         assert "lower_main: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", [
+        "alpha:0.6:0.8:0", "alpha:0.6:0.8:-0.05", "alpha:0.6",
+        "alpha:a:b:c", "alpha:0.6:0.8:0.05:1", "beta:0.6:0.8:0.05",
+        "alpha:0.8:0.6:0.05", "alpha:nan:0.8:0.05", "alpha:0.6:inf:0.05",
+        "alpha:0.6:0.8:1e-6"])
+    def test_malformed_sweep_is_usage_error(self, spec):
+        # in a child with a timeout and 1 GiB of address space: a sweep
+        # that never ends must fail here, not hang or fill the memory
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        r = subprocess.run(CMD + ["bound", "--n", "1", "--t", "1e30",
+                                  "--c", "0.1", "--sweep", spec],
+                           capture_output=True, text=True, timeout=30,
+                           preexec_fn=limit)
+        assert r.returncode == 2
+        assert r.stdout == "" and r.stderr.count("\n") == 1
 
     def test_sweep_monotone_alpha_column(self):
         r = run_cli("bound", "--n", "1", "--t", "1e30", "--c", "0.1",

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,7 +24,10 @@ class TestGammaIntegral:
         # Fourier-side route vs. direct x-space integration of the
         # digamma factor against the kernel (QAWF decomposition)
         from scipy.integrate import quad
-        from szeta.numkit import re_digamma_quarter
+        from scipy.special import digamma
+
+        def re_digamma_quarter(x):
+            return digamma(0.25 + 0.5j * x).real
         p = PoissonExtremalPair(beta=0.25, delta=1.5)
         t = 10.0
         for sign in "+-":
@@ -76,12 +80,18 @@ class TestPrimeSum:
             ef.prime_sum(lambda xi: p.ft_m("+", xi), 50.0, 1.5, small)
 
     def test_envelope_poisson_brackets(self, mangoldt):
-        # measured prime sums respect the closed-form one-sided bounds
+        # measured prime sums respect the closed-form one-sided bounds:
+        # with x = e^(2 pi delta), q = x^-beta and M the main term of
+        # display B4, -x^-beta M/(1-q)^2 ('+') and x^-beta M/(1+q)^2 ('-')
         t_grid = np.linspace(20, 80, 13)
         for delta in (1.0, 1.5):
             p = PoissonExtremalPair(beta=0.25, delta=delta)
+            x = math.exp(2 * math.pi * delta)
+            q = x ** -0.25
+            M = ef.appendix_asymptotic("B4", {"beta": 0.25, "x": x}).main_term
             for sign in "+-":
-                env = ef.prime_sum_envelope_poisson(sign, 0.25, delta)
+                env = (-q * M / (1 - q) ** 2 if sign == "+"
+                       else q * M / (1 + q) ** 2)
                 for t in t_grid:
                     s = ef.prime_sum(lambda xi: p.ft_m(sign, xi),
                                      float(t), delta, mangoldt)
@@ -99,7 +109,7 @@ class TestGwEvaluate:
         assert rep.zero_tail_bound > 0
         assert abs(rep.residual) <= (rep.zero_tail_bound
                                      + rep.prime_tail_bound + 1e-5)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert set(d) >= {"t", "delta", "residual", "zero_side",
                           "prime_sum"}
 
@@ -170,11 +180,11 @@ def test_batched_fourier_side_matches_scalar_loop(zeros):
                 (OddExtremalPair(m=0, alpha=0.75, delta=delta),
                  scalar_ft_g)):
             for sign in "+-":
-                got = ef.gw_evaluate(pair, sign, t, delta, zeros,
-                                     mangoldt=table).to_dict()
-                want = ef.gw_evaluate(ScalarLoopFt(pair, scalar_ft), sign,
-                                      t, delta, zeros,
-                                      mangoldt=table).to_dict()
+                got = asdict(ef.gw_evaluate(pair, sign, t, delta, zeros,
+                                            mangoldt=table))
+                want = asdict(ef.gw_evaluate(ScalarLoopFt(pair, scalar_ft),
+                                             sign, t, delta, zeros,
+                                             mangoldt=table))
                 assert got.keys() == want.keys()
                 if pair.ft_error:
                     assert 0.0 < got["prime_tail_bound"] < 1e-9

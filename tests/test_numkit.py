@@ -8,10 +8,9 @@ from szeta import explicit_formula as ef
 from szeta import selftest
 from szeta import zeta_core as zc
 from szeta.numkit import (_BERN, _GK_NODES, _GK_WG, _GK_WK, _HZ_DIRECT,
-                          AccuracyError, DomainError, MangoldtTable,
+                          AccuracyError, DomainError,
                           hurwitz_zeta, polylog_H, quad_adaptive,
-                          re_digamma_quarter, sieve_mangoldt,
-                          sum_tail_bounded)
+                          sieve_mangoldt, sum_tail_bounded)
 
 
 class TestPolylog:
@@ -46,14 +45,6 @@ class TestPolylog:
         assert abs(polylog_H(n, x) - direct) <= tail + 1e-10
 
 
-class TestDigamma:
-    def test_against_scipy(self):
-        from scipy.special import digamma
-        for u in (0.0, 1.0, 10.0, 100.0):
-            ref = digamma(0.25 + 0.5j * u).real
-            assert re_digamma_quarter(u) == pytest.approx(ref, abs=1e-12)
-
-
 class TestSieve:
     def test_psi_values(self):
         table = sieve_mangoldt(1000)
@@ -65,15 +56,15 @@ class TestSieve:
             while pk <= 100:
                 direct += math.log(p)
                 pk *= p
-        assert table.psi(100) == pytest.approx(direct, rel=1e-12)
+        assert table.values[:101].sum() == pytest.approx(direct, rel=1e-12)
 
     def test_lambda_prime_powers(self):
         table = sieve_mangoldt(100)
-        assert table.lam(8) == pytest.approx(math.log(2))
-        assert table.lam(9) == pytest.approx(math.log(3))
-        assert table.lam(12) == 0.0
-        with pytest.raises(DomainError):
-            table.lam(1)
+        assert table.limit == 100 and len(table.values) == 101
+        assert table.values[8] == pytest.approx(math.log(2))
+        assert table.values[9] == pytest.approx(math.log(3))
+        assert table.values[12] == 0.0
+        assert table.values[0] == table.values[1] == 0.0  # padding
 
 
 class TestQuad:
@@ -139,8 +130,6 @@ QUAD_CALL_SITES = {
     "s_n_direct": lambda: [zc.s_n_direct(n, a, t) for n in (1, 2, 3)
                            for a in (0.5, 0.6, 0.75)
                            for t in (50.0, 100.0, 1000.0)],
-    "delta_const": lambda: [zc.delta_const(n, a) for n in (1, 3, 5)
-                            for a in (0.5, 0.75, 1.0, 3.0)],
     "appendix A1-A3": lambda: [_rhs_a(aid, x, a, m, 1)
                                for aid in ("A1", "A2", "A3")
                                for x in (1e5, 1.3e5, 1e6)

@@ -65,6 +65,17 @@ def test_removable_singularity_continuity():
         assert abs(near - nearer) < 1e-3 * abs(nearer)
 
 
+def test_complex_value_beyond_overflow_limit_rejected():
+    # |Im z| <= 700/(2 pi delta) = 111.4 at delta = 1; beyond it the
+    # cosine overflows, and the value is not that at the capped point
+    p = PoissonExtremalPair(beta=0.25, delta=1.0)
+    for sign in "+-":
+        assert cmath.isfinite(p.m_eval(sign, complex(1.0, -111.0)))
+        for im in (112.0, -200.0, 1000.0):
+            with pytest.raises(DomainError, match="700/"):
+                p.m_eval(sign, complex(1.0, im))
+
+
 @given(BETAS, DELTAS)
 @settings(max_examples=40, deadline=None)
 def test_ft_support_and_positivity(beta, delta):

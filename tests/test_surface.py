@@ -1,0 +1,49 @@
+"""Every function and class that the library defines is used by the
+library or its scripts: referenced in ``src/szeta`` or ``scripts/``
+somewhere outside its own definition, as a name, an attribute or an
+import.  Code that only tests call fails here.  Dunder methods are
+exempt."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "szeta").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names, attribute names and imported names used under ``tree``."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.rpartition(".")[2]] += 1
+    return refs
+
+
+def unused_definitions() -> list[str]:
+    """'module.name' of each library definition without a reference."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in LIBRARY + SCRIPTS}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path in LIBRARY:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if total[name] - _references(node)[name] == 0:
+                unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_definition_has_a_runtime_reference():
+    assert unused_definitions() == []

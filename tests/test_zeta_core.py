@@ -111,19 +111,3 @@ class TestSnDirect:
         b = zc.s_n_direct(0, 0.5, g1 + 1e-6).value
         assert v.value == pytest.approx(0.5 * (a + b), abs=1e-9)
 
-
-class TestDeltaConst:
-    def test_even_closed_form(self):
-        assert zc.delta_const(2, 0.6) == pytest.approx(
-            0.4 ** 2 / 2, rel=1e-12)
-        assert zc.delta_const(4, 0.75) == pytest.approx(
-            -0.25 ** 4 / 24, rel=1e-12)
-
-    @pytest.mark.parametrize("n", [7, 9, 21])
-    def test_odd_beyond_limit_rejected_before_quadrature(self, n,
-                                                         monkeypatch):
-        def no_quad(*args):
-            raise AssertionError("quad_adaptive called")
-        monkeypatch.setattr(zc, "quad_adaptive", no_quad)
-        with pytest.raises(DomainError, match="odd n <= 5"):
-            zc.delta_const(n, 0.75)
