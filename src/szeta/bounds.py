@@ -27,7 +27,9 @@ def _loglog(t: float) -> float:
     return math.log(math.log(t))
 
 
-def _check_region(alpha: float, t: float, c: float) -> None:
+def _check_region(alpha: float, t: float, c: float) -> float:
+    """log log t, after checking the envelopes' region
+    log log t >= 4, (1-alpha)^2 log log t >= c."""
     llt = _loglog(t)
     if llt < 4.0:
         raise DomainError(
@@ -36,15 +38,15 @@ def _check_region(alpha: float, t: float, c: float) -> None:
         raise DomainError(
             f"region violated: (1-alpha)^2 log log t = "
             f"{(1.0 - alpha) ** 2 * llt:.6g} < c = {c}")
+    return llt
 
 
 # ---------------------------------------------------------------------------
 # the constants C+-_{n,alpha}(t)
 # ---------------------------------------------------------------------------
 
-def c_odd(n: int, alpha: float, t: float, sign: Sign,
-          enforce_region: bool = True) -> float:
-    """C_{n,alpha}(t) for odd n >= -1:
+def c_odd(n: int, alpha: float, t: float, sign: Sign) -> float:
+    """C_{n,alpha}(t) for odd n >= -1 and t > e:
 
       (1/(2^{n+1} pi)) * (H_{n+1}(s (log t)^{1-2 alpha})
                           + (2 alpha - 1)/(alpha (1-alpha)))
@@ -52,16 +54,16 @@ def c_odd(n: int, alpha: float, t: float, sign: Sign,
     with argument sign s = +(-1)^{(n+1)/2} for '+' and the opposite for
     '-'.  alpha = 1/2 is accepted and evaluates the closed form at
     H_{n+1}(+-1) (which diverges for n = -1, '+'; the domain error from
-    the polylogarithm propagates).  ``enforce_region=False`` skips the
-    log log t >= 4 guard for report-only callers.
+    the polylogarithm propagates).  The region log log t >= 4 of the
+    envelopes is checked by their callers (``_check_region``), not here.
     """
     _check_sign(sign)
     if n < -1 or n % 2 == 0:
         raise DomainError(f"n must be odd and >= -1, got {n}")
     if not 0.5 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [1/2, 1), got {alpha}")
-    if enforce_region and _loglog(t) < 4.0:
-        raise DomainError(f"log log t < 4 at t = {t}")
+    if not t > math.e:
+        raise DomainError(f"t must exceed e, got {t}")
     s = (-1.0) ** ((n + 1) // 2)
     if sign == "-":
         s = -s
@@ -70,35 +72,36 @@ def c_odd(n: int, alpha: float, t: float, sign: Sign,
     return (polylog_H(n + 1, s * y) + shift) / (2.0 ** (n + 1) * math.pi)
 
 
-def c_even(n: int, alpha: float, t: float, sign: Sign,
-           enforce_region: bool = True) -> float:
-    """C_{n,alpha}(t) for even n >= 0 (identical for both signs):
+def _adjacent_odd(n: int, alpha: float, t: float) -> tuple:
+    """(C+_{n+1}, C-_{n+1}, C+_{n-1}, C-_{n-1}) around even n >= 0; at
+    n = 0 the interpolation uses C-_{-1} alone and C+_{-1} is None."""
+    if n < 0 or n % 2 == 1:
+        raise DomainError(f"n must be even and >= 0, got {n}")
+    return (c_odd(n + 1, alpha, t, "+"), c_odd(n + 1, alpha, t, "-"),
+            c_odd(n - 1, alpha, t, "+") if n else None,
+            c_odd(n - 1, alpha, t, "-"))
+
+
+def c_even(n: int, alpha: float, t: float) -> float:
+    """C_{n,alpha}(t) for even n >= 0 (one value for both signs):
 
       n = 0:  sqrt(2 (C+_1 + C-_1) C-_{-1})
       n >= 2: sqrt(2 (C+_{n+1} + C-_{n+1}) C+_{n-1} C-_{n-1}
                    / (C+_{n-1} + C-_{n-1})).
     """
-    _check_sign(sign)
-    if n < 0 or n % 2 == 1:
-        raise DomainError(f"n must be even and >= 0, got {n}")
+    cpa, cma, cpb, cmb = _adjacent_odd(n, alpha, t)
     if n == 0:
-        cp1 = c_odd(1, alpha, t, "+", enforce_region)
-        cm1 = c_odd(1, alpha, t, "-", enforce_region)
-        cmm1 = c_odd(-1, alpha, t, "-", enforce_region)
-        return math.sqrt(2.0 * (cp1 + cm1) * cmm1)
-    cpa = c_odd(n + 1, alpha, t, "+", enforce_region)
-    cma = c_odd(n + 1, alpha, t, "-", enforce_region)
-    cpb = c_odd(n - 1, alpha, t, "+", enforce_region)
-    cmb = c_odd(n - 1, alpha, t, "-", enforce_region)
+        return math.sqrt(2.0 * (cpa + cma) * cmb)
     return math.sqrt(2.0 * (cpa + cma) * cpb * cmb / (cpb + cmb))
 
 
-def c_n(n: int, alpha: float, t: float, sign: Sign,
-        enforce_region: bool = True) -> float:
-    """Dispatch to c_odd / c_even by parity."""
+def c_n(n: int, alpha: float, t: float, sign: Sign) -> float:
+    """Dispatch to c_odd / c_even by parity (the even constant does not
+    depend on the sign)."""
+    _check_sign(sign)
     if n % 2 == 0 and n >= 0:
-        return c_even(n, alpha, t, sign, enforce_region)
-    return c_odd(n, alpha, t, sign, enforce_region)
+        return c_even(n, alpha, t)
+    return c_odd(n, alpha, t, sign)
 
 
 def theorem1_constant(n: int, sign: Sign) -> float:
@@ -178,8 +181,8 @@ def _envelope_terms(n: int, alpha: float, t: float,
     llt = _loglog(t)
     pw = lt ** (2.0 - 2.0 * alpha)
     ell = pw / llt ** (n + 1)
-    c_lo = c_n(n, alpha, t, "-", enforce_region=False)
-    c_hi = c_n(n, alpha, t, "+", enforce_region=False)
+    c_hi = c_n(n, alpha, t, "+")
+    c_lo = c_n(n, alpha, t, "-") if n % 2 else c_hi
     if n == -1:
         base = pw / ((1.0 - alpha) ** 2 * llt)
         err_lo = (alpha - 0.5) * base
@@ -221,21 +224,11 @@ def interp_params(n: int, alpha: float, t: float) -> InterpParams:
     sqrt(2 (C+_{n+1} + C-_{n+1}) (C+_{n-1} + C-_{n-1})
          / (C+_{n-1} C-_{n-1})); for n = 0 the weights degenerate to
     (0, 1) and lambda = sqrt(2 (C+_1 + C-_1)/C-_{-1})."""
-    if n < 0 or n % 2 == 1:
-        raise DomainError(f"n must be even and >= 0, got {n}")
-    llt = _loglog(t)
-    if llt < 4.0:
-        raise DomainError(f"log log t = {llt:.6g} < 4 at t = {t}")
+    llt = _check_region(alpha, t, 0.0)
+    cpa, cma, cpb, cmb = _adjacent_odd(n, alpha, t)
     if n == 0:
-        cp1 = c_odd(1, alpha, t, "+")
-        cm1 = c_odd(1, alpha, t, "-")
-        cmm1 = c_odd(-1, alpha, t, "-")
-        lam = math.sqrt(2.0 * (cp1 + cm1) / cmm1)
+        lam = math.sqrt(2.0 * (cpa + cma) / cmb)
         return InterpParams(a=0.0, b=1.0, lam=lam, nu=lam / llt)
-    cpa = c_odd(n + 1, alpha, t, "+")
-    cma = c_odd(n + 1, alpha, t, "-")
-    cpb = c_odd(n - 1, alpha, t, "+")
-    cmb = c_odd(n - 1, alpha, t, "-")
     x = cpb / cmb
     lam = math.sqrt(2.0 * (cpa + cma) * (cpb + cmb) / (cpb * cmb))
     return InterpParams(a=x / (1.0 + x), b=1.0 / (1.0 + x),

@@ -177,16 +177,8 @@ def cmd_extremal(args) -> int:
     return EXIT_OK
 
 
-_CSV_COLS = ("n", "alpha", "t", "lower_main", "upper_main", "ell",
-             "err_scale", "observed", "flag")
-
-
-def _envelope_row(n: int, alpha: float, t: float, c: float) -> dict:
-    env = bd.envelope(n, alpha, t, c)
-    return {"n": n, "alpha": alpha, "t": t,
-            "lower_main": env.lower_main, "upper_main": env.upper_main,
-            "ell": env.ell, "err_scale": env.err_scale,
-            "observed": "", "flag": ""}
+# the BoundEnvelope fields of one bound --sweep row
+_CSV_COLS = ("n", "alpha", "t", "lower_main", "upper_main", "ell", "err_scale")
 
 
 # most rows of one bound --sweep
@@ -229,14 +221,13 @@ def cmd_bound(args) -> int:
         return EXIT_OK
     if args.output is not None:
         _usage_error("--sweep always writes CSV; it takes no --output")
-    rows = [_envelope_row(args.n, a, args.t, args.c)
-            for a in _sweep_alphas(args.sweep)]
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=_CSV_COLS, lineterminator="\n")
-    w.writeheader()
-    for row in rows:
-        w.writerow({k: (_jfloat(v).strip('"') if isinstance(v, float) else v)
-                    for k, v in row.items()})
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(_CSV_COLS)
+    for a in _sweep_alphas(args.sweep):
+        env = bd.envelope(args.n, a, args.t, args.c)
+        w.writerow([_jfloat(v).strip('"') if isinstance(v, float) else v
+                    for v in (getattr(env, k) for k in _CSV_COLS)])
     sys.stdout.write(buf.getvalue())
     return EXIT_OK
 

@@ -199,26 +199,31 @@ class OddExtremalPair:
         lo = built[0] - N
         return tuple(a[lo:lo + 2 * N + 1] for a in built[1:])
 
-    def _budget(self, sign: Sign, R: float) -> int:
-        """Node budget meeting _SERIES_TOL for |Re w| <= R (w = delta*z).
+    def _budget(self, sign: Sign, R: float, Y: float = 0.0) -> int:
+        """Node budget meeting _SERIES_TOL for |Re w| <= R and |Im w| <= Y
+        (w = delta*z).
 
         At least 10*delta nodes.  The dense floor ~20 nodes per unit x
         serves small arguments; for large R it is capped at 2R + 2000
         (nodes must only outrun the evaluation window, the tail test
-        below does the rest).  Every candidate N, the first and each
-        1.5x growth step, is rounded up to the next 2^a 3^b number
-        (_fft_len), so windows of similar R share a budget and its
-        far-field coefficients.  The tail test reads only the slice
-        |nu| <= N, so the budget depends on R alone.  Raises
-        ResourceError, before any node is built, when the node data of a
-        budget would exceed _NODE_MEMORY bytes: for R > 707 588 at delta < 10,
-        and from at most R > 708 578 at larger delta.
+        below does the rest).  Off the real axis the tail grows with
+        |sin pi w|^2 <= cosh^2(pi Y), a factor 1 on the axis.  Every
+        candidate N, the first and each 1.5x growth step, is rounded up
+        to the next 2^a 3^b number (_fft_len), so windows of similar R
+        share a budget and its far-field coefficients.  The tail test
+        reads only the slice |nu| <= N, so the budget depends on (R, Y)
+        alone.  Raises ResourceError, before any node is built, when the
+        node data of a budget would exceed _NODE_MEMORY bytes: for
+        R > 707 588 at delta < 10, and from at most R > 708 578 at larger
+        delta.
         """
         dense = min(int(math.ceil(50 + 20 * R / self.delta)),
                     int(math.ceil(2 * R)) + 2000)
         d = self.delta
         N = _fft_len(max(int(math.ceil(10 * d)), dense,
                          int(math.ceil(2 * R + 20))))
+        CF = CFp = 0.0
+        done = -1  # CF and CFp cover the nodes |k| <= done
         while True:
             if (2 * N + 1) * _BYTES_PER_NODE > _NODE_MEMORY:
                 raise ResourceError(
@@ -227,13 +232,16 @@ class OddExtremalPair:
                     f"{_NODE_MEMORY >> 20} MiB")
             nu, F, Fp = self._nodes(sign, N)
             # decay envelopes |F| <= CF d^2/(d^2+nu^2) and
-            # |F'| <= CFp d^3/(d^3+|nu|^3) on the slice
-            CF = float(np.max(np.abs(F) * (d * d + nu * nu) / (d * d)))
-            CFp = float(np.max(np.abs(Fp) * (d ** 3 + np.abs(nu) ** 3)
-                               / d ** 3))
+            # |F'| <= CFp d^3/(d^3+|nu|^3) on the slice, updated from
+            # the nodes this candidate adds
+            new = np.r_[0:N - done, N + done + 1:2 * N + 1]
+            F, Fp, v = np.abs(F[new]), np.abs(Fp[new]), np.abs(nu[new])
+            CF = max(CF, float(np.max(F * (d * d + v * v) / (d * d))))
+            CFp = max(CFp, float(np.max(Fp * (d ** 3 + v * v * v) / d ** 3)))
+            done = N
             tail = (2 * CF * d * d / ((N - R) ** 2 * N)
                     + CFp * d ** 3 / N ** 3) / math.pi ** 2
-            if tail <= _SERIES_TOL:
+            if tail * math.cosh(math.pi * Y) ** 2 <= _SERIES_TOL:
                 return N
             N = _fft_len(int(N * 1.5) + 10)
 
@@ -242,7 +250,7 @@ class OddExtremalPair:
         _check_sign(sign)
         z = complex(z)
         w = self.delta * z
-        N = self._budget(sign, abs(w.real))
+        N = self._budget(sign, abs(w.real), abs(w.imag))
         nu, F, Fp = self._nodes(sign, N)
         # sin^2(pi w) (resp. cos^2) computed from the argument reduced by
         # the nearest node, which is exact and avoids cancellation there
@@ -250,12 +258,16 @@ class OddExtremalPair:
         r = w - near
         s = cmath.sin(math.pi * r)
         S2 = (s / math.pi) ** 2
-        dw = w - nu
-        inear = int(np.argmin(np.abs(nu - near)))
-        mask = np.ones(len(nu), dtype=bool)
-        mask[inear] = False
-        total = S2 * complex(np.sum(F[mask] / dw[mask] ** 2)
-                             + np.sum(Fp[mask] / dw[mask]))
+        # 1/(w - nu) = (a - ib) q with a = Re w - nu, b = Im w and
+        # q = 1/(a^2 + b^2), in real arrays; q = 0 at the nearest node
+        inear = int(near - nu[0])
+        a, b = w.real - nu, w.imag
+        a[inear] = 1.0
+        q = 1.0 / (a * a + b * b)
+        q[inear] = 0.0
+        Fq2, Fpq = F * q * q, Fp * q
+        total = S2 * complex(np.sum(Fq2 * (a * a - b * b) + Fpq * a),
+                             -b * np.sum(2.0 * Fq2 * a + Fpq))
         # nearest node handled with the guarded sinc kernel
         r0 = w - nu[inear]
         sc2 = complex(_sinc2(r0))
@@ -462,9 +474,10 @@ class OddExtremalPair:
     def decay_envelope_const(self, sign: Sign) -> float:
         """Calibrated K with |g(x)| <= K/(1+x^2) on the real axis.
 
-        Calibrated by sampling x in [0, 60] (plus the node-value envelope
-        for the far tail); this is an engineering constant, not a proved
-        one, and downstream reports flag it as calibrated.
+        Calibrated as twice the largest |g(x)| (1 + x^2) sampled on the
+        grid x = 0, 0.05, ..., 59.95; nothing bounds the tail beyond, so
+        this is an engineering constant, not a proved one, and downstream
+        reports flag it as calibrated.
         """
         _check_sign(sign)
         key = ("envelope", sign)

@@ -485,7 +485,7 @@ def check_interpolation() -> CheckResult:
                         failures.append(f"equalized split broken n={n} "
                                         f"alpha={alpha} t={t:g}")
                     bracket = (cp + cm) / ip.lam + ch * ip.lam / 2.0
-                target = bd.c_even(n, alpha, t, "+")
+                target = bd.c_even(n, alpha, t)
                 if abs(bracket - target) > 1e-12 * abs(target):
                     failures.append(f"plug-back n={n} alpha={alpha} "
                                     f"t={t:g}: {bracket - target:.2e}")
@@ -512,7 +512,7 @@ def check_count_cross_route(zeros: Optional[zc.ZeroTable] = None) \
                + 5.0 * math.log(t) / math.log(math.log(t)) ** 2)
         rows.append({"t": t, "s_count": s_count, "s_direct": s_direct,
                      "cap": cap})
-        if abs(diff) > 2e-2:
+        if abs(diff) > 1e-6:
             failures.append(f"t={t}: routes differ by {diff:.3e}")
         if abs(s_count) >= cap:
             failures.append(f"t={t}: |S|={abs(s_count):.3f} >= "

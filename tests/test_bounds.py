@@ -17,7 +17,15 @@ class TestConstants:
 
     def test_c_even_rejects_odd_n(self):
         with pytest.raises(DomainError):
-            bd.c_even(1, 0.6, T_BIG, "+")
+            bd.c_even(1, 0.6, T_BIG)
+
+    def test_c_odd_needs_t_above_e(self):
+        with pytest.raises(DomainError):
+            bd.c_odd(1, 0.6, math.e, "+")
+
+    def test_c_n_checks_sign_for_even_n(self):
+        with pytest.raises(DomainError):
+            bd.c_n(2, 0.6, T_BIG, "x")
 
     def test_alpha_half_closed_form_accepted(self):
         v = bd.c_odd(1, 0.5, T_BIG, "+")
@@ -74,6 +82,16 @@ class TestEnvelope:
             env.ell / ((1 - 0.7) ** 2 * math.log(math.log(T_BIG))),
             rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_even_n_constant_evaluated_once(self, n, monkeypatch):
+        calls = []
+        c_even = bd.c_even
+        monkeypatch.setattr(bd, "c_even",
+                            lambda *a: calls.append(a) or c_even(*a))
+        env = bd.envelope(n, 0.7, T_BIG, 0.2)
+        assert len(calls) == 1
+        assert env.upper_main == -env.lower_main
+
     def test_n_minus1_asymmetric_error(self):
         env = bd.envelope(-1, 0.7, T_BIG, 0.2)
         assert env.err_scale_lower < env.err_scale_upper
@@ -112,7 +130,7 @@ class TestInterp:
             ch = ip.a * bd.c_odd(n - 1, alpha, t, "-")
             val = (cp + cm) / ip.lam + ch * ip.lam / 2
             assert val == pytest.approx(
-                bd.c_even(n, alpha, t, "+"), rel=1e-13)
+                bd.c_even(n, alpha, t), rel=1e-13)
 
 
 class TestCheckEnvelope:

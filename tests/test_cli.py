@@ -80,6 +80,21 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(prefix)
 
+    @pytest.mark.parametrize("t", ["1e9", "1e30"])
+    def test_zeta_height_limit_exit3_one_line(self, t):
+        # in a child with 1 GiB of address space: beyond the zeta height
+        # limit the direct route fails by name before allocating its sum
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        r = subprocess.run(CMD + ["verify", "envelope", "--n", "0",
+                                  "--alpha", "0.75", "--t", t,
+                                  "--c", "0.1"],
+                           capture_output=True, text=True, timeout=60,
+                           preexec_fn=limit)
+        assert r.returncode == 3
+        assert r.stdout == "" and r.stderr.count("\n") == 1
+        assert r.stderr.startswith("resource limit: ")
+
     def test_selftest_missing_zeros_exit4(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["selftest", "--zeros", "/no/such/file"])
@@ -181,7 +196,7 @@ class TestBound:
         r = run_cli("bound", "--n", "1", "--t", "1e30", "--c", "0.1",
                     "--sweep", "alpha:0.6:0.8:0.05")
         lines = r.stdout.strip().splitlines()
-        assert lines[0].startswith("n,alpha,t,")
+        assert lines[0] == "n,alpha,t,lower_main,upper_main,ell,err_scale"
         alphas = [float(l.split(",")[1]) for l in lines[1:]]
         assert alphas == sorted(alphas)
         assert len(alphas) == 5

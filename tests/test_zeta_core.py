@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from szeta import zeta_core as zc
-from szeta.numkit import DomainError
+from szeta.numkit import DomainError, ResourceError
 
 
 class TestZeta:
@@ -82,7 +82,8 @@ class TestSnDirect:
             ref, rel=1e-10)
 
     def test_absolutely_convergent_route(self):
-        # alpha >= 1.5: the argument comes from a convergent prime series
+        # alpha = 1.5: the argument tracked from sigma = 40 against the
+        # convergent prime series for Im log zeta
         from szeta.numkit import sieve_mangoldt
         alpha, t = 1.5, 60.0
         table = sieve_mangoldt(200000)
@@ -103,6 +104,35 @@ class TestSnDirect:
         lo = zc.s_n_direct(n + 1, alpha, t - h).value
         mid = zc.s_n_direct(n, alpha, t).value
         assert (hi - lo) / (2 * h) == pytest.approx(mid, abs=5e-4)
+
+    @pytest.mark.parametrize("alpha,t", [(0.6, 14.2), (0.5, 25.3),
+                                         (0.75, 500.0)])
+    def test_s0_against_mpmath_ray_integral(self, alpha, t):
+        # S_0 = -(1/pi) Im integral_alpha^inf zeta'/zeta(sigma+it) dsigma
+        # = (1/pi) arg zeta(alpha+it) + 2k: a rough quadrature of the ray
+        # integral fixes the branch k, a 30-digit zeta gives the value
+        mp = pytest.importorskip("mpmath")
+
+        def im_logderiv(sig):
+            s = mp.mpc(sig, t)
+            return mp.im(mp.zeta(s, derivative=1) / mp.zeta(s))
+        cuts = [c for c in (1, 2, 3, 6, 12, 40, 80) if c > alpha]
+        with mp.workdps(15):
+            rough = -mp.quad(im_logderiv, [alpha, *cuts, mp.inf],
+                             method="gauss-legendre", maxdegree=1) / mp.pi
+        with mp.workdps(30):
+            arg = mp.arg(mp.zeta(mp.mpc(alpha, t))) / mp.pi
+            ref = float(arg + 2 * mp.nint((rough - arg) / 2))
+        assert abs(rough - ref) < 0.1
+        assert abs(zc.s_n_direct(0, alpha, t).value - ref) <= 1e-12
+
+    def test_zeta_height_limit(self):
+        # fails by name before the direct sum is allocated
+        for t in (1e6 + 1.0, 1e30):
+            with pytest.raises(ResourceError, match="Euler-Maclaurin"):
+                zc.zeta(complex(0.5, t))
+            with pytest.raises(ResourceError):
+                zc.s_n_direct(0, 0.75, t)
 
     def test_zero_proximity_averaging(self, zeros):
         g1 = zeros.ordinates[0]
