@@ -76,7 +76,7 @@ _SIGMA_BLOCK = 250_000
 @dataclass(frozen=True)
 class OddExtremalPair:
     """Parameters (m, alpha, delta) of the odd-family extremal pair; an
-    explicit_formula.Kernel on top of g_real, g_eval, ft_g and f_odd_vec."""
+    explicit_formula.Kernel on top of g_real, ft_g and f_odd_vec."""
 
     m: int
     alpha: float
@@ -87,8 +87,8 @@ class OddExtremalPair:
     ft_error = _SERIES_TOL  # each ft_g value stops at this tail bound
 
     def __post_init__(self):
-        if self.m < 0 or self.m != int(self.m):
-            raise DomainError(f"m must be an integer >= 0, got {self.m}")
+        if not isinstance(self.m, (int, np.integer)) or self.m < 0:
+            raise DomainError(f"m must be an integer >= 0, got {self.m!r}")
         if not 0.5 <= self.alpha < 1.0:
             raise DomainError(f"alpha must lie in [1/2, 1), got {self.alpha}")
         if self.delta < 1.0:
@@ -246,7 +246,7 @@ class OddExtremalPair:
             N = _fft_len(int(N * 1.5) + 10)
 
     def g_eval(self, sign: Sign, z: complex) -> complex:
-        """Majorant ('+') or minorant ('-') value at complex z."""
+        """g+ ('+') or g- ('-') at complex z; the selftest's arch oracle."""
         _check_sign(sign)
         z = complex(z)
         w = self.delta * z
@@ -500,9 +500,6 @@ class OddExtremalPair:
 
     def real(self, sign: Sign, x: np.ndarray) -> np.ndarray:
         return self.g_real(sign, x)
-
-    def complex(self, sign: Sign, z: complex) -> complex:
-        return self.g_eval(sign, z)
 
     def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
         return self.ft_g(sign, xi)

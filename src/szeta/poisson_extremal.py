@@ -10,7 +10,6 @@ arithmetic on those closed forms.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .numkit import DomainError, Sign, _check_sign
 @dataclass(frozen=True)
 class PoissonExtremalPair:
     """Parameters (beta, delta) of the extremal pair for beta/(beta^2+x^2);
-    an explicit_formula.Kernel on top of m_real, m_eval and ft_m."""
+    an explicit_formula.Kernel on top of m_real and ft_m alone."""
 
     beta: float
     delta: float
@@ -53,33 +52,6 @@ class PoissonExtremalPair:
         return (math.exp(a) + math.exp(-a)) ** 2
 
     # -- extremal functions ------------------------------------------------
-
-    def m_eval(self, sign: Sign, z: complex) -> complex:
-        """Value of the majorant (sign '+') or minorant ('-') at complex z.
-
-        The quotient form has removable singularities at z = +/- i*beta;
-        near those points the factored product of shifted sinc kernels is
-        used instead.  |Im z| above 700/(2*pi*delta) raises DomainError:
-        there the complex cosine overflows double precision.
-        """
-        _check_sign(sign)
-        b, d = self.beta, self.delta
-        z = complex(z)
-        cap = 700.0 / (2.0 * math.pi * d)
-        if abs(z.imag) > cap:
-            raise DomainError(
-                f"|Im z| = {abs(z.imag):.6g} exceeds 700/(2 pi delta) = "
-                f"{cap:.6g}, beyond which cos(2 pi delta z) overflows")
-        D = self._denom(sign)
-        if min(abs(z - 1j * b), abs(z + 1j * b)) < 1e-4:
-            # factored form: 4 b sin(pi d (z+ib)) sin(pi d (z-ib))
-            #                / ((z+ib)(z-ib) D), written with sinc factors
-            s1 = _sinc_pi(d * (z + 1j * b))
-            s2 = _sinc_pi(d * (z - 1j * b))
-            return (4.0 / b) * s1 * s2 * (b * d) ** 2 / D * (math.pi ** 2)
-        a = 2.0 * math.pi * b * d
-        num = math.exp(a) + math.exp(-a) - 2.0 * cmath.cos(2.0 * math.pi * d * z)
-        return (b / (b * b + z * z)) * num / D
 
     def m_real(self, sign: Sign, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on the real axis (no singularities there)."""
@@ -121,9 +93,6 @@ class PoissonExtremalPair:
     def real(self, sign: Sign, x) -> np.ndarray:
         return np.atleast_1d(self.m_real(sign, x))
 
-    def complex(self, sign: Sign, z: complex) -> complex:
-        return self.m_eval(sign, z)
-
     def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
         return self.ft_m(sign, xi)
 
@@ -142,10 +111,3 @@ class PoissonExtremalPair:
             ratio = 1.0
         return self.beta * ratio
 
-
-def _sinc_pi(w: complex) -> complex:
-    """sin(pi w)/(pi w) with Taylor fallback near w = 0."""
-    if abs(w) < 1e-6:
-        pw2 = (math.pi * w) ** 2
-        return 1.0 - pw2 / 6.0 + pw2 * pw2 / 120.0
-    return cmath.sin(math.pi * w) / (math.pi * w)

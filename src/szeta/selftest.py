@@ -38,7 +38,7 @@ from . import bounds as bd
 from . import explicit_formula as ef
 from . import zeta_core as zc
 from .numkit import quad_adaptive, sieve_mangoldt
-from .odd_extremal import OddExtremalPair
+from .odd_extremal import _SERIES_TOL, OddExtremalPair
 from .poisson_extremal import PoissonExtremalPair
 
 
@@ -295,7 +295,7 @@ def check_odd_suite() -> CheckResult:
 
 def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
         -> CheckResult:
-    """Residual of the zeros-vs-primes identity within truncation tails."""
+    """Explicit-formula residuals within their tails; odd arch vs g_eval."""
     t0 = time.perf_counter()
     if zeros is None:
         zeros = zc.bundled_zeros()
@@ -303,6 +303,9 @@ def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
     reports = []
     table = sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)
     for t, delta in ((50.0, 1.5), (100.0, 2.0)):
+        # 2 Re of one g_eval value, and the ft errors under the cosh weight
+        arch_band = 2 * _SERIES_TOL * (1 + 2 / math.pi
+                                       * math.sinh(math.pi * delta))
         kernels = (("poisson", PoissonExtremalPair(beta=0.25, delta=delta)),
                    ("odd", OddExtremalPair(m=0, alpha=0.75, delta=delta)))
         for kname, kernel in kernels:
@@ -310,13 +313,19 @@ def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
                 rep = ef.gw_evaluate(kernel, sign, t, delta, zeros,
                                      mangoldt=table)
                 band = rep.zero_tail_bound + rep.prime_tail_bound + 1e-5
-                reports.append({"kernel": kname, "sign": sign, "t": t,
-                                "delta": delta,
-                                "residual": rep.residual, "band": band})
+                row = {"kernel": kname, "sign": sign, "t": t,
+                       "delta": delta, "residual": rep.residual, "band": band}
+                reports.append(row)
                 if abs(rep.residual) > band:
                     failures.append(
                         f"{kname} {sign} t={t} delta={delta}: "
                         f"|{rep.residual:.2e}| > {band:.2e}")
+                if kname == "odd":
+                    g = kernel.g_eval(sign, complex(t, 0.5)).real
+                    row.update(arch_diff=rep.arch_terms - 2.0 * g,
+                               arch_band=arch_band)
+                    if abs(row["arch_diff"]) > arch_band:
+                        failures.append(f"arch: {row}")
     return _result("explicit_formula", t0, failures, reports=reports)
 
 

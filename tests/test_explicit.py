@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ class TestGammaIntegral:
                        wvar=2 * math.pi * d, limlst=300,
                        epsabs=1e-12, full_output=1)[0]
             ref = (C * base - 2 * osc) / D / (2 * math.pi)
-            val = ef._gamma_integral(lambda xi: p.ft_m(sign, xi), t, d)
+            val, _ = ef._gamma_integral(lambda xi: p.ft_m(sign, xi), t, d)
             assert val == pytest.approx(ref, abs=1e-10)
 
     def test_odd_alpha_half_rejected(self):
@@ -70,6 +71,55 @@ class TestGammaIntegral:
                              precision=1e-2, source="stub")
         with pytest.raises(DomainError, match="alpha=1/2"):
             ef.gw_evaluate(kernel, "+", 30.0, 1.5, zeros)
+
+
+class TestArchTerm:
+    """2 Re K(t + i/2), taken from _gamma_integral's transform grid."""
+
+    @pytest.mark.parametrize("beta,delta,tol", [(0.25, 1.5, 1e-13),
+                                                (0.45, 1.0, 1e-13),
+                                                (0.05, 2.0, 5e-12)])
+    def test_poisson_against_closed_form(self, beta, delta, tol):
+        # at beta = 0.05 the cosh-weighted integrand is of order 10^2,
+        # so rounding alone reaches 2e-12
+        p = PoissonExtremalPair(beta=beta, delta=delta)
+        b, d = beta, delta
+        for sign in "+-":
+            D = p._denom(sign)
+            for t in (14.2, 50.0, 150.0, 2400.0):
+                z = complex(t, 0.5)
+                m = (b / (b * b + z * z)
+                     * (2 * math.cosh(2 * math.pi * b * d)
+                        - 2 * cmath.cos(2 * math.pi * d * z)) / D)
+                _, arch = ef._gamma_integral(partial(p.ft, sign), t, d)
+                assert abs(arch - 2 * m.real) <= tol
+
+    @pytest.mark.parametrize("m,alpha,delta", [(0, 0.75, 1.5),
+                                               (2, 0.9, 2.0)])
+    def test_odd_against_dense_series(self, m, alpha, delta):
+        # the interpolation series at w = delta (t + i/2), summed over
+        # all 2^18 + 1 nodes |k| <= 2^17; the series' own budget at
+        # this point (g_eval) is off by up to 7e-13
+        pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+        for sign in "+-":
+            nu, F, Fp = pair._nodes(sign, 1 << 17)
+            for t in (30.0, 150.0):
+                w = delta * complex(t, 0.5)
+                node = round(w.real) + (0.0 if sign == "+" else 0.5)
+                S2 = (cmath.sin(math.pi * (w - node)) / math.pi) ** 2
+                dw = w - nu
+                ref = 2 * (S2 * complex(np.sum(F / dw ** 2 + Fp / dw))).real
+                _, arch = ef._gamma_integral(partial(pair.ft, sign), t,
+                                             delta)
+                assert abs(arch - ref) <= 2e-13
+
+    def test_odd_node_cache_sized_by_the_zero_side(self, zeros, mangoldt):
+        # gw_sweep's pair at t = 150: the zero side needs 10 368 nodes
+        # per sign, an off-axis budget at t + i/2 would cache 26 244
+        pair = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
+        for sign in "+-":
+            ef.gw_evaluate(pair, sign, 150.0, 1.5, zeros, mangoldt=mangoldt)
+            assert pair._cache[("nodes", sign)][0] == 10368
 
 
 class TestPrimeSum:
@@ -213,9 +263,6 @@ class TestThirdKernel:
 
         def real(self, sign, x):
             return self.delta ** 2 * np.sinc(self.delta * np.asarray(x)) ** 2
-
-        def complex(self, sign, z):
-            return (cmath.sin(math.pi * self.delta * z) / (math.pi * z)) ** 2
 
         def ft(self, sign, xi):
             return np.maximum(self.delta - np.abs(xi), 0.0)

@@ -25,6 +25,16 @@ def test_parameter_validation():
         OddExtremalPair(m=0, alpha=0.6, delta=0.9)
 
 
+def test_m_must_have_an_integer_type():
+    # m = 1.0 used to pass and fail later, inside ft_g
+    for m in (1.0, 0.5, "1"):
+        with pytest.raises(DomainError, match="integer"):
+            OddExtremalPair(m=m, alpha=0.75, delta=1.5)
+    pair = OddExtremalPair(m=np.int64(1), alpha=0.75, delta=1.5)
+    assert pair.ft_g("+", 0.3) == OddExtremalPair(
+        m=1, alpha=0.75, delta=1.5).ft_g("+", 0.3)
+
+
 @pytest.mark.parametrize("m,alpha,delta", SMALL_GRID)
 def test_target_positive_even(m, alpha, delta):
     pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)

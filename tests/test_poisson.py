@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -30,50 +29,6 @@ def test_bracketing(beta, delta):
     h = p.target(x)
     assert np.all(p.m_real("+", x) >= h - 1e-11)
     assert np.all(p.m_real("-", x) <= h + 1e-11)
-
-
-@given(BETAS, DELTAS, st.floats(min_value=-30, max_value=30),
-       st.floats(min_value=-3, max_value=3))
-@settings(max_examples=40, deadline=None)
-def test_conjugate_symmetry(beta, delta, re, im):
-    p = PoissonExtremalPair(beta=beta, delta=delta)
-    for sign in "+-":
-        v = p.m_eval(sign, complex(re, im))
-        w = p.m_eval(sign, complex(re, -im))
-        assert cmath.isclose(w, v.conjugate(), rel_tol=1e-10,
-                             abs_tol=1e-14)
-
-
-@given(BETAS, DELTAS)
-@settings(max_examples=40, deadline=None)
-def test_real_axis_routes_agree(beta, delta):
-    p = PoissonExtremalPair(beta=beta, delta=delta)
-    for sign in "+-":
-        for x in (0.0, 0.37, beta, 5.0):
-            a = p.m_eval(sign, complex(x, 0.0))
-            assert abs(a.imag) < 1e-12
-            assert a.real == pytest.approx(
-                float(p.m_real(sign, np.array([x]))[0]), rel=1e-10,
-                abs=1e-13)
-
-
-def test_removable_singularity_continuity():
-    p = PoissonExtremalPair(beta=0.25, delta=1.5)
-    for sign in "+-":
-        near = p.m_eval(sign, 1j * p.beta + 5e-5)
-        nearer = p.m_eval(sign, 1j * p.beta + 1e-6)
-        assert abs(near - nearer) < 1e-3 * abs(nearer)
-
-
-def test_complex_value_beyond_overflow_limit_rejected():
-    # |Im z| <= 700/(2 pi delta) = 111.4 at delta = 1; beyond it the
-    # cosine overflows, and the value is not that at the capped point
-    p = PoissonExtremalPair(beta=0.25, delta=1.0)
-    for sign in "+-":
-        assert cmath.isfinite(p.m_eval(sign, complex(1.0, -111.0)))
-        for im in (112.0, -200.0, 1000.0):
-            with pytest.raises(DomainError, match="700/"):
-                p.m_eval(sign, complex(1.0, im))
 
 
 @given(BETAS, DELTAS)
