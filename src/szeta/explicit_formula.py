@@ -46,9 +46,9 @@ EULER_GAMMA = 0.5772156649015328606
 class Kernel(Protocol):
     """A bandlimited majorant ('+') / minorant ('-') pair of exponential
     type 2 pi delta, as gw_evaluate and the CLI use it; ``formula`` names
-    how ``real``, ``ft`` and ``l1_gap`` are computed, and ``ft_error``
-    bounds the truncation error of each ``ft`` value (0 for a closed
-    form)."""
+    how ``real``, ``ft`` and ``l1_gap`` are computed.  ``ft_error`` bounds
+    |ft - transform| at each xi: 0 for the Poisson closed forms; for the
+    odd pair its series tail, or its table's budget, partly an estimate."""
 
     delta: float
     formula: Mapping[str, str]
@@ -220,15 +220,15 @@ def prime_sum(kernel_ft: Callable[[np.ndarray], np.ndarray], t: float,
         raise DomainError(
             f"Mangoldt table limit {table.limit} below required "
             f"e^(2 pi delta) = {limit:.1f}")
-    n = np.nonzero(table.values)[0]
-    logn = np.log(n.astype(np.float64))
-    xi = logn / (2.0 * math.pi)
-    keep = xi <= delta
-    n, logn, xi = n[keep], logn[keep], xi[keep]
-    ftv = kernel_ft(xi)
-    terms = (table.values[n] / np.sqrt(n.astype(np.float64))
-             * ftv * np.cos(t * logn))
-    return float(np.sum(terms)) / math.pi
+    logn, xi, w = _prime_powers(table, delta)
+    return float(np.sum(w * kernel_ft(xi) * np.cos(t * logn))) / math.pi
+
+
+def _prime_powers(table: MangoldtTable, delta: float):
+    """table.prime_powers cut to the prime powers n <= e^{2 pi delta}."""
+    logn, xi, w = table.prime_powers
+    k = int(np.searchsorted(xi, delta, side="right"))
+    return logn[:k], xi[:k], w[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,8 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     gamma_int, arch = _gamma_integral(ft, t, delta)
     psum = prime_sum(ft, t, delta, mangoldt)
     # the prime sum with every transform value replaced by its error bound
-    ptail = kernel.ft_error * prime_sum(np.ones_like, 0.0, delta, mangoldt)
+    wsum = float(np.sum(_prime_powers(mangoldt, delta)[2])) / math.pi
+    ptail = kernel.ft_error * wsum
 
     residual = zero_side - (arch - log_pi + gamma_int - psum)
     return GwReport(t=t, delta=delta, kernel=kernel.describe(), sign=sign,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -73,6 +74,13 @@ class MangoldtTable:
 
     limit: int
     values: np.ndarray
+
+    @cached_property
+    def prime_powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log n, log n/2pi, Lambda(n)/sqrt(n) for prime powers n ascending."""
+        n = np.nonzero(self.values)[0]
+        logn = np.log(n)
+        return logn, logn / (2.0 * math.pi), self.values[n] / np.sqrt(n)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ A majorant g+ and minorant g- of exponential type 2*pi*delta are built by
 two-point (value + derivative) interpolation of F(x) = f(x/delta) at the
 integers (majorant) or the half-integers (minorant), scaled back by
 g(z) = G(delta*z).  Their Fourier transforms are supported on
-[-delta, delta] and evaluated from an explicit shifted-frequency series;
-the L1 gaps have closed sigma-integral forms.
+[-delta, delta]: ft_g sums an explicit shifted-frequency series, ft reads
+a table of it; the L1 gaps have closed sigma-integral forms.
 
 Evaluating the interpolation series on the real axis
 ----------------------------------------------------
@@ -42,6 +42,19 @@ window alone, so results do not depend on earlier calls.  Budgets lie on
 the grid of 2^a 3^b numbers, so nearby windows share one N and with it
 the far-field coefficients.  A budget whose node data would exceed
 _NODE_MEMORY bytes raises ResourceError.
+
+Transform table
+---------------
+ft interpolates ft_g's series, its oracle, on 40 panels of (0, delta)
+halving toward each end: degree 24 at 25 first-kind Chebyshev points
+valued by the series to _SERIES_TOL/5.  A panel is built when a call
+first touches it and kept per sign; a value depends on its panel alone.
+Error per value: 2e-13 per node times the Lebesgue constant, at most
+(2/pi) ln 25 + 1 = 3.05, is 0.61e-12; the truncation, estimated (not
+bounded) by the coefficient tail |c_23| + |c_24|, must be <= 0.25e-12:
+0.86e-12 <= ft_error in all.  A panel failing that test leaves its points
+to the series, as ft_g (25-35 of 40 panels at alpha = 1/2, where it
+cancels).  xi = 0 and |xi| >= delta keep their closed forms.
 """
 
 from __future__ import annotations
@@ -71,6 +84,8 @@ _NODE_MEMORY = 1 << 30
 # the target's sigma-sums run over blocks of about this many
 # (sigma-node x point) elements, to bound their temporaries
 _SIGMA_BLOCK = 250_000
+_FT_LEVELS = 20  # transform table: panels halving toward each end of
+_FT_DEG = 24  # (0, delta), and their degree
 
 
 @dataclass(frozen=True)
@@ -84,7 +99,7 @@ class OddExtremalPair:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     formula = {"real": "interpolation_series", "ft": "frequency_series",
                "l1_gap": "closed_sigma_integral"}
-    ft_error = _SERIES_TOL  # each ft_g value stops at this tail bound
+    ft_error = _SERIES_TOL  # series tail bound; table budget (see above)
 
     def __post_init__(self):
         if not isinstance(self.m, (int, np.integer)) or self.m < 0:
@@ -142,17 +157,19 @@ class OddExtremalPair:
     # target functions
     # ------------------------------------------------------------------
 
-    def _sigma_sum(self, integrand, x) -> np.ndarray:
+    def _sigma_sum(self, integrand, x, rows=False) -> np.ndarray:
         """sum over the sigma grid of w * integrand(u, x), for each x, as
-        a matrix product over blocks of about _SIGMA_BLOCK elements."""
+        a matrix product over blocks of about _SIGMA_BLOCK elements; with
+        ``rows``, along one row per x, the same bits in any batch."""
         u, w = self._sigma_grid()
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        u = u[:, None]
         out = np.empty(len(x))
         block = max(1, _SIGMA_BLOCK // len(u))
         for i0 in range(0, len(x), block):
-            out[i0:i0 + block] = np.einsum(
-                "i,ij->j", w, integrand(u, x[None, i0:i0 + block]))
+            xb = x[i0:i0 + block]
+            out[i0:i0 + block] = (
+                np.einsum("ji,i->j", integrand(u, xb[:, None]), w) if rows
+                else np.einsum("i,ij->j", w, integrand(u[:, None], xb)))
         return out
 
     def f_odd_vec(self, x: np.ndarray) -> np.ndarray:
@@ -355,7 +372,7 @@ class OddExtremalPair:
         below (the closed form cancels catastrophically as u -> 0)."""
         out = np.empty(u.shape)
         low = u < 1.0
-        out[low] = self._sigma_sum(_laplace_integrand, u[low])
+        out[low] = self._sigma_sum(_laplace_integrand, u[low], rows=True)
         out[~low] = self._B_poly(u[~low]) + self._B_exp(u[~low])
         return out
 
@@ -374,7 +391,7 @@ class OddExtremalPair:
 
     def ft_g(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
         """Fourier transform of g at each xi (a float for a scalar xi);
-        identically 0 for |xi| >= delta.
+        identically 0 for |xi| >= delta.  The series oracle of ``ft``.
 
         For 0 < |xi| < delta the value is a series over frequencies
         xi + k*delta grouped in cancelling pairs, summed for all xi at
@@ -384,6 +401,10 @@ class OddExtremalPair:
         the closed sigma-integral form is used (for alpha = 1/2, m = 0 this
         is the one-sided limit from xi > 0; the transform has a jump there).
         """
+        return self._transform(sign, xi, self._ft_series)
+
+    def _transform(self, sign: Sign, xi, band) -> float | np.ndarray:
+        """The transform at each xi, from ``band`` at 0 < |xi| < delta."""
         _check_sign(sign)
         axi = np.abs(np.asarray(xi, dtype=np.float64))
         out = np.where(np.isnan(axi), axi, 0.0)
@@ -393,11 +414,40 @@ class OddExtremalPair:
             out[zero] = self._f_integral() + (gap if sign == "+" else -gap)
         inner = (axi > 0.0) & (axi < self.delta)
         if np.any(inner):
-            out[inner] = self._ft_series(sign, axi[inner])
+            out[inner] = band(sign, axi[inner])
         return float(out) if out.ndim == 0 else out
 
-    def _ft_series(self, sign: Sign, xi: np.ndarray) -> np.ndarray:
-        """The shifted-frequency series of ft_g at 0 < xi < delta."""
+    def _ft_table(self, sign: Sign, xi: np.ndarray) -> np.ndarray:
+        """The transform table (module docstring) at 0 < xi < delta."""
+        # edges 0, delta 2^-20, ..., delta/2, ..., delta (1 - 2^-20), delta
+        h = self.delta * 0.5 ** np.arange(_FT_LEVELS, 0, -1)
+        edges = np.r_[0.0, h, self.delta - h[-2::-1], self.delta]
+        p = np.searchsorted(edges, xi, side="right") - 1
+        coef = self._cache.setdefault(  # rows: inf unbuilt, NaN uncertified
+            ("ft_table", sign), np.full((2 * _FT_LEVELS, _FT_DEG + 1), np.inf))
+        new = np.unique(p[np.isinf(coef[p, 0])])
+        if len(new):
+            cheb = np.polynomial.chebyshev
+            y = cheb.chebpts1(_FT_DEG + 1)
+            to_coef = cheb.chebvander(y, _FT_DEG).T * (2.0 / (_FT_DEG + 1))
+            to_coef[0] /= 2.0  # c_k = (2/25) sum_j v_j T_k(y_j), c_0 halved
+            a, b = edges[new, None], edges[new + 1, None]
+            y = 0.5 * (a + b) + 0.5 * (b - a) * y
+            v = self._ft_series(sign, y.ravel(), _SERIES_TOL / 5)
+            for j, vj in zip(new, v.reshape(y.shape)):
+                c = to_coef @ vj
+                ok = abs(c[-2]) + abs(c[-1]) <= _SERIES_TOL / 4
+                coef[j] = c if ok else np.nan
+        a, b = edges[p], edges[p + 1]
+        out = np.polynomial.chebyshev.chebval(
+            (2.0 * xi - (a + b)) / (b - a), coef[p].T, tensor=False)
+        bad = np.isnan(out)  # uncertified: the series itself
+        if np.any(bad):
+            out[bad] = self._ft_series(sign, xi[bad])
+        return out
+
+    def _ft_series(self, sign: Sign, xi: np.ndarray, tol=_SERIES_TOL):
+        """The shifted-frequency series of ft_g at 0 < xi < delta, to tol."""
         d = self.delta
         alt = (sign == "-")
         beta2 = 2.0 * math.pi * (self.alpha - 0.5)  # decay rate of B_poly
@@ -421,7 +471,7 @@ class OddExtremalPair:
                 return (K + 2) * np.abs(self._B_exp(u)) / u / (
                     1.0 - math.exp(-2 * math.pi * d))
 
-            res = sum_tail_bounded(term, tail, _SERIES_TOL)
+            res = sum_tail_bounded(term, tail, tol)
             return poly + res.value
 
         def term(k):
@@ -441,7 +491,7 @@ class OddExtremalPair:
                 return math.inf
             return tb / (1.0 - q)
 
-        res = sum_tail_bounded(term, tail, _SERIES_TOL)
+        res = sum_tail_bounded(term, tail, tol)
         return res.value
 
     def _f_integral(self) -> float:
@@ -502,7 +552,7 @@ class OddExtremalPair:
         return self.g_real(sign, x)
 
     def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
-        return self.ft_g(sign, xi)
+        return self._transform(sign, xi, self._ft_table)
 
     def l1_gap(self, sign: Sign) -> float:
         return self.l1_gap_odd(sign)
@@ -530,9 +580,10 @@ def _log_quotient(u, x):
 
 
 def _laplace_integrand(u, x):
-    """e^{-2 pi x u} - e^{-2 pi x}, the sigma-integrand of B(x)."""
-    c = -2 * math.pi * x
-    return np.exp(c * u) - np.exp(c)
+    """B's sigma-integrand e^{-2 pi x u} - e^{-2 pi x}, without cancellation
+    as x -> 0: e^{-2 pi x} expm1(2 pi x (1 - u))."""
+    c = 2 * math.pi * x
+    return np.exp(-c) * np.expm1(c * (1.0 - u))
 
 
 def _even_integrand(u, x):

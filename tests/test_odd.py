@@ -110,15 +110,70 @@ def test_ft_array_matches_scalar_oracle(m, alpha, delta):
     pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
     xi = FT_XI * delta
     for sign in "+-":
-        got = pair.ft(sign, xi)
+        got = pair.ft_g(sign, xi)
         want = np.array([scalar_ft_g(pair, sign, x) for x in xi])
         assert got.shape == xi.shape
         assert np.all(np.abs(got - want)
                       <= np.maximum(1e-13 * np.abs(want), 1e-15))
         assert np.all(got[np.abs(FT_XI) >= 1.0] == 0.0)
-        one = pair.ft(sign, float(xi[2]))
+        one = pair.ft_g(sign, float(xi[2]))
         assert type(one) is float
         assert one == pytest.approx(want[2], rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.5001, 0.55, 0.75, 0.9])
+@pytest.mark.parametrize("delta", [1.0, 1.5, 2.9])
+def test_ft_table_within_ft_error_of_series(m, alpha, delta):
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    rng = np.random.default_rng(round(1000 * (m + alpha + delta)))
+    xi = np.r_[rng.uniform(-delta, delta, 60), 1e-9 * delta,
+               (1 - 1e-9) * delta, 0.0, delta]
+    # one sign per point of the grid, both over the grid: at alpha near
+    # 1/2 each series sums some 10^4 terms
+    sign = "+-"[round(10 * (m + alpha + delta)) % 2]
+    got, want = pair.ft(sign, xi), pair.ft_g(sign, xi)
+    assert np.all(np.abs(got - want) <= pair.ft_error)
+    assert np.all(got[-2:] == want[-2:])  # closed forms at 0 and delta
+    assert type(pair.ft(sign, float(xi[0]))) is float
+
+
+@pytest.mark.parametrize("m,alpha,delta", [(0, 0.75, 1.5), (1, 0.6, 2.0),
+                                           (2, 0.5, 2.0)])
+def test_ft_table_does_not_depend_on_call_history(m, alpha, delta):
+    xi = np.random.default_rng(3).uniform(0.0, delta, 12)
+    for sign in "+-":
+        fresh = [OddExtremalPair(m=m, alpha=alpha, delta=delta).ft(sign, x)
+                 for x in xi]
+        pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+        pair.ft(sign, np.linspace(0.0, delta, 4001))
+        assert [pair.ft(sign, x) for x in xi] == fresh
+
+
+def test_ft_uncertified_panel_is_the_series_bit_for_bit():
+    # at alpha = 1/2 the series cancels as xi -> 0, so the panel at
+    # 1e-6 delta fails the coefficient-tail test
+    pair = OddExtremalPair(m=1, alpha=0.5, delta=1.0)
+    for sign in "+-":
+        assert pair.ft(sign, 1e-6) == pair.ft_g(sign, 1e-6)
+        assert np.isnan(pair._cache[("ft_table", sign)]).all(axis=1).any()
+
+
+@pytest.mark.parametrize("m,alpha", [(0, 0.75), (1, 0.6), (2, 0.9)])
+def test_laplace_transform_B_matches_mpmath_at_small_u(m, alpha):
+    # e^{-2 pi u s} - e^{-2 pi u} cancelled to a relative 2.7e-9 at
+    # u = 1e-9 before it was taken through expm1
+    import mpmath
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=1.0)
+    us = [1e-9, 1e-7, 1e-5, 1e-3]
+    got = pair._B(np.array(us))
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for u, g in zip(us, got):
+            c = 2 * mpmath.pi * u
+            ref = mpmath.quad(lambda s: (s - a) ** (2 * m) * (
+                mpmath.exp(-c * (s - 0.5)) - mpmath.exp(-c)), [a, 1, 1.5])
+            assert abs(g - ref) <= 1e-15 * abs(ref), u
 
 
 @pytest.mark.parametrize("m,alpha,delta", SMALL_GRID)
