@@ -36,7 +36,8 @@ from typing import Callable, Mapping, Optional, Protocol
 import numpy as np
 
 from .numkit import (AccuracyError, DomainError, MangoldtTable, Sign,
-                     _check_sign, quad_adaptive, sieve_mangoldt)
+                     _check_sign, gauss_panels, quad_adaptive,
+                     sieve_mangoldt)
 from .odd_extremal import OddExtremalPair
 from .zeta_core import SnValue, ZeroTable, ZeroTableError
 
@@ -157,12 +158,7 @@ def _gamma_integral(ft: Callable[[np.ndarray], np.ndarray], t: float,
     """
     ft0 = ft(0.0)
     npan = max(16, int(math.ceil(2.0 * max(t, 1.0) * delta)))
-    gx, gw = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(0.0, delta, npan + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xi = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wq = (half[:, None] * gw[None, :]).ravel()
+    xi, wq = gauss_panels(np.linspace(0.0, delta, npan + 1), 8)
     hc = ft(xi) * np.cos(2.0 * math.pi * xi * t)
     i1 = float(np.dot(wq, (hc - ft0) / xi))
     i2 = float(np.dot(wq, hc * _phi_reg(xi)))
@@ -425,6 +421,32 @@ def _appendix_tol(main: float) -> float:
     return 1e-10 * max(1.0, abs(main))
 
 
+def _main_term(alpha: float, x: float, p: int) -> float:
+    """x^(1-alpha)/((1-alpha) (log x)^p), the main term of A1 and B1."""
+    return x ** (1 - alpha) / ((1 - alpha) * math.log(x) ** p)
+
+
+def _error_scale(alpha: float, x: float, p: int) -> float:
+    """x^(1-alpha)/((1-alpha)^2 (log x)^(p+1)): the error scale of A1, B1
+    and B2, and the bound of A5 and B3."""
+    return x ** (1 - alpha) / ((1 - alpha) ** 2 * math.log(x) ** (p + 1))
+
+
+def _stalled_series(name: str, term: Callable[[int], float], kmax: int,
+                    rel: float, bound: float) -> float:
+    """sum of term(k), k = 1..kmax, stopped once three terms in a row are
+    below rel * max(partial sum, bound); AccuracyError if none stops."""
+    total = 0.0
+    stall = 0
+    for k in range(1, kmax + 1):
+        t = term(k)
+        total += t
+        stall = stall + 1 if t < rel * max(total, bound) else 0
+        if stall >= 3:
+            return total
+    raise AccuracyError(f"{name} series did not converge", total)
+
+
 def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
     """Evaluate one of the asymptotic facts: the direct quantity (adaptive
     quadrature for integral items A1-A5, exact sieve for sum items B1-B4),
@@ -439,13 +461,13 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         m, alpha, x = _req(params, "m", "alpha", "x")
         _check_alpha_x(alpha, x, params.get("c"))
         p = 2 * m + 2
-        main = x ** (1 - alpha) / ((1 - alpha) * math.log(x) ** p)
+        main = _main_term(alpha, x, p)
         direct = quad_adaptive(
             lambda u: u ** (-alpha) * math.log(u) ** (-p), 2.0, x,
             tol=_appendix_tol(main))
-        err = x ** (1 - alpha) / ((1 - alpha) ** 2 * math.log(x) ** (p + 1))
         return AsymptoticCheck(id=pid, params=params, direct=direct,
-                               main_term=main, error_scale=err)
+                               main_term=main,
+                               error_scale=_error_scale(alpha, x, p))
     if pid == "A2":
         m, k, alpha, x = _req(params, "m", "k", "alpha", "x")
         if k < 1:
@@ -493,20 +515,10 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         lx = math.log(x)
         l2 = math.log(2.0)
         q = x ** (-(alpha - 0.5))
-        total = 0.0
-        stall = 0
-        bound = x ** (1 - alpha) / ((1 - alpha) ** 2 * lx ** (p + 1))
-        for k in range(1, 200001):
-            term = (k + 1) * q ** k * abs(
-                2.0 ** alpha / (x ** (2 * alpha - 1)
-                                * ((k + 2) * lx - l2) ** p)
-                - 2.0 ** (1 - alpha) / ((k * lx + l2) ** p))
-            total += term
-            stall = stall + 1 if term < 1e-14 * max(total, bound) else 0
-            if stall >= 3:
-                break
-        else:
-            raise AccuracyError("A5 series did not converge", total)
+        bound = _error_scale(alpha, x, p)
+        total = _stalled_series("A5", lambda k: (k + 1) * q ** k * abs(
+            2.0 ** alpha / (x ** (2 * alpha - 1) * ((k + 2) * lx - l2) ** p)
+            - 2.0 ** (1 - alpha) / ((k * lx + l2) ** p)), 200000, 1e-14, bound)
         return AsymptoticCheck(id=pid, params=params, direct=total,
                                main_term=0.0, error_scale=bound)
     if pid == "B1":
@@ -515,11 +527,9 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         p = 2 * m + 2
         n, lam = _mangoldt_arrays(x)
         direct = float(np.sum(lam / (n ** alpha * np.log(n) ** p)))
-        main = x ** (1 - alpha) / ((1 - alpha) * math.log(x) ** p)
-        err = (x ** (1 - alpha)
-               / ((1 - alpha) ** 2 * math.log(x) ** (p + 1)))
         return AsymptoticCheck(id=pid, params=params, direct=direct,
-                               main_term=main, error_scale=err)
+                               main_term=_main_term(alpha, x, p),
+                               error_scale=_error_scale(alpha, x, p))
     if pid == "B2":
         m, alpha, x = _req(params, "m", "alpha", "x")
         _check_alpha_x(alpha, x, params.get("c"))
@@ -529,10 +539,9 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         direct = float(np.sum(
             lam / (n ** (1 - alpha) * (2 * lx - np.log(n)) ** p))
         ) / x ** (2 * alpha - 1)
-        main = x ** (1 - alpha) / (alpha * lx ** p)
-        err = x ** (1 - alpha) / ((1 - alpha) ** 2 * lx ** (p + 1))
         return AsymptoticCheck(id=pid, params=params, direct=direct,
-                               main_term=main, error_scale=err)
+                               main_term=x ** (1 - alpha) / (alpha * lx ** p),
+                               error_scale=_error_scale(alpha, x, p))
     if pid == "B3":
         m, alpha, x = _req(params, "m", "alpha", "x")
         _check_alpha_x(alpha, x, params.get("c"))
@@ -543,19 +552,11 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         w_left = lam / n ** alpha
         w_right = lam * n ** (alpha - 1) / x ** (2 * alpha - 1)
         q = x ** (-(alpha - 0.5))
-        bound = x ** (1 - alpha) / ((1 - alpha) ** 2 * lx ** (p + 1))
-        total = 0.0
-        stall = 0
-        for k in range(1, 20001):
-            inner = float(np.sum(w_left / (k * lx + logn) ** p
-                                 - w_right / ((k + 2) * lx - logn) ** p))
-            term = (k + 1) * q ** k * abs(inner)
-            total += term
-            stall = stall + 1 if term < 1e-13 * max(total, bound) else 0
-            if stall >= 3:
-                break
-        else:
-            raise AccuracyError("B3 series did not converge", total)
+        bound = _error_scale(alpha, x, p)
+        total = _stalled_series("B3", lambda k: (k + 1) * q ** k * abs(
+            float(np.sum(w_left / (k * lx + logn) ** p
+                         - w_right / ((k + 2) * lx - logn) ** p))),
+            20000, 1e-13, bound)
         return AsymptoticCheck(id=pid, params=params, direct=total,
                                main_term=0.0, error_scale=bound)
     if pid == "B4":

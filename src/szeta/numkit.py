@@ -7,6 +7,7 @@ envelopes) is built on the handful of primitives in this module:
 * ``hurwitz_zeta``   -- zeta(s, q) at integer s >= 2, elementwise in q
 * ``sieve_mangoldt`` -- exact von Mangoldt table by the sieve of Eratosthenes
 * ``quad_adaptive``  -- adaptive Gauss-Kronrod quadrature on finite ranges
+* ``gauss_panels``   -- composite Gauss-Legendre nodes and weights
 * ``sum_tail_bounded`` -- series summation with caller-supplied tail majorant;
   terms and tails may be arrays, summed elementwise, each element stopping
   at its own tail bound
@@ -342,6 +343,15 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float,
         val, err = _gk15(f, mid, hi)
         vals.append(val)
         errs.append(err)
+
+
+def gauss_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on each panel between
+    consecutive edges, ascending or descending, panel by panel."""
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    e = np.asarray(edges, dtype=np.float64)[:, None]
+    half = 0.5 * np.abs(np.diff(e, axis=0))
+    return (0.5 * (e[1:] + e[:-1]) + half * gx).ravel(), (half * gw).ravel()
 
 
 # ---------------------------------------------------------------------------

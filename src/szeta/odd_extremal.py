@@ -34,27 +34,29 @@ sum_p c_p[i] r^p with P = _FAR_TERMS coefficients
 These are P lattice correlations, computed for every i at once with
 numpy.fft in O(P N log N).  Each point then costs O(K + P).
 
-Caches live in the pair's ``_cache``: the sigma grid; one node set per
-sign, grown outward when a larger budget N is needed; and the far-field
-coefficients of the most recent N per sign.  Every call reads exactly the
-slice |nu| <= N of its own budget N, which depends on the evaluation
-window alone, so results do not depend on earlier calls.  Budgets lie on
-the grid of 2^a 3^b numbers, so nearby windows share one N and with it
-the far-field coefficients.  A budget whose node data would exceed
+Caches live in the pair's ``_cache``: one node set per sign, grown
+outward when a larger budget N is needed; the far-field coefficients of
+the most recent N per sign; each sign's transform table.  A point's
+sigma-integrals (f, fe, B) have the same bits in any batch, and every
+call reads exactly the slice |nu| <= N of its own budget N, which depends
+on the evaluation window alone, so results do not depend on earlier
+calls.  Budgets lie on the 2^a 3^b grid, so nearby windows share one N
+and its far-field coefficients.  A budget whose node data would exceed
 _NODE_MEMORY bytes raises ResourceError.
 
 Transform table
 ---------------
 ft interpolates ft_g's series, its oracle, on 40 panels of (0, delta)
 halving toward each end: degree 24 at 25 first-kind Chebyshev points
-valued by the series to _SERIES_TOL/5.  A panel is built when a call
-first touches it and kept per sign; a value depends on its panel alone.
-Error per value: 2e-13 per node times the Lebesgue constant, at most
-(2/pi) ln 25 + 1 = 3.05, is 0.61e-12; the truncation, estimated (not
-bounded) by the coefficient tail |c_23| + |c_24|, must be <= 0.25e-12:
-0.86e-12 <= ft_error in all.  A panel failing that test leaves its points
-to the series, as ft_g (25-35 of 40 panels at alpha = 1/2, where it
-cancels).  xi = 0 and |xi| >= delta keep their closed forms.
+valued by the series to _SERIES_TOL/5.  A sign's first call builds its
+whole table from one series call and keeps it; a value depends on its
+panel alone.  Error per value: 2e-13 per node times the Lebesgue
+constant, at most (2/pi) ln 25 + 1 = 3.05, is 0.61e-12; the truncation,
+estimated (not bounded) by the coefficient tail |c_23| + |c_24|, must be
+<= 0.25e-12: 0.86e-12 <= ft_error in all.  A panel failing that test has
+a NaN row and leaves its points to the series, as ft_g (25-35 of 40
+panels at alpha = 1/2, where the series cancels).  xi = 0 and
+|xi| >= delta keep their closed forms.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .numkit import (DomainError, ResourceError, Sign, _check_sign,
-                     hurwitz_zeta, sum_tail_bounded)
+                     gauss_panels, hurwitz_zeta, sum_tail_bounded)
 
 # absolute tolerance of the truncated interpolation and frequency series
 _SERIES_TOL = 1e-12
@@ -120,7 +122,8 @@ class OddExtremalPair:
     # sigma-integral quadrature grid (dyadic panels toward sigma = 1/2)
     # ------------------------------------------------------------------
 
-    def _sigma_grid(self):
+    @cached_property
+    def _sigma_grid(self) -> tuple:
         """Gauss-Legendre nodes/weights for integrals in u = sigma - 1/2.
 
         The integrands are analytic in u with singularities on the
@@ -129,47 +132,31 @@ class OddExtremalPair:
         comparable to its own length and 16-point Gauss is near exact.
         Weights already include the (sigma - alpha)^{2m} factor.
         """
-        key = "sigma_grid"
-        if key not in self._cache:
-            a0 = self.alpha - 0.5
-            # dyadic breakpoints 1 > 1/2 > 1/4 > ... down to a0 (or 1e-18)
-            floor = max(a0, 1e-18)
-            bps = [1.0]
-            c = 0.5
-            while c > floor:
-                bps.append(c)
-                c *= 0.5
-            bps.append(floor)
-            if a0 < 1e-18:
-                bps.append(0.0)
-            gx, gw = np.polynomial.legendre.leggauss(16)
-            us, ws = [], []
-            for hi, lo in zip(bps[:-1], bps[1:]):
-                mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-                us.append(mid + half * gx)
-                ws.append(half * gw)
-            u = np.concatenate(us)
-            w = np.concatenate(ws) * (u - a0) ** (2 * self.m)
-            self._cache[key] = (u, w)
-        return self._cache[key]
+        a0 = self.alpha - 0.5
+        # dyadic breakpoints 1 > 1/2 > 1/4 > ... down to a0 (or 1e-18)
+        floor = max(a0, 1e-18)
+        bps = [1.0]
+        while bps[-1] / 2 > floor:
+            bps.append(bps[-1] / 2)
+        bps += [floor, 0.0] if a0 < 1e-18 else [floor]
+        u, w = gauss_panels(bps, 16)
+        return u, w * (u - a0) ** (2 * self.m)
 
     # ------------------------------------------------------------------
     # target functions
     # ------------------------------------------------------------------
 
-    def _sigma_sum(self, integrand, x, rows=False) -> np.ndarray:
-        """sum over the sigma grid of w * integrand(u, x), for each x, as
-        a matrix product over blocks of about _SIGMA_BLOCK elements; with
-        ``rows``, along one row per x, the same bits in any batch."""
-        u, w = self._sigma_grid()
+    def _sigma_sum(self, integrand, x) -> np.ndarray:
+        """sum over the sigma grid of w * integrand(u, x) along one row
+        per x, in blocks of about _SIGMA_BLOCK elements: the same bits in
+        any batch (a matrix product's bits can depend on the batch)."""
+        u, w = self._sigma_grid
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         out = np.empty(len(x))
         block = max(1, _SIGMA_BLOCK // len(u))
         for i0 in range(0, len(x), block):
-            xb = x[i0:i0 + block]
-            out[i0:i0 + block] = (
-                np.einsum("ji,i->j", integrand(u, xb[:, None]), w) if rows
-                else np.einsum("i,ij->j", w, integrand(u[:, None], xb)))
+            xb = x[i0:i0 + block, None]
+            out[i0:i0 + block] = np.einsum("ji,i->j", integrand(u, xb), w)
         return out
 
     def f_odd_vec(self, x: np.ndarray) -> np.ndarray:
@@ -190,8 +177,8 @@ class OddExtremalPair:
         on the slice |k| <= N, nu = k ('+') or nu = k + 1/2 ('-').
 
         One node set per sign is kept; a larger N computes only the new
-        outer nodes.  Node values do not depend on how they are batched,
-        so every slice equals a fresh build of its own N.
+        outer nodes.  Node values are those of a one-point call
+        (_sigma_sum), so every slice equals a fresh build of its own N.
         """
         key = ("nodes", sign)
         built = self._cache.get(key)
@@ -372,7 +359,7 @@ class OddExtremalPair:
         below (the closed form cancels catastrophically as u -> 0)."""
         out = np.empty(u.shape)
         low = u < 1.0
-        out[low] = self._sigma_sum(_laplace_integrand, u[low], rows=True)
+        out[low] = self._sigma_sum(_laplace_integrand, u[low])
         out[~low] = self._B_poly(u[~low]) + self._B_exp(u[~low])
         return out
 
@@ -422,22 +409,21 @@ class OddExtremalPair:
         # edges 0, delta 2^-20, ..., delta/2, ..., delta (1 - 2^-20), delta
         h = self.delta * 0.5 ** np.arange(_FT_LEVELS, 0, -1)
         edges = np.r_[0.0, h, self.delta - h[-2::-1], self.delta]
-        p = np.searchsorted(edges, xi, side="right") - 1
-        coef = self._cache.setdefault(  # rows: inf unbuilt, NaN uncertified
-            ("ft_table", sign), np.full((2 * _FT_LEVELS, _FT_DEG + 1), np.inf))
-        new = np.unique(p[np.isinf(coef[p, 0])])
-        if len(new):
+        coef = self._cache.get(("ft_table", sign))
+        if coef is None:  # the whole table, one series call
             cheb = np.polynomial.chebyshev
             y = cheb.chebpts1(_FT_DEG + 1)
             to_coef = cheb.chebvander(y, _FT_DEG).T * (2.0 / (_FT_DEG + 1))
             to_coef[0] /= 2.0  # c_k = (2/25) sum_j v_j T_k(y_j), c_0 halved
-            a, b = edges[new, None], edges[new + 1, None]
+            a, b = edges[:-1, None], edges[1:, None]
             y = 0.5 * (a + b) + 0.5 * (b - a) * y
             v = self._ft_series(sign, y.ravel(), _SERIES_TOL / 5)
-            for j, vj in zip(new, v.reshape(y.shape)):
-                c = to_coef @ vj
-                ok = abs(c[-2]) + abs(c[-1]) <= _SERIES_TOL / 4
-                coef[j] = c if ok else np.nan
+            # one product per panel: a batched matmul moves the last bits
+            coef = np.array([to_coef @ vj for vj in v.reshape(y.shape)])
+            ok = abs(coef[:, -2]) + abs(coef[:, -1]) <= _SERIES_TOL / 4
+            coef[~ok] = np.nan  # uncertified rows
+            self._cache[("ft_table", sign)] = coef
+        p = np.searchsorted(edges, xi, side="right") - 1
         a, b = edges[p], edges[p + 1]
         out = np.polynomial.chebyshev.chebval(
             (2.0 * xi - (a + b)) / (b - a), coef[p].T, tensor=False)
@@ -507,7 +493,7 @@ class OddExtremalPair:
         """L1 distance between g and the target (closed sigma-integral)."""
         _check_sign(sign)
         d = self.delta
-        un, wn = self._sigma_grid()
+        un, wn = self._sigma_grid
         e = np.exp(-2 * math.pi * d * un)
         e1 = math.exp(-2 * math.pi * d)
         if sign == "+":

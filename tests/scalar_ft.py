@@ -28,7 +28,7 @@ def scalar_ft_m(pair, sign, xi):
 
 def _B(pair, u):
     if u < 1.0:
-        un, wn = pair._sigma_grid()
+        un, wn = pair._sigma_grid
         return float(np.dot(
             wn, np.exp(-2 * math.pi * u * un) - math.exp(-2 * math.pi * u)))
     return _B_poly(pair, u) + _B_exp(pair, u)

@@ -8,7 +8,7 @@ from szeta import explicit_formula as ef
 from szeta import selftest
 from szeta import zeta_core as zc
 from szeta.numkit import (_BERN, _GK_NODES, _GK_WG, _GK_WK, _HZ_DIRECT,
-                          AccuracyError, DomainError,
+                          AccuracyError, DomainError, gauss_panels,
                           hurwitz_zeta, polylog_H, quad_adaptive,
                           sieve_mangoldt, sum_tail_bounded)
 
@@ -90,6 +90,17 @@ class TestQuad:
             if k < 14:
                 assert _GK_WG @ _GK_NODES ** k == pytest.approx(
                     exact, abs=1e-15)
+
+    @pytest.mark.parametrize("edges", [[0.0, 0.5, 2.0], [2.0, 0.5, 0.0]])
+    def test_gauss_panels_either_orientation(self, edges):
+        # descending edges (the sigma grid's) give the same positive
+        # weights; 4 points per panel are exact through degree 7
+        x, w = gauss_panels(edges, 4)
+        assert x.shape == w.shape == (8,) and np.all(w > 0)
+        assert np.all((x > 0.0) & (x < 2.0))
+        for k in range(8):
+            assert w @ x ** k == pytest.approx(2.0 ** (k + 1) / (k + 1),
+                                               rel=1e-14)
 
     @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0),
                                      (math.nan, 1.0)])

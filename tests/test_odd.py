@@ -253,6 +253,40 @@ def test_g_real_independent_of_call_history(m, alpha, delta):
         assert np.array_equal(fresh.g_real(sign, x), used.g_real(sign, x))
 
 
+def test_g_real_independent_of_call_history_at_alpha_half():
+    # the first call's budget search starts from the nodes |k| <= 1152,
+    # and node k = 1152 was then the lone column of its sigma-sum block:
+    # other bits than in a fresh build
+    x = np.linspace(-2600.0, 2600.0, 4001)
+    fresh = OddExtremalPair(m=0, alpha=0.5, delta=1.0)
+    used = OddExtremalPair(m=0, alpha=0.5, delta=1.0)
+    used.g_real("+", x[:10] / 50)
+    used.g_real("+", x / 3)
+    assert np.array_equal(fresh.g_real("+", x), used.g_real("+", x))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75])
+def test_sigma_sums_do_not_depend_on_the_batch(m, alpha):
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=1.0)
+    x = np.linspace(-50.0, 50.0, 20003)
+    u = np.linspace(0.0, 0.999, 20003)
+    idx = [1, 4321, 10001, 15000, 20002]
+    for f, pts in ((pair.f_odd_vec, x), (pair.f_even_vec, x),
+                   (pair._B, u)):
+        batch = f(pts)
+        assert [f(pts[i:i + 1])[0] for i in idx] == list(batch[idx])
+
+
+@pytest.mark.parametrize("m,alpha,delta", SMALL_GRID)
+def test_real_at_a_node_is_the_target_bit_for_bit(m, alpha, delta):
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    for sign in "+-":
+        for k in [1, 2, 5, 17, 40]:
+            x = (k + (0.0 if sign == "+" else 0.5)) / delta
+            assert pair.real(sign, x)[0] == pair.target(x)[0]
+
+
 def _is_3_smooth(n):
     while n % 2 == 0:
         n //= 2
