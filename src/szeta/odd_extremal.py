@@ -35,12 +35,13 @@ These are P lattice correlations, computed for every i at once with
 numpy.fft in O(P N log N).  Each point then costs O(K + P).
 
 Caches live in the pair's ``_cache``: one node set per sign, grown
-outward when a larger budget N is needed; the far-field coefficients of
-the most recent N per sign; each sign's transform table.  A point's
-sigma-integrals (f, fe, B) have the same bits in any batch, and every
-call reads exactly the slice |nu| <= N of its own budget N, which depends
-on the evaluation window alone, so results do not depend on earlier
-calls.  Budgets lie on the 2^a 3^b grid, so nearby windows share one N
+outward when a larger budget N is needed; the decay-envelope maxima of
+the slice |k| <= N per sign and N, which the budget search reads; the
+far-field coefficients of the most recent N per sign; each sign's
+transform table.  A point's sigma-integrals (f, fe, B) have the same bits
+in any batch, and every call reads exactly the slice |nu| <= N of its own
+budget N, which depends on the evaluation window alone, so results do not
+depend on earlier calls.  Budgets lie on the 2^a 3^b grid, so nearby windows share one N
 and its far-field coefficients.  A budget whose node data would exceed
 _NODE_MEMORY bytes raises ResourceError.
 
@@ -54,7 +55,7 @@ panel alone.  Error per value: 2e-13 per node times the Lebesgue
 constant, at most (2/pi) ln 25 + 1 = 3.05, is 0.61e-12; the truncation,
 estimated (not bounded) by the coefficient tail |c_23| + |c_24|, must be
 <= 0.25e-12: 0.86e-12 <= ft_error in all.  A panel failing that test has
-a NaN row and leaves its points to the series, as ft_g (25-35 of 40
+NaN coefficients and leaves its points to the series, as ft_g (25-35 of 40
 panels at alpha = 1/2, where the series cancels).  xi = 0 and
 |xi| >= delta keep their closed forms.
 """
@@ -84,8 +85,11 @@ _FAR_TERMS = 11
 _BYTES_PER_NODE = 8 * (3 + _FAR_TERMS + 32)
 _NODE_MEMORY = 1 << 30
 # the target's sigma-sums run over blocks of about this many
-# (sigma-node x point) elements, to bound their temporaries
-_SIGMA_BLOCK = 250_000
+# (sigma-node x point) elements: 128 kB temporaries, under glibc's default
+# 128 KiB mmap threshold, so every block reuses heap pages instead of
+# mapping and faulting in fresh ones; the row-wise sums make the values
+# independent of the block size
+_SIGMA_BLOCK = 16_000
 _FT_LEVELS = 20  # transform table: panels halving toward each end of
 _FT_DEG = 24  # (0, delta), and their degree
 
@@ -234,14 +238,19 @@ class OddExtremalPair:
                     f"interpolation series for |delta*x| <= {R:.6g} needs "
                     f"{2 * N + 1} nodes, over the node memory limit of "
                     f"{_NODE_MEMORY >> 20} MiB")
-            nu, F, Fp = self._nodes(sign, N)
             # decay envelopes |F| <= CF d^2/(d^2+nu^2) and
-            # |F'| <= CFp d^3/(d^3+|nu|^3) on the slice, updated from
-            # the nodes this candidate adds
-            new = np.r_[0:N - done, N + done + 1:2 * N + 1]
-            F, Fp, v = np.abs(F[new]), np.abs(Fp[new]), np.abs(nu[new])
-            CF = max(CF, float(np.max(F * (d * d + v * v) / (d * d))))
-            CFp = max(CFp, float(np.max(Fp * (d ** 3 + v * v * v) / d ** 3)))
+            # |F'| <= CFp d^3/(d^3+|nu|^3) on the slice |k| <= N, kept
+            # per N; a new N scans only the nodes beyond the last candidate
+            key = ("envelope_max", sign, N)
+            if key not in self._cache:
+                nu, F, Fp = self._nodes(sign, N)
+                new = np.r_[0:N - done, N + done + 1:2 * N + 1]
+                F, Fp, v = np.abs(F[new]), np.abs(Fp[new]), np.abs(nu[new])
+                self._cache[key] = (
+                    max(CF, float(np.max(F * (d * d + v * v) / (d * d)))),
+                    max(CFp, float(np.max(Fp * (d ** 3 + v * v * v)
+                                          / d ** 3))))
+            CF, CFp = self._cache[key]
             done = N
             tail = (2 * CF * d * d / ((N - R) ** 2 * N)
                     + CFp * d ** 3 / N ** 3) / math.pi ** 2
@@ -332,12 +341,11 @@ class OddExtremalPair:
         acc = c[-1, i]
         for p in range(_FAR_TERMS - 2, -1, -1):
             acc = acc * r + c[p, i]
-        K = _NEAR_NODES
-        Fz, Fpz = np.pad(F, K), np.pad(Fp, K)
-        for j in range(-K, K + 1):
+        # i + j stays in the slice: |nu_i| <= R + 1/2 and N >= 2R + 20
+        for j in range(-_NEAR_NODES, _NEAR_NODES + 1):
             if j:
                 dw = r - j
-                acc += Fz[i + K + j] / dw ** 2 + Fpz[i + K + j] / dw
+                acc += F[i + j] / dw ** 2 + Fp[i + j] / dw
         S2 = (np.sin(math.pi * r) / math.pi) ** 2
         F0, Fp0 = F[i], Fp[i]
         tiny = np.abs(r) < 1e-4
@@ -405,7 +413,11 @@ class OddExtremalPair:
         return float(out) if out.ndim == 0 else out
 
     def _ft_table(self, sign: Sign, xi: np.ndarray) -> np.ndarray:
-        """The transform table (module docstring) at 0 < xi < delta."""
+        """The transform table (module docstring) at 0 < xi < delta.
+
+        Stored transposed, one row per coefficient degree, and evaluated
+        by chebval's Clenshaw recurrence one coefficient at a time, with
+        chebval's bits: O(len(xi)) memory, no (points x 25) gather."""
         # edges 0, delta 2^-20, ..., delta/2, ..., delta (1 - 2^-20), delta
         h = self.delta * 0.5 ** np.arange(_FT_LEVELS, 0, -1)
         edges = np.r_[0.0, h, self.delta - h[-2::-1], self.delta]
@@ -422,11 +434,16 @@ class OddExtremalPair:
             coef = np.array([to_coef @ vj for vj in v.reshape(y.shape)])
             ok = abs(coef[:, -2]) + abs(coef[:, -1]) <= _SERIES_TOL / 4
             coef[~ok] = np.nan  # uncertified rows
+            coef = np.ascontiguousarray(coef.T)
             self._cache[("ft_table", sign)] = coef
         p = np.searchsorted(edges, xi, side="right") - 1
         a, b = edges[p], edges[p + 1]
-        out = np.polynomial.chebyshev.chebval(
-            (2.0 * xi - (a + b)) / (b - a), coef[p].T, tensor=False)
+        y = (2.0 * xi - (a + b)) / (b - a)
+        y2 = 2.0 * y
+        c0, c1 = coef[-2, p], coef[-1, p]
+        for ck in coef[-3::-1]:
+            c0, c1 = ck[p] - c1, c0 + c1 * y2
+        out = c0 + c1 * y
         bad = np.isnan(out)  # uncertified: the series itself
         if np.any(bad):
             out[bad] = self._ft_series(sign, xi[bad])
@@ -550,8 +567,8 @@ class OddExtremalPair:
 def _log_quotient(u, x):
     """log((u^2+x^2)/(1+x^2)) by two cancellation-free routes: log1p(arg)
     for small |arg| (large x), direct log quotient when u^2 + x^2 is small
-    (arg near -1).  Works in place: block-sized temporaries cost page
-    faults on every block."""
+    (arg near -1).  Works in place, to allocate fewer block-sized
+    temporaries."""
     u2 = u ** 2
     x2 = x ** 2
     direct = u2 + x2

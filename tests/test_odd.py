@@ -1,14 +1,16 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from scalar_ft import scalar_ft_g
+from szeta import odd_extremal
 from szeta.numkit import DomainError, ResourceError
-from szeta.odd_extremal import (_SERIES_TOL, OddExtremalPair, _fft_len,
-                                _sinc2)
+from szeta.odd_extremal import (_FT_LEVELS, _SERIES_TOL, OddExtremalPair,
+                                _fft_len, _sinc2)
 
 SMALL_GRID = [(0, 0.5, 1.0), (0, 0.75, 1.5), (1, 0.6, 1.0),
               (2, 0.9, 2.0)]
@@ -156,7 +158,53 @@ def test_ft_uncertified_panel_is_the_series_bit_for_bit():
     pair = OddExtremalPair(m=1, alpha=0.5, delta=1.0)
     for sign in "+-":
         assert pair.ft(sign, 1e-6) == pair.ft_g(sign, 1e-6)
-        assert np.isnan(pair._cache[("ft_table", sign)]).all(axis=1).any()
+        assert np.isnan(pair._cache[("ft_table", sign)]).all(axis=0).any()
+
+
+def _chebval_table(pair, sign, xi):
+    """The table at 0 < xi < delta through chebval's (points x 25)
+    coefficient gather, NaN on uncertified panels."""
+    d = pair.delta
+    h = d * 0.5 ** np.arange(_FT_LEVELS, 0, -1)
+    edges = np.r_[0.0, h, d - h[-2::-1], d]
+    coef = pair._cache[("ft_table", sign)].T
+    p = np.searchsorted(edges, xi, side="right") - 1
+    a, b = edges[p], edges[p + 1]
+    return np.polynomial.chebyshev.chebval(
+        (2.0 * xi - (a + b)) / (b - a), coef[p].T, tensor=False)
+
+
+@pytest.mark.parametrize("m,alpha,delta", [
+    (0, 0.5, 1.0), (1, 0.5, 2.0), (2, 0.5, 1.5), (0, 0.75, 1.5),
+    (1, 0.6, 2.9), (2, 0.9, 1.0)])
+def test_ft_table_is_chebval_bit_for_bit(m, alpha, delta):
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    rng = np.random.default_rng(round(100 * (m + alpha + delta)))
+    u = rng.uniform(0.0, 1.0, 2000)
+    # every panel: uniform, and log-uniform toward each end
+    xi = delta * np.r_[u[:1000], 2.0 ** (-21 * u[1000:1500]),
+                       1 - 2.0 ** (-21 * u[1500:])]
+    xi = xi[(xi > 0.0) & (xi < delta)]
+    for sign in "+-":
+        got = pair.ft(sign, xi)
+        want = _chebval_table(pair, sign, xi)
+        ok = ~np.isnan(want)
+        assert np.array_equal(got[ok], want[ok])
+        assert np.array_equal(got[~ok], pair.ft_g(sign, xi[~ok]))
+        assert ok.all() != (alpha == 0.5)  # NaN panels at alpha = 1/2 only
+
+
+def test_ft_memory_is_linear_in_points():
+    pair = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
+    pair.ft("+", 0.5)  # the table itself is not measured
+    xi = np.random.default_rng(5).uniform(-1.6, 1.6, 1_000_000)
+    tracemalloc.start()
+    try:
+        out = pair.ft("+", xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * out.nbytes
 
 
 @pytest.mark.parametrize("m,alpha", [(0, 0.75), (1, 0.6), (2, 0.9)])
@@ -278,6 +326,24 @@ def test_sigma_sums_do_not_depend_on_the_batch(m, alpha):
         assert [f(pts[i:i + 1])[0] for i in idx] == list(batch[idx])
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75])
+def test_sigma_sums_do_not_depend_on_the_block_size(m, alpha, monkeypatch):
+    rng = np.random.default_rng(round(10 * (m + alpha)))
+    x = rng.uniform(-50.0, 50.0, 5001)
+    u = rng.uniform(0.0, 3.0, 5001)
+
+    def values():
+        pair = OddExtremalPair(m=m, alpha=alpha, delta=1.0)
+        return [pair.f_odd_vec(x), pair.f_even_vec(x), pair._B(u)]
+
+    want = values()
+    for block in (250_000, 1):
+        monkeypatch.setattr(odd_extremal, "_SIGMA_BLOCK", block)
+        for got, ref in zip(values(), want):
+            assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("m,alpha,delta", SMALL_GRID)
 def test_real_at_a_node_is_the_target_bit_for_bit(m, alpha, delta):
     pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
@@ -317,6 +383,27 @@ def test_budget_on_3_smooth_grid_meets_tail_test(delta):
             tail = (2 * CF * d * d / ((N - R) ** 2 * N)
                     + CFp * d ** 3 / N ** 3) / math.pi ** 2
             assert tail <= _SERIES_TOL
+
+
+def test_budget_does_not_depend_on_call_history():
+    rng = np.random.default_rng(11)
+    d = 1.5
+    warm = OddExtremalPair(m=0, alpha=0.75, delta=d)
+    for _ in range(40):
+        sign = "+-"[int(rng.integers(2))]
+        R = float(rng.choice([0.0, 10.0 ** rng.uniform(-1.0, 4.0)]))
+        Y = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))  # grows N
+        fresh = OddExtremalPair(m=0, alpha=0.75, delta=d)
+        assert warm._budget(sign, R, Y) == fresh._budget(sign, R, Y)
+    # the kept envelope maxima are those of the whole slice |k| <= N
+    kept = [key for key in warm._cache if key[0] == "envelope_max"]
+    assert len(kept) > 10
+    for key in kept:
+        nu, F, Fp = warm._nodes(key[1], key[2])
+        v = np.abs(nu)
+        assert warm._cache[key] == (
+            float(np.max(np.abs(F) * (d * d + v * v) / (d * d))),
+            float(np.max(np.abs(Fp) * (d ** 3 + v * v * v) / d ** 3)))
 
 
 def test_g_real_far_out_and_node_memory_limit():
