@@ -24,15 +24,19 @@ On the real axis the series over the 2N+1 lattice nodes nu,
     g(w) = sin^2(pi w)/pi^2 * sum_nu [F(nu)/(w-nu)^2 + F'(nu)/(w-nu)],
 
 is split at the node nu_i nearest to w = nu_i + r, |r| <= 1/2.  The K =
-_NEAR_NODES nodes on each side of nu_i are summed directly, and nu_i
+_NEAR_NODES = 4 nodes on each side of nu_i are summed directly, and nu_i
 itself through a guarded sinc.  Every farther node nu_{i+j}, |j| > K,
-contributes a power series in r/j, so the far field is a polynomial
-sum_p c_p[i] r^p with P = _FAR_TERMS coefficients
+contributes a power series in r/j with |r/j| <= 1/10, so the far field is
+a polynomial sum_p c_p[i] r^p with P = _FAR_TERMS = 17 coefficients
 
-    c_p[i] = sum_{|j| > K} (p+1) F_{i+j}/j^{p+2} - F'_{i+j}/j^{p+1}.
+    c_p[i] = sum_{|j| > K} (p+1) F_{i+j}/j^{p+2} - F'_{i+j}/j^{p+1};
 
-These are P lattice correlations, computed for every i at once with
-numpy.fft in O(P N log N).  Each point then costs O(K + P).
+the dropped powers are below 10^-17 relative.  These are P lattice
+correlations, computed with numpy.fft in O(P N log N) and kept only on
+the nodes |k| <= N//2: every budget has N >= 2R + 20, so no window of
+budget N picks a nearest node outside them.  Those outputs need lattice
+offsets up to N + N//2, so transforms of length _fft_len(3N + 2) do not
+alias them.  Each point then costs O(K + P).
 
 Caches live in the pair's ``_cache``: one node set per sign, grown
 outward when a larger budget N is needed; the decay-envelope maxima of
@@ -75,14 +79,16 @@ from .numkit import (DomainError, ResourceError, Sign, _check_sign,
 # absolute tolerance of the truncated interpolation and frequency series
 _SERIES_TOL = 1e-12
 # g_real: nodes summed directly on each side of the nearest one, and the
-# number of far-field polynomial coefficients; |r/j| <= 1/34 in the far
-# field, so the dropped powers are below 34^-11 ~ 7e-18 relative
-_NEAR_NODES = 16
-_FAR_TERMS = 11
-# one sign's node values, far-field coefficients and FFT work arrays take
-# about _BYTES_PER_NODE bytes per lattice node; budgets needing more than
-# _NODE_MEMORY bytes fail early instead of exhausting memory
-_BYTES_PER_NODE = 8 * (3 + _FAR_TERMS + 32)
+# number of far-field polynomial coefficients; |r/j| <= 1/10 in the far
+# field, so the dropped powers are below 10^-17 relative
+_NEAR_NODES = 4
+_FAR_TERMS = 17
+# budget per lattice node of one sign's node data: 3 node values, 17
+# far-field coefficients on half the nodes and the far-field FFT's work
+# arrays (length L = 1.52-1.69 per node) peak at 206-214 B per node
+# (tracemalloc, N >= 2^15); budgets needing more than _NODE_MEMORY bytes
+# at 368 B per node fail early instead of exhausting memory
+_BYTES_PER_NODE = 368
 _NODE_MEMORY = 1 << 30
 # the target's sigma-sums run over blocks of about this many
 # (sigma-node x point) elements: 128 kB temporaries, under glibc's default
@@ -288,19 +294,20 @@ class OddExtremalPair:
         return total
 
     def _far_field(self, sign: Sign, N: int) -> np.ndarray:
-        """Far-field coefficients c_p[i], shape (_FAR_TERMS, 2N+1), of the
-        node slice |k| <= N (see the module docstring); cached for the
-        most recent N of each sign."""
+        """Far-field coefficients c_p[i], shape (_FAR_TERMS, 2M+1), on the
+        nodes |k| <= M = N//2 of the slice |k| <= N (see the module
+        docstring): the only nodes a window of budget N can pick as
+        nearest.  Cached for the most recent N of each sign."""
         key = ("far", sign)
         hit = self._cache.get(key)
         if hit is not None and hit[0] == N:
             return hit[1]
         _, F, Fp = self._nodes(sign, N)
-        n = len(F)
+        M = N // 2
         # correlations with 1/j^q, |j| > _NEAR_NODES, as circular
-        # convolutions with h(e) = 1/(-e)^q; offsets |e| < n do not alias
-        # for L >= 2n
-        L = _fft_len(2 * n)
+        # convolutions with h(e) = 1/(-e)^q; the kept outputs i = N-M..N+M
+        # read offsets |e| <= N + M, which do not alias for L >= 3N + 2
+        L = _fft_len(3 * N + 2)
         Fh, Fph = np.fft.rfft(F, L), np.fft.rfft(Fp, L)
         e = np.arange(L, dtype=np.float64)
         e[(L + 1) // 2:] -= L  # signed offsets, exact integers
@@ -308,11 +315,12 @@ class OddExtremalPair:
         np.divide(-1.0, e, out=inv, where=np.abs(e) > _NEAR_NODES)
         kern = inv.copy()
         prev = np.fft.rfft(kern)  # q = p + 1
-        c = np.empty((_FAR_TERMS, n))
+        c = np.empty((_FAR_TERMS, 2 * M + 1))
         for p in range(_FAR_TERMS):
             kern *= inv
             cur = np.fft.rfft(kern)  # q = p + 2
-            c[p] = np.fft.irfft((p + 1) * Fh * cur - Fph * prev, L)[:n]
+            c[p] = np.fft.irfft((p + 1) * Fh * cur - Fph * prev,
+                                L)[N - M:N + M + 1]
             prev = cur
         self._cache[key] = (N, c)
         return c
@@ -321,12 +329,14 @@ class OddExtremalPair:
         """Majorant ('+') or minorant ('-') values at real points x.
 
         Each w = delta*x is split at its nearest node: the 2*_NEAR_NODES+1
-        nearest nodes are summed directly (the nearest one through a
-        guarded sinc within 1e-4 of it), and the rest through the
-        far-field polynomial of the module docstring.  The node budget N
-        comes from max |w| and _SERIES_TOL; a call costs O(N log N) for the
-        far-field coefficients of a new N plus O(_NEAR_NODES + _FAR_TERMS)
-        per point, in O(N + len(x)) memory.  Raises ResourceError when N
+        = 9 nearest nodes are summed directly (the nearest one through a
+        guarded sinc within 1e-4 of it, the others with one reciprocal
+        1/(r - j) each), and the rest through the _FAR_TERMS-term
+        far-field polynomial of the module docstring, read at the nearest
+        node's column of _far_field.  The node budget N comes from max |w|
+        and _SERIES_TOL; a call costs O(N log N) for the far-field
+        coefficients of a new N plus O(_NEAR_NODES + _FAR_TERMS) per
+        point, in O(N + len(x)) memory.  Raises ResourceError when N
         would exceed the node memory limit (|delta*x| > 7.08e5).
         """
         _check_sign(sign)
@@ -338,14 +348,16 @@ class OddExtremalPair:
         near = np.round(w) if sign == "+" else np.floor(w) + 0.5
         r = w - near
         i = (near - nu[0]).astype(np.intp)  # slice index of the nearest node
-        acc = c[-1, i]
+        # c's columns are the nodes |k| <= N//2, which hold every nearest
+        # node, and i + j stays in the slice: |nu_i| <= R + 1/2, N >= 2R + 20
+        ic = i - (N - N // 2)
+        acc = c[-1, ic]
         for p in range(_FAR_TERMS - 2, -1, -1):
-            acc = acc * r + c[p, i]
-        # i + j stays in the slice: |nu_i| <= R + 1/2 and N >= 2R + 20
+            acc = acc * r + c[p, ic]
         for j in range(-_NEAR_NODES, _NEAR_NODES + 1):
             if j:
-                dw = r - j
-                acc += F[i + j] / dw ** 2 + Fp[i + j] / dw
+                d = 1.0 / (r - j)
+                acc += d * (F[i + j] * d + Fp[i + j])
         S2 = (np.sin(math.pi * r) / math.pi) ** 2
         F0, Fp0 = F[i], Fp[i]
         tiny = np.abs(r) < 1e-4
