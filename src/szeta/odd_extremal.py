@@ -42,12 +42,13 @@ Caches live in the pair's ``_cache``: one node set per sign, grown
 outward when a larger budget N is needed; the decay-envelope maxima of
 the slice |k| <= N per sign and N, which the budget search reads; the
 far-field coefficients of the most recent N per sign; each sign's
-transform table.  A point's sigma-integrals (f, fe, B) have the same bits
-in any batch, and every call reads exactly the slice |nu| <= N of its own
-budget N, which depends on the evaluation window alone, so results do not
-depend on earlier calls.  Budgets lie on the 2^a 3^b grid, so nearby windows share one N
-and its far-field coefficients.  A budget whose node data would exceed
-_NODE_MEMORY bytes raises ResourceError.
+transform table and L1 gap.  A point's sigma-integrals (f, fe, B) have
+the same bits in any batch, and every call reads exactly the slice |nu|
+<= N of its own budget N, which depends on the evaluation window alone,
+so results do not depend on earlier calls.  Budgets lie on the 2^a 3^b
+grid, so nearby windows share one N and its far-field coefficients.  A
+budget whose node data would exceed _NODE_MEMORY bytes raises
+ResourceError.
 
 Transform table
 ---------------
@@ -336,38 +337,66 @@ class OddExtremalPair:
         node's column of _far_field.  The node budget N comes from max |w|
         and _SERIES_TOL; a call costs O(N log N) for the far-field
         coefficients of a new N plus O(_NEAR_NODES + _FAR_TERMS) per
-        point, in O(N + len(x)) memory.  Raises ResourceError when N
-        would exceed the node memory limit (|delta*x| > 7.08e5).
+        point, in O(N) memory and six arrays of len(x), the output
+        included.  Raises ResourceError when N would exceed the node
+        memory limit (|delta*x| > 7.08e5).
         """
         _check_sign(sign)
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        w = self.delta * x
-        N = self._budget(sign, float(np.max(np.abs(w))) if len(w) else 0.0)
+        r = self.delta * x
+        N = self._budget(sign, float(np.max(np.abs(r))) if len(r) else 0.0)
         nu, F, Fp = self._nodes(sign, N)
         c = self._far_field(sign, N)
-        near = np.round(w) if sign == "+" else np.floor(w) + 0.5
-        r = w - near
-        i = (near - nu[0]).astype(np.intp)  # slice index of the nearest node
-        # c's columns are the nodes |k| <= N//2, which hold every nearest
-        # node, and i + j stays in the slice: |nu_i| <= R + 1/2, N >= 2R + 20
-        ic = i - (N - N // 2)
-        acc = c[-1, ic]
+        near = np.round(r) if sign == "+" else np.floor(r) + 0.5
+        r -= near  # w - near, in place
+        # one index array, first into c's columns, the nodes |k| <= N//2,
+        # which hold every nearest node; then shifted for the near field
+        near -= nu[0] + (N - N // 2)
+        idx = near.astype(np.intp)
+        del near
+        # Horner's rule and the near field in place, each gather taken
+        # into one buffer ('clip' takes without a buffer of its own; the
+        # indices are in range: |nu_i| <= R + 1/2 and N >= 2R + 20)
+        buf, buf2, d = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+        acc = c[-1].take(idx, mode="clip")
         for p in range(_FAR_TERMS - 2, -1, -1):
-            acc = acc * r + c[p, ic]
-        for j in range(-_NEAR_NODES, _NEAR_NODES + 1):
+            acc *= r
+            acc += c[p].take(idx, out=buf, mode="clip")
+        # from here idx is i - K for the nearest node's slice index i, and
+        # F[i + j] is F[K + j:][idx]: no index array per offset j
+        K = _NEAR_NODES
+        idx += N - N // 2 - K
+        for j in range(-K, K + 1):
             if j:
-                d = 1.0 / (r - j)
-                acc += d * (F[i + j] * d + Fp[i + j])
-        S2 = (np.sin(math.pi * r) / math.pi) ** 2
-        F0, Fp0 = F[i], Fp[i]
-        tiny = np.abs(r) < 1e-4
-        rs = np.where(tiny, 1.0, r)
-        out = S2 * (acc + F0 / rs ** 2 + Fp0 / rs)
-        if np.any(tiny):
-            rt = r[tiny]
-            out[tiny] = (S2[tiny] * acc[tiny]
-                         + (F0[tiny] + Fp0[tiny] * rt) * _sinc2(rt))
-        return out
+                np.subtract(r, j, out=d)
+                np.divide(1.0, d, out=d)
+                F[K + j:].take(idx, out=buf, mode="clip")
+                buf *= d
+                buf += Fp[K + j:].take(idx, out=buf2, mode="clip")
+                buf *= d
+                acc += buf
+        tiny = np.abs(r, out=d) < 1e-4
+        acc_tiny = acc[tiny]
+        # the nearest node: acc + F0/r^2 + Fp0/r, with r = 1 where tiny
+        np.copyto(d, r)
+        d[tiny] = 1.0
+        F[K:].take(idx, out=buf, mode="clip")
+        buf /= np.square(d, out=buf2)
+        acc += buf
+        Fp[K:].take(idx, out=buf, mode="clip")
+        buf /= d
+        acc += buf
+        # S2 = (sin(pi r)/pi)^2
+        np.multiply(math.pi, r, out=d)
+        np.sin(d, out=d)
+        d /= math.pi
+        np.square(d, out=d)
+        acc *= d
+        if len(acc_tiny):
+            rt, it = r[tiny], idx[tiny] + K
+            acc[tiny] = (d[tiny] * acc_tiny
+                         + (F[it] + Fp[it] * rt) * _sinc2(rt))
+        return acc
 
     # ------------------------------------------------------------------
     # Fourier transform
@@ -414,6 +443,10 @@ class OddExtremalPair:
         """The transform at each xi, from ``band`` at 0 < |xi| < delta."""
         _check_sign(sign)
         axi = np.abs(np.asarray(xi, dtype=np.float64))
+        # all in (0, delta), as on the explicit formula's grids: no masks
+        if axi.ndim == 1 and len(axi) and (
+                axi.min() > 0.0 and axi.max() < self.delta):
+            return band(sign, axi)
         out = np.where(np.isnan(axi), axi, 0.0)
         zero = axi == 0.0
         if np.any(zero):
@@ -519,18 +552,25 @@ class OddExtremalPair:
     # ------------------------------------------------------------------
 
     def l1_gap_odd(self, sign: Sign) -> float:
-        """L1 distance between g and the target (closed sigma-integral)."""
+        """L1 distance between g and the target (closed sigma-integral),
+        kept per sign: ft(0) reads it."""
         _check_sign(sign)
+        key = ("l1_gap", sign)
+        if key in self._cache:
+            return self._cache[key]
         d = self.delta
         un, wn = self._sigma_grid
-        e = np.exp(-2 * math.pi * d * un)
         e1 = math.exp(-2 * math.pi * d)
         if sign == "+":
             # 1 - e via expm1: e underflows to 1 on the lowest panels
             one_minus_e = -np.expm1(-2 * math.pi * d * un)
-            return -float(np.dot(wn, np.log(one_minus_e)
-                                 - math.log1p(-e1))) / d
-        return float(np.dot(wn, np.log1p(e) - math.log1p(e1))) / d
+            gap = -float(np.dot(wn, np.log(one_minus_e)
+                                - math.log1p(-e1))) / d
+        else:
+            e = np.exp(-2 * math.pi * d * un)
+            gap = float(np.dot(wn, np.log1p(e) - math.log1p(e1))) / d
+        self._cache[key] = gap
+        return gap
 
     # ------------------------------------------------------------------
     # decay envelope (for zero-sum truncation downstream)

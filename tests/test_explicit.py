@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 from dataclasses import asdict
 from functools import partial
 
@@ -204,6 +206,57 @@ class TestGwEvaluate:
         p = PoissonExtremalPair(beta=0.25, delta=1.5)
         with pytest.raises(DomainError):
             ef.gw_evaluate(p, "+", 50.0, 2.0, zeros)
+
+
+class TestPrimeSideCache:
+    """The weighted transform at the prime powers, kept on the Mangoldt
+    table per (kernel, sign, delta)."""
+
+    @staticmethod
+    def kernels(delta):
+        return {"poisson": PoissonExtremalPair(beta=0.25, delta=delta),
+                "odd": OddExtremalPair(m=0, alpha=0.75, delta=delta)}
+
+    def test_reused_kernels_and_table_match_fresh_ones(self, zeros):
+        # gw_sweep's order: at each t both kernels and both signs; one
+        # table shared by the kernels of two bandwidths
+        table = sieve_mangoldt(int(math.ceil(math.exp(3 * math.pi))))
+        kept = {d: self.kernels(d) for d in (1.0, 1.5)}
+        for t in (30.0, 77.7, 150.0):
+            for d, kernels in kept.items():
+                for family in kernels:
+                    for sign in "+-":
+                        got = ef.gw_evaluate(kernels[family], sign, t, d,
+                                             zeros, mangoldt=table)
+                        fresh = ef.gw_evaluate(
+                            self.kernels(d)[family], sign, t, d, zeros,
+                            mangoldt=sieve_mangoldt(
+                                int(math.ceil(math.exp(2 * math.pi * d)))))
+                        assert asdict(got) == asdict(fresh)
+        # one entry per (kernel, sign), whatever the number of calls
+        assert len(table._cache) == 2 * 2 * 2
+
+    def test_equal_kernel_adds_no_entry(self, zeros, mangoldt):
+        table = sieve_mangoldt(mangoldt.limit)
+        for kernels in (self.kernels(1.5), self.kernels(1.5)):
+            for kernel in kernels.values():
+                for sign in "+-":
+                    ef.gw_evaluate(kernel, sign, 50.0, 1.5, zeros,
+                                   mangoldt=table)
+        assert len(table._cache) == 4
+        # a bare callable is not kept
+        ef.prime_sum(partial(kernels["poisson"].ft, "+"), 50.0, 1.5, table)
+        assert len(table._cache) == 4
+
+    def test_cache_dies_with_its_table(self, zeros, mangoldt):
+        table = sieve_mangoldt(mangoldt.limit)
+        ef.gw_evaluate(self.kernels(1.5)["odd"], "+", 50.0, 1.5, zeros,
+                       mangoldt=table)
+        assert table._cache
+        ref = weakref.ref(table)
+        del table
+        gc.collect()
+        assert ref() is None
 
 
 class ScalarLoopFt:

@@ -45,6 +45,26 @@ class TestPolylog:
         assert abs(polylog_H(n, x) - direct) <= tail + 1e-10
 
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("x", [0.45, -0.45, 0.9, -0.93, 0.999, -1.0])
+    def test_blocks_keep_the_bits_of_whole_blocks(self, n, x):
+        # the growing blocks add up pairwise as np.sum does in one block
+        # of 65 536 terms; the sum stops sooner only where every later
+        # term is 0
+        total, j0 = 0.0, 1
+        while True:
+            j = np.arange(j0, j0 + 65536, dtype=np.float64)
+            total += float(np.sum(np.abs(x) ** j * np.sign(x) ** j
+                                  / j ** n))
+            j0 += 65536
+            tail = 1.0 / ((n - 1) * (j0 - 1) ** (n - 1))
+            if abs(x) < 1.0:
+                tail = min(tail, abs(x) ** j0 / ((1.0 - abs(x)) * j0 ** n))
+            if tail <= 1e-14:
+                break
+        assert polylog_H(n, x) == total / x
+
+
 class TestSieve:
     def test_psi_values(self):
         table = sieve_mangoldt(1000)

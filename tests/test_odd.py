@@ -197,6 +197,46 @@ def test_ft_table_is_chebval_bit_for_bit(m, alpha, delta):
         assert ok.all() != (alpha == 0.5)  # NaN panels at alpha = 1/2 only
 
 
+@pytest.mark.parametrize("m,alpha,delta", [(0, 0.75, 1.5), (1, 0.5, 2.0),
+                                           (2, 0.9, 1.0)])
+def test_ft_in_band_array_matches_mixed_array(m, alpha, delta):
+    # an array inside (0, delta) skips the masks; its values are those of
+    # the same points among 0, negative, out-of-band and NaN frequencies
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    xi = delta * np.r_[np.random.default_rng(7).uniform(0.0, 1.0, 40),
+                       1e-6, 0.999]
+    mixed = np.r_[0.0, -xi[:5], delta, 1.5 * delta, np.nan, xi]
+    for sign in "+-":
+        for ft in (pair.ft, pair.ft_g):
+            assert np.array_equal(ft(sign, xi), ft(sign, mixed)[-len(xi):])
+            assert np.array_equal(ft(sign, -xi[:5]), ft(sign, xi[:5]))
+
+
+def test_empty_arrays_give_empty_arrays():
+    pair = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
+    for sign in "+-":
+        for f in (pair.ft, pair.ft_g, pair.g_real):
+            out = f(sign, np.array([]))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def test_g_real_memory_is_a_few_arrays_of_points():
+    # Horner's rule and the near field work in place: six arrays of the
+    # points' length, the output included, and no (17 x points) gather
+    pair = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
+    x = np.random.default_rng(5).uniform(-100.0, 100.0, 1_000_000)
+    x[:10] = 0.0  # the guarded sinc's points
+    for sign in "+-":
+        pair.g_real(sign, np.array([100.0]))  # nodes: not measured
+        tracemalloc.start()
+        try:
+            out = pair.g_real(sign, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * out.nbytes
+
+
 def test_ft_memory_is_linear_in_points():
     pair = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
     pair.ft("+", 0.5)  # the table itself is not measured
