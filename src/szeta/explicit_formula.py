@@ -50,7 +50,7 @@ class Kernel(Protocol):
     |ft - transform| at each xi: 0 for the Poisson closed forms; for the
     odd pair its series tail, or its table's budget, partly an estimate.
     Kernels are hashable, and equal kernels have equal transforms: a
-    Mangoldt table keys its cached prime side on them (gw_evaluate)."""
+    Mangoldt table keys its cached prime side on them (_prime_side)."""
 
     delta: float
     formula: Mapping[str, str]
@@ -146,21 +146,22 @@ def _phi_reg(xi: np.ndarray) -> np.ndarray:
     return np.where(small, taylor, direct)
 
 
-def _gamma_integral(ft: Callable[[np.ndarray], np.ndarray], t: float,
-                    delta: float) -> tuple[float, float]:
+def _gamma_integral(kernel: Kernel, sign: Sign,
+                    t: float) -> tuple[float, float]:
     """(1/2pi) int K(t-x) Re psi(1/4+ix/2) dx via the Fourier-side formula,
     and the archimedean term 2 Re K(t+i/2) on the same nodes.
 
     Composite Gauss-Legendre panels sized to half the period 1/t of the
-    cosine factor; the transform itself is smooth on (0, delta].  ``ft``
-    is called on the whole node grid at once.  Transform errors up to
+    cosine factor; the transform itself is smooth on (0, delta].  The
+    transform is called on the whole node grid at once.  Errors up to
     ft_error move the archimedean term by up to 4 ft_error sinh(pi
     delta)/pi, 7e-11 at delta = 1.5 for the odd pair; no report field.
     """
-    ft0 = ft(0.0)
+    delta = kernel.delta
+    ft0 = kernel.ft(sign, 0.0)
     npan = max(16, int(math.ceil(2.0 * max(t, 1.0) * delta)))
     xi, wq = gauss_panels(np.linspace(0.0, delta, npan + 1), 8)
-    hc = ft(xi) * np.cos(2.0 * math.pi * xi * t)
+    hc = kernel.ft(sign, xi) * np.cos(2.0 * math.pi * xi * t)
     i1 = float(np.dot(wq, (hc - ft0) / xi))
     i2 = float(np.dot(wq, hc * _phi_reg(xi)))
     arch = 4.0 * float(np.dot(wq, hc * np.cosh(math.pi * xi)))
@@ -204,33 +205,18 @@ def _zero_tail_bound(env_k: float, t: float, t0: float) -> float:
 # prime-power sum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SignedFt:
-    """xi -> kernel.ft(sign, xi); equal and hashable for equal kernels and
-    signs, so that a table's cache can be keyed on it."""
-
-    kernel: Kernel
-    sign: Sign
-
-    def __call__(self, xi):
-        return self.kernel.ft(self.sign, xi)
-
-
-def prime_sum(kernel_ft: Callable[[np.ndarray], np.ndarray], t: float,
-              delta: float, table: MangoldtTable) -> float:
+def prime_sum(kernel: Kernel, sign: Sign, t: float,
+              table: MangoldtTable) -> float:
     """(1/pi) sum over prime powers n of Lambda(n) n^{-1/2}
-    kernel_ft(log n / 2pi) cos(t log n); finite since the transform
-    vanishes beyond delta (i.e. for n > e^{2 pi delta}).  ``kernel_ft``
-    is called once, on the array of all log n / 2pi; the transform that
-    gw_evaluate passes is called once per table (_prime_side)."""
-    if delta <= 0:
-        raise DomainError("delta must be > 0")
-    limit = math.exp(2.0 * math.pi * delta)
+    kernel.ft(sign, log n / 2pi) cos(t log n); finite since the transform
+    vanishes beyond delta (i.e. for n > e^{2 pi delta}).  The transform
+    is evaluated once per table (_prime_side)."""
+    limit = math.exp(2.0 * math.pi * kernel.delta)
     if table.limit < limit:
         raise DomainError(
             f"Mangoldt table limit {table.limit} below required "
             f"e^(2 pi delta) = {limit:.1f}")
-    logn, wft, _ = _prime_side(kernel_ft, delta, table)
+    logn, wft, _ = _prime_side(kernel, sign, table)
     # w ft cos(t log n) in one work array, with the bits of the product
     c = np.multiply(t, logn)
     np.cos(c, out=c)
@@ -238,23 +224,21 @@ def prime_sum(kernel_ft: Callable[[np.ndarray], np.ndarray], t: float,
     return float(np.sum(c)) / math.pi
 
 
-def _prime_side(kernel_ft, delta: float, table: MangoldtTable):
-    """log n, the weighted transform Lambda(n) n^{-1/2} kernel_ft(log n /
-    2pi) and (1/pi) sum Lambda(n) n^{-1/2}, over the prime powers n <=
-    e^{2 pi delta}.
+def _prime_side(kernel: Kernel, sign: Sign, table: MangoldtTable):
+    """log n, the weighted transform Lambda(n) n^{-1/2} ft(log n / 2pi)
+    and (1/pi) sum Lambda(n) n^{-1/2}, over the prime powers n <= e^{2 pi
+    kernel.delta}.
 
-    Only the cosine of the prime sum depends on t, so for a _SignedFt the
-    last two are kept in ``table._cache``, one entry per (kernel, sign,
-    delta): 8 B per prime power, for as long as the table lives.  Other
-    callables are evaluated on every call."""
-    logn, xi, w = table.prime_powers
-    k = int(np.searchsorted(xi, delta, side="right"))
-    cache = table._cache if isinstance(kernel_ft, _SignedFt) else {}
-    key = (kernel_ft, delta)
-    if key not in cache:
-        cache[key] = (w[:k] * kernel_ft(xi[:k]),
-                      float(np.sum(w[:k])) / math.pi)
-    return (logn[:k],) + cache[key]
+    Only the cosine of the prime sum depends on t, so all three are kept
+    in ``table._cache``, one entry per (kernel, sign): 8 B per prime
+    power, for as long as the table lives."""
+    key = (kernel, sign)
+    if key not in table._cache:
+        logn, xi, w = table.prime_powers
+        k = int(np.searchsorted(xi, kernel.delta, side="right"))
+        table._cache[key] = (logn[:k], w[:k] * kernel.ft(sign, xi[:k]),
+                             float(np.sum(w[:k])) / math.pi)
+    return table._cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +251,10 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     """Evaluate both sides of the explicit formula for the shifted kernel
     x -> kernel(t - x) and report the truncation residual.
 
-    ``delta`` must match the kernel's bandwidth parameter; a prebuilt
-    Mangoldt table may be supplied to amortize sieving across calls
-    (prime_sum rejects one shorter than e^{2 pi delta}).  Such a table
-    also keeps, per (kernel, sign, delta), the prime side's weighted
+    ``delta`` must match kernel.delta, which every stage reads; a
+    prebuilt Mangoldt table may be supplied to amortize sieving across
+    calls (prime_sum rejects one shorter than e^{2 pi delta}).  Such a
+    table also keeps, per (kernel, sign), the prime side's weighted
     transform Lambda(n) n^{-1/2} ft(log n / 2pi) and its weight sum, so a
     later call computes only the cosines: 8 B per prime power n <= e^{2
     pi delta} (12 KB at delta = 1.5, 36 MiB at delta = 2.9), freed with
@@ -293,7 +277,7 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
             f"t = {t} not covered by the zero table (last ordinate {t0})")
     if mangoldt is None:
         mangoldt = sieve_mangoldt(
-            int(math.ceil(math.exp(2.0 * math.pi * delta))))
+            int(math.ceil(math.exp(2.0 * math.pi * kernel.delta))))
 
     # the envelope first: a kernel may calibrate it on a window of its
     # own, which should not displace the zero side's cached work
@@ -302,12 +286,11 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     zvals = kernel.real(sign, np.concatenate([t - gam, t + gam]))
     zero_side = float(np.sum(zvals[:len(gam)] + zvals[len(gam):]))
 
-    ft = _SignedFt(kernel, sign)
-    log_pi = ft(0.0) * math.log(math.pi) / (2.0 * math.pi)
-    gamma_int, arch = _gamma_integral(ft, t, delta)
-    psum = prime_sum(ft, t, delta, mangoldt)
+    log_pi = kernel.ft(sign, 0.0) * math.log(math.pi) / (2.0 * math.pi)
+    gamma_int, arch = _gamma_integral(kernel, sign, t)
+    psum = prime_sum(kernel, sign, t, mangoldt)
     # the prime sum with every transform value replaced by its error bound
-    ptail = kernel.ft_error * _prime_side(ft, delta, mangoldt)[2]
+    ptail = kernel.ft_error * _prime_side(kernel, sign, mangoldt)[2]
 
     residual = zero_side - (arch - log_pi + gamma_int - psum)
     return GwReport(t=t, delta=delta, kernel=kernel.describe(), sign=sign,
@@ -429,8 +412,7 @@ def _check_alpha_x(alpha: float, x: float, c: Optional[float],
 
 def _mangoldt_arrays(x: float):
     table = sieve_mangoldt(int(math.floor(x)))
-    n = np.nonzero(table.values)[0]
-    return n.astype(np.float64), table.values[n]
+    return table.n, table.lam
 
 
 # Calibrated deviation-multiple bands (multiples of the displayed error

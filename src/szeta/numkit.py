@@ -5,15 +5,18 @@ envelopes) is built on the handful of primitives in this module:
 
 * ``polylog_H``      -- the shifted polylogarithm H_n(x) = sum_k x^k/(k+1)^n
 * ``hurwitz_zeta``   -- zeta(s, q) at integer s >= 2, elementwise in q
-* ``sieve_mangoldt`` -- exact von Mangoldt table by the sieve of Eratosthenes
+* ``sieve_mangoldt`` -- the prime powers n <= X with their exact von Mangoldt
+  values, by the sieve of Eratosthenes
 * ``quad_adaptive``  -- adaptive Gauss-Kronrod quadrature on finite ranges
 * ``gauss_panels``   -- composite Gauss-Legendre nodes and weights
 * ``sum_tail_bounded`` -- series summation with caller-supplied tail majorant;
   terms and tails may be arrays, summed elementwise, each element stopping
   at its own tail bound
 
-All operations are pure; the tables returned are immutable in practice and
-safe to share across threads.
+All operations are pure.  A MangoldtTable's arrays are not written after
+the sieve; its ``prime_powers`` and ``_cache`` are filled on first use and
+without a lock, so threads sharing a table may compute an entry twice, with
+the same bits.
 """
 
 from __future__ import annotations
@@ -68,25 +71,26 @@ class SeriesResult:
 
 @dataclass(frozen=True)
 class MangoldtTable:
-    """Exact von Mangoldt values Lambda(n) for 2 <= n <= limit.
+    """The prime powers 2 <= n <= limit, ascending (int64), and their
+    von Mangoldt values Lambda(n) = log p (float64).
 
-    ``values[n]`` is Lambda(n); indices 0 and 1 are zero padding.
-    ``_cache`` holds what explicit_formula.prime_sum derives from the
-    table per kernel transform, so it lives exactly as long as the table:
-    8 bytes per prime power n <= e^{2 pi delta} per (kernel, sign, delta)
-    (12 KB at delta = 1.5, 36 MiB at delta = 2.9).
+    ``prime_powers`` is computed on first use.  ``_cache`` holds what
+    explicit_formula._prime_side derives from the table per (kernel,
+    sign), so it lives exactly as long as the table: 8 bytes per prime
+    power n <= e^{2 pi delta} per entry (12 KB at delta = 1.5, 36 MiB at
+    delta = 2.9).
     """
 
     limit: int
-    values: np.ndarray
+    n: np.ndarray
+    lam: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log n, log n/2pi, Lambda(n)/sqrt(n) for prime powers n ascending."""
-        n = np.nonzero(self.values)[0]
-        logn = np.log(n)
-        return logn, logn / (2.0 * math.pi), self.values[n] / np.sqrt(n)
+        logn = np.log(self.n)
+        return logn, logn / (2.0 * math.pi), self.lam / np.sqrt(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +237,37 @@ def hurwitz_zeta(s: int, q: float | np.ndarray) -> float | np.ndarray:
 # von Mangoldt sieve
 # ---------------------------------------------------------------------------
 
-# largest sieve limit: 17 bytes per entry, 1.7 GB at 10^8
+# largest sieve limit: a bool per integer while sieving, then 16 bytes
+# per prime power (40 with prime_powers); 0.28 GB peak at 10^8
 _SIEVE_LIMIT = 10 ** 8
 
 
 def sieve_mangoldt(X: int) -> MangoldtTable:
-    """Exact Lambda(n) for n <= X by Eratosthenes + prime-power fill."""
+    """Exact Lambda(n) for the prime powers n <= X: Eratosthenes, then
+    the powers p^k (k >= 2) marked in the same array."""
     if X < 2:
         raise DomainError("sieve limit must be >= 2")
     if X > _SIEVE_LIMIT:
         raise ResourceError(
             f"sieve limit {X} exceeds memory limit {_SIEVE_LIMIT}")
-    is_comp = np.zeros(X + 1, dtype=bool)
-    is_comp[:2] = True
+    is_pp = np.ones(X + 1, dtype=bool)  # prime, then prime power
+    is_pp[:2] = False
     for p in range(2, int(math.isqrt(X)) + 1):
-        if not is_comp[p]:
-            is_comp[p * p::p] = True
-    primes = np.nonzero(~is_comp)[0]
-    lam = np.zeros(X + 1, dtype=np.float64)
-    lam[primes] = np.log(primes.astype(np.float64))
-    for p in primes:
-        if p * p > X:
-            break
-        q = int(p) * int(p)
-        lp = math.log(p)
+        if is_pp[p]:
+            is_pp[p * p::p] = False
+    powers = {}  # p^k -> p for k >= 2
+    for p in np.flatnonzero(is_pp[:math.isqrt(X) + 1]).tolist():
+        q = p * p
         while q <= X:
-            lam[q] = lp
-            q *= int(p)
-    return MangoldtTable(limit=X, values=lam)
+            powers[q] = p
+            q *= p
+    is_pp[list(powers)] = True
+    n = np.flatnonzero(is_pp).astype(np.int64, copy=False)
+    del is_pp
+    lam = np.log(n.astype(np.float64))
+    lam[np.searchsorted(n, list(powers))] = [math.log(p)
+                                             for p in powers.values()]
+    return MangoldtTable(limit=X, n=n, lam=lam)
 
 
 # ---------------------------------------------------------------------------

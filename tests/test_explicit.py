@@ -3,7 +3,6 @@ import gc
 import math
 import weakref
 from dataclasses import asdict
-from functools import partial
 
 import numpy as np
 import pytest
@@ -51,7 +50,7 @@ class TestGammaIntegral:
                        wvar=2 * math.pi * d, limlst=300,
                        epsabs=1e-12, full_output=1)[0]
             ref = (C * base - 2 * osc) / D / (2 * math.pi)
-            val, _ = ef._gamma_integral(lambda xi: p.ft_m(sign, xi), t, d)
+            val, _ = ef._gamma_integral(p, sign, t)
             assert val == pytest.approx(ref, abs=1e-10)
 
     def test_odd_alpha_half_rejected(self):
@@ -93,7 +92,7 @@ class TestArchTerm:
                 m = (b / (b * b + z * z)
                      * (2 * math.cosh(2 * math.pi * b * d)
                         - 2 * cmath.cos(2 * math.pi * d * z)) / D)
-                _, arch = ef._gamma_integral(partial(p.ft, sign), t, d)
+                _, arch = ef._gamma_integral(p, sign, t)
                 assert abs(arch - 2 * m.real) <= tol
 
     @pytest.mark.parametrize("m,alpha,delta", [(0, 0.75, 1.5),
@@ -111,8 +110,7 @@ class TestArchTerm:
                 S2 = (cmath.sin(math.pi * (w - node)) / math.pi) ** 2
                 dw = w - nu
                 ref = 2 * (S2 * complex(np.sum(F / dw ** 2 + Fp / dw))).real
-                _, arch = ef._gamma_integral(partial(pair.ft, sign), t,
-                                             delta)
+                _, arch = ef._gamma_integral(pair, sign, t)
                 assert abs(arch - ref) <= 2e-13
 
     def test_odd_node_cache_sized_by_the_zero_side(self, zeros, mangoldt):
@@ -129,7 +127,7 @@ class TestPrimeSum:
         p = PoissonExtremalPair(beta=0.25, delta=1.5)
         small = sieve_mangoldt(100)
         with pytest.raises(DomainError):
-            ef.prime_sum(lambda xi: p.ft_m("+", xi), 50.0, 1.5, small)
+            ef.prime_sum(p, "+", 50.0, small)
 
     def test_envelope_poisson_brackets(self, mangoldt):
         # measured prime sums respect the closed-form one-sided bounds:
@@ -145,8 +143,7 @@ class TestPrimeSum:
                 env = (-q * M / (1 - q) ** 2 if sign == "+"
                        else q * M / (1 + q) ** 2)
                 for t in t_grid:
-                    s = ef.prime_sum(lambda xi: p.ft_m(sign, xi),
-                                     float(t), delta, mangoldt)
+                    s = ef.prime_sum(p, sign, float(t), mangoldt)
                     if sign == "+":
                         assert -s / math.pi >= env - 1e-12
                     else:
@@ -210,7 +207,7 @@ class TestGwEvaluate:
 
 class TestPrimeSideCache:
     """The weighted transform at the prime powers, kept on the Mangoldt
-    table per (kernel, sign, delta)."""
+    table per (kernel, sign)."""
 
     @staticmethod
     def kernels(delta):
@@ -244,8 +241,8 @@ class TestPrimeSideCache:
                     ef.gw_evaluate(kernel, sign, 50.0, 1.5, zeros,
                                    mangoldt=table)
         assert len(table._cache) == 4
-        # a bare callable is not kept
-        ef.prime_sum(partial(kernels["poisson"].ft, "+"), 50.0, 1.5, table)
+        # prime_sum on a kernel and sign already kept adds none either
+        ef.prime_sum(kernels["poisson"], "+", 50.0, table)
         assert len(table._cache) == 4
 
     def test_cache_dies_with_its_table(self, zeros, mangoldt):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,38 @@ class TestPolylog:
         assert polylog_H(n, x) == total / x
 
 
+def _lambda_by_trial_division(n: int) -> float:
+    """log p if n = p^k, else 0."""
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return math.log(p) if n == 1 else 0.0
+
+
+def _dense_prime_powers(X: int):
+    """prime_powers as the dense table computed it: Lambda at every
+    integer up to X, then its nonzero entries."""
+    is_comp = np.zeros(X + 1, dtype=bool)
+    is_comp[:2] = True
+    for p in range(2, int(math.isqrt(X)) + 1):
+        if not is_comp[p]:
+            is_comp[p * p::p] = True
+    primes = np.nonzero(~is_comp)[0]
+    lam = np.zeros(X + 1, dtype=np.float64)
+    lam[primes] = np.log(primes.astype(np.float64))
+    for p in primes:
+        if p * p > X:
+            break
+        q = int(p) * int(p)
+        lp = math.log(p)
+        while q <= X:
+            lam[q] = lp
+            q *= int(p)
+    n = np.nonzero(lam)[0]
+    logn = np.log(n)
+    return logn, logn / (2.0 * math.pi), lam[n] / np.sqrt(n)
+
+
 class TestSieve:
     def test_psi_values(self):
         table = sieve_mangoldt(1000)
@@ -76,15 +109,47 @@ class TestSieve:
             while pk <= 100:
                 direct += math.log(p)
                 pk *= p
-        assert table.values[:101].sum() == pytest.approx(direct, rel=1e-12)
+        assert table.lam[table.n <= 100].sum() == pytest.approx(
+            direct, rel=1e-12)
 
     def test_lambda_prime_powers(self):
         table = sieve_mangoldt(100)
-        assert table.limit == 100 and len(table.values) == 101
-        assert table.values[8] == pytest.approx(math.log(2))
-        assert table.values[9] == pytest.approx(math.log(3))
-        assert table.values[12] == 0.0
-        assert table.values[0] == table.values[1] == 0.0  # padding
+        assert table.limit == 100 and table.n[-1] == 97
+        lam = dict(zip(table.n.tolist(), table.lam.tolist()))
+        assert lam[8] == pytest.approx(math.log(2))
+        assert lam[9] == pytest.approx(math.log(3))
+        assert 12 not in lam and 1 not in lam
+
+    def test_against_trial_division(self):
+        # every limit up to 600, and limits at and next to prime powers
+        ref = {n: _lambda_by_trial_division(n) for n in range(2, 1026)}
+        for X in [*range(2, 601), 728, 729, 1023, 1024, 1025]:
+            table = sieve_mangoldt(X)
+            want = [n for n in range(2, X + 1) if ref[n]]
+            assert table.n.dtype == np.int64
+            assert table.lam.dtype == np.float64
+            assert np.all(np.diff(table.n) > 0)
+            assert table.n.tolist() == want
+            np.testing.assert_allclose(table.lam, [ref[n] for n in want],
+                                       rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("X", [12393, 130000, 10 ** 6])
+    def test_prime_powers_keep_the_dense_bits(self, X):
+        for got, want in zip(sieve_mangoldt(X).prime_powers,
+                             _dense_prime_powers(X)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_memory_is_a_few_bytes_per_integer(self):
+        # the dense float64 table peaked at 10.7 B per integer
+        X = 10 ** 7
+        tracemalloc.start()
+        try:
+            sieve_mangoldt(X).prime_powers
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * X
 
 
 class TestQuad:

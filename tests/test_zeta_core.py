@@ -87,8 +87,7 @@ class TestSnDirect:
         from szeta.numkit import sieve_mangoldt
         alpha, t = 1.5, 60.0
         table = sieve_mangoldt(200000)
-        n = np.arange(2, 200001)
-        lam = table.values[2:200001]
+        n, lam = table.n, table.lam
         s = -np.sum(lam / (n ** alpha * np.log(n))
                     * np.sin(t * np.log(n))) / math.pi
         # truncation tail of the prime series is O(2/(sqrt(X) log X))
