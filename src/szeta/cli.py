@@ -30,7 +30,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import NoReturn
 
 import numpy as np
@@ -239,7 +239,10 @@ def _verify_gw(args) -> int:
     rep = ef.gw_evaluate(_pair(args.kernel, args), args.sign, args.t,
                          args.delta, zeros)
     band = rep.zero_tail_bound + rep.prime_tail_bound + args.tol
-    out = asdict(rep)
+    # field by field: asdict would copy the kernel dataclass, caches too
+    out = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    out["kernel"] = rep.kernel.describe()
+    out["residual"] = rep.residual
     out["band"] = band
     out["within_band"] = abs(rep.residual) <= band
     _emit(out, args.output)

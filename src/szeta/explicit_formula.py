@@ -24,6 +24,14 @@ growth over the whole line for two smooth integrals on [0, delta].  The
 archimedean term takes the same transform values, for Khat also real:
 
   K(t+i/2) + K(t-i/2) = 4 int_0^delta Khat(xi) cosh(pi xi) cos(2 pi xi t) dxi.
+
+Only cos(2 pi xi t) depends on t.  Written as 1 - 2 sin^2(pi xi t), it
+splits both integrals into a t-independent constant and a weighted sum of
+sin^2(pi xi t), which has no cancellation near xi = 0.  So each (kernel,
+sign) needs one grid per panel count npan = 16 2^k, the smallest with
+npan >= 2 |t| delta (no Gauss panel wider than half a period of the
+cosine); a Mangoldt table keeps it, 192 npan bytes, and a call costs one
+sine per node and one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -50,7 +58,9 @@ class Kernel(Protocol):
     |ft - transform| at each xi: 0 for the Poisson closed forms; for the
     odd pair its series tail, or its table's budget, partly an estimate.
     Kernels are hashable, and equal kernels have equal transforms: a
-    Mangoldt table keys its cached prime side on them (_prime_side)."""
+    Mangoldt table keys its cached prime side (_prime_side) and its
+    digamma and archimedean grids (_gamma_integral) on them, and a
+    GwReport holds its kernel rather than a copy of describe()."""
 
     delta: float
     formula: Mapping[str, str]
@@ -82,11 +92,15 @@ class Kernel(Protocol):
 
 @dataclass(frozen=True, slots=True)
 class GwReport:
-    """Both sides of the explicit formula for one (kernel, sign, t)."""
+    """Both sides of the explicit formula for one (kernel, sign, t).
+
+    ``kernel`` is the kernel object itself (its describe() gives the
+    family and parameters), and ``residual`` is computed from the
+    components, so a kept report holds eleven fields: about 300 B."""
 
     t: float
     delta: float
-    kernel: dict
+    kernel: Kernel
     sign: Sign
     zero_side: float
     zero_tail_bound: float
@@ -95,15 +109,17 @@ class GwReport:
     log_pi_term: float
     prime_sum: float
     prime_tail_bound: float
-    residual: float
 
     def __post_init__(self):
         if self.zero_tail_bound < 0 or self.prime_tail_bound < 0:
             raise ValueError("tail bounds must be >= 0")
-        expect = self.zero_side - (self.arch_terms - self.log_pi_term
-                                   + self.gamma_integral - self.prime_sum)
-        if abs(self.residual - expect) > 1e-9 * (1.0 + abs(expect)):
-            raise ValueError("residual field inconsistent with components")
+
+    @property
+    def residual(self) -> float:
+        """Zero side minus the prime side (arch - log pi + digamma -
+        primes): the truncation residual."""
+        return self.zero_side - (self.arch_terms - self.log_pi_term
+                                 + self.gamma_integral - self.prime_sum)
 
 
 @dataclass(frozen=True)
@@ -146,27 +162,62 @@ def _phi_reg(xi: np.ndarray) -> np.ndarray:
     return np.where(small, taylor, direct)
 
 
-def _gamma_integral(kernel: Kernel, sign: Sign,
-                    t: float) -> tuple[float, float]:
+def _gamma_grid(kernel: Kernel, sign: Sign, npan: int):
+    """pi xi on npan 8-point Gauss-Legendre panels of [0, delta], the
+    (2, 8 npan) weights of sin^2(pi xi t) and the two constants of
+    _gamma_integral.
+
+    With q = sin^2(pi xi t), the digamma integral is gamma0 + sum w[0] q,
+    w[0] = wq ft (1/xi + 4 pi phi_reg)/pi, and the archimedean term is
+    arch0 + sum w[1] q, w[1] = -8 wq ft cosh(pi xi).  gamma0 keeps the
+    (ft - ft0)/xi form of the module docstring."""
+    delta = kernel.delta
+    ft0 = kernel.ft(sign, 0.0)
+    xi, wq = gauss_panels(np.linspace(0.0, delta, npan + 1), 8)
+    ft = kernel.ft(sign, xi)
+    reg = _phi_reg(xi)
+    cosh = np.cosh(math.pi * xi)
+    wft = wq * ft
+    gamma0 = (-ft0 * (EULER_GAMMA + math.log(4.0 * math.pi * delta))
+              - float(np.dot(wq, (ft - ft0) / xi))
+              - 4.0 * math.pi * float(np.dot(wft, reg))) / (2.0 * math.pi)
+    arch0 = 4.0 * float(np.dot(wft, cosh))
+    w = np.stack([wft * (1.0 / xi + 4.0 * math.pi * reg) / math.pi,
+                  -8.0 * wft * cosh])
+    return math.pi * xi, w, gamma0, arch0
+
+
+def _gamma_integral(kernel: Kernel, sign: Sign, t: float,
+                    cache: Optional[dict] = None) -> tuple[float, float]:
     """(1/2pi) int K(t-x) Re psi(1/4+ix/2) dx via the Fourier-side formula,
     and the archimedean term 2 Re K(t+i/2) on the same nodes.
 
-    Composite Gauss-Legendre panels sized to half the period 1/t of the
-    cosine factor; the transform itself is smooth on (0, delta].  The
-    transform is called on the whole node grid at once.  Errors up to
-    ft_error move the archimedean term by up to 4 ft_error sinh(pi
-    delta)/pi, 7e-11 at delta = 1.5 for the odd pair; no report field.
+    Composite Gauss-Legendre panels no wider than half the period 1/t of
+    the cosine factor: npan = 16 2^k, the smallest with npan >= 2 |t|
+    delta, so t of one octave share one grid (_gamma_grid).  ``cache``
+    (a Mangoldt table's) keeps each grid under (kernel, sign, npan), 192
+    npan bytes: 172 KB per (kernel, sign) for npan = 128, 256 and 512, 3
+    MiB at delta = 2.9, t = 2400.  Without it the grid is built and
+    dropped; the bits are the same.  A call then computes sin^2(pi xi t)
+    on the nodes and one matrix-vector product.
+
+    Errors up to ft_error move the archimedean term by up to 4 ft_error
+    sinh(pi delta)/pi, 7e-11 at delta = 1.5 for the odd pair; no report
+    field.
     """
-    delta = kernel.delta
-    ft0 = kernel.ft(sign, 0.0)
-    npan = max(16, int(math.ceil(2.0 * max(t, 1.0) * delta)))
-    xi, wq = gauss_panels(np.linspace(0.0, delta, npan + 1), 8)
-    hc = kernel.ft(sign, xi) * np.cos(2.0 * math.pi * xi * t)
-    i1 = float(np.dot(wq, (hc - ft0) / xi))
-    i2 = float(np.dot(wq, hc * _phi_reg(xi)))
-    arch = 4.0 * float(np.dot(wq, hc * np.cosh(math.pi * xi)))
-    return ((-ft0 * (EULER_GAMMA + math.log(4.0 * math.pi * delta))
-             - i1 - 4.0 * math.pi * i2) / (2.0 * math.pi), arch)
+    need = math.ceil(2.0 * max(abs(t), 1.0) * kernel.delta)
+    npan = max(16, 1 << (need - 1).bit_length())
+    key = (kernel, sign, npan)
+    if cache is None:
+        cache = {}
+    if key not in cache:
+        cache[key] = _gamma_grid(kernel, sign, npan)
+    pxi, w, gamma0, arch0 = cache[key]
+    q = np.multiply(pxi, t)
+    np.sin(q, out=q)
+    np.square(q, out=q)
+    dg, da = w @ q
+    return gamma0 + float(dg), arch0 + float(da)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +308,12 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     table also keeps, per (kernel, sign), the prime side's weighted
     transform Lambda(n) n^{-1/2} ft(log n / 2pi) and its weight sum, so a
     later call computes only the cosines: 8 B per prime power n <= e^{2
-    pi delta} (12 KB at delta = 1.5, 36 MiB at delta = 2.9), freed with
-    the table.  The archimedean term's budget 4 ft_error sinh(pi
-    delta)/pi is not a report field.
+    pi delta} (12 KB at delta = 1.5, 36 MiB at delta = 2.9).  It keeps
+    the digamma and archimedean grid of each power-of-two panel count
+    too, 192 npan bytes per (kernel, sign, npan), so a later call at t
+    of a kept octave computes only sin^2(pi xi t) (_gamma_integral).
+    Both are freed with the table.  The archimedean term's budget 4
+    ft_error sinh(pi delta)/pi is not a report field.
     """
     _check_sign(sign)
     gam = np.asarray(zeros.ordinates)
@@ -287,17 +341,16 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     zero_side = float(np.sum(zvals[:len(gam)] + zvals[len(gam):]))
 
     log_pi = kernel.ft(sign, 0.0) * math.log(math.pi) / (2.0 * math.pi)
-    gamma_int, arch = _gamma_integral(kernel, sign, t)
+    gamma_int, arch = _gamma_integral(kernel, sign, t, mangoldt._cache)
     psum = prime_sum(kernel, sign, t, mangoldt)
     # the prime sum with every transform value replaced by its error bound
     ptail = kernel.ft_error * _prime_side(kernel, sign, mangoldt)[2]
 
-    residual = zero_side - (arch - log_pi + gamma_int - psum)
-    return GwReport(t=t, delta=delta, kernel=kernel.describe(), sign=sign,
+    return GwReport(t=t, delta=delta, kernel=kernel, sign=sign,
                     zero_side=zero_side, zero_tail_bound=ztail,
                     arch_terms=arch, gamma_integral=gamma_int,
                     log_pi_term=log_pi, prime_sum=psum,
-                    prime_tail_bound=ptail, residual=residual)
+                    prime_tail_bound=ptail)
 
 
 # ---------------------------------------------------------------------------

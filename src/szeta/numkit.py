@@ -69,22 +69,24 @@ class SeriesResult:
             raise ValueError("terms_used must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MangoldtTable:
     """The prime powers 2 <= n <= limit, ascending (int64), and their
     von Mangoldt values Lambda(n) = log p (float64).
 
     ``prime_powers`` is computed on first use.  ``_cache`` holds what
-    explicit_formula._prime_side derives from the table per (kernel,
-    sign), so it lives exactly as long as the table: 8 bytes per prime
-    power n <= e^{2 pi delta} per entry (12 KB at delta = 1.5, 36 MiB at
-    delta = 2.9).
+    explicit_formula derives per kernel, so it lives exactly as long as
+    the table: per (kernel, sign) the prime side (_prime_side), 8 bytes
+    per prime power n <= e^{2 pi delta} (12 KB at delta = 1.5, 36 MiB at
+    delta = 2.9), and per (kernel, sign, npan) a digamma and archimedean
+    grid (_gamma_integral), 192 npan bytes.  Tables compare and hash by
+    identity.
     """
 
     limit: int
     n: np.ndarray
     lam: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

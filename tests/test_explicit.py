@@ -1,8 +1,9 @@
 import cmath
 import gc
 import math
+import tracemalloc
 import weakref
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,15 @@ from szeta.poisson_extremal import PoissonExtremalPair
 @pytest.fixture(scope="module")
 def mangoldt():
     return sieve_mangoldt(int(math.ceil(math.exp(3 * math.pi))) + 1)
+
+
+def report_items(rep):
+    """A report's fields in order, the kernel as its describe() and the
+    residual property last, as `szeta verify gw` prints them."""
+    out = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    out["kernel"] = rep.kernel.describe()
+    out["residual"] = rep.residual
+    return out
 
 
 class TestGammaIntegral:
@@ -122,6 +132,104 @@ class TestArchTerm:
             assert pair._cache[("nodes", sign)][0] == 10368
 
 
+def grid_level(t, delta):
+    """2 |t| delta panels rounded up to 16 2^k."""
+    npan = 16
+    while npan < 2 * max(abs(t), 1.0) * delta:
+        npan *= 2
+    return npan
+
+
+def on_grid(kernel, sign, t, npan):
+    """(digamma integral, arch) summed on the grid of npan panels, and
+    the scale of their rounding: |constant| + sum |w q|."""
+    pxi, w, gamma0, arch0 = ef._gamma_grid(kernel, sign, npan)
+    wq = w * np.sin(pxi * t) ** 2
+    const = np.array([gamma0, arch0])
+    return const + wq.sum(axis=1), np.abs(const) + np.abs(wq).sum(axis=1)
+
+
+GRID_KERNELS = [
+    *(pytest.param(OddExtremalPair, dict(m=m, alpha=a, delta=d),
+                   id=f"odd-{m}-{a}-{d}")
+      for m, a, d in ((0, 0.75, 1.5), (2, 0.9, 2.0), (1, 0.6, 2.9))),
+    *(pytest.param(PoissonExtremalPair, dict(beta=b, delta=d),
+                   id=f"poisson-{b}-{d}")
+      for b in (0.25, 0.05) for d in (1.5, 2.9))]
+
+
+class TestGammaGrid:
+    """The digamma and arch grid per (kernel, sign, 16 2^k panels)."""
+
+    @pytest.mark.parametrize("family,params", GRID_KERNELS)
+    def test_each_level_agrees_with_the_doubled_grid(self, family, params):
+        # rounding: 16 eps times the scale of each sum.  The odd pair's
+        # ft(0) and its table's limit at 0+ may differ by up to 2
+        # ft_error, a jump J that (ft - ft0)/xi turns into J sum wq/xi;
+        # doubling the panels adds log 2 to that sum (measured: J ~ 3e-14
+        # to 7e-14, moving the digamma integral by 3e-15 to 7e-15).
+        kernel = family(**params)
+        eps = np.finfo(float).eps
+        jump = 2.0 * kernel.ft_error * math.log(2.0) / (2.0 * math.pi)
+        for sign in "+-":
+            for t in (14.2, 30.0, 77.7, 154.0, 1000.0, 2400.0):
+                npan = grid_level(t, kernel.delta)
+                got = np.array(ef._gamma_integral(kernel, sign, t))
+                one, s_one = on_grid(kernel, sign, t, npan)
+                two, s_two = on_grid(kernel, sign, t, 2 * npan)
+                assert np.all(np.abs(got - one) <= 16 * eps * s_one)
+                band = 16 * eps * (s_one + s_two) + [jump, 0.0]
+                assert np.all(np.abs(one - two) <= band), (sign, t)
+
+    def test_same_bits_whatever_the_call_history(self):
+        # t on both sides of the level boundaries 2 t delta = 128, 256,
+        # 512 at delta = 1.5; cold, warm ascending, warm descending, and
+        # through a Mangoldt table's cache
+        ts = (30.0, 42.6, 42.7, 85.3, 85.4, 150.0, 170.6, 170.7)
+        kernels = [PoissonExtremalPair(beta=0.25, delta=1.5),
+                   OddExtremalPair(m=0, alpha=0.75, delta=1.5)]
+        table = sieve_mangoldt(100)
+        for kernel in kernels:
+            for sign in "+-":
+                cold = [ef._gamma_integral(kernel, sign, t) for t in ts]
+                up, down = {}, {}
+                assert [ef._gamma_integral(kernel, sign, t, up)
+                        for t in ts] == cold
+                assert [ef._gamma_integral(kernel, sign, t, down)
+                        for t in ts[::-1]] == cold[::-1]
+                for cache in (up, down, table._cache):
+                    for t, want in zip(ts, cold):
+                        assert ef._gamma_integral(kernel, sign, t,
+                                                  cache) == want
+                assert all(isinstance(v, float) for v in cold[0])
+        levels = {grid_level(t, 1.5) for t in ts}
+        assert levels == {128, 256, 512, 1024}
+        assert set(table._cache) == {(k, s, n) for k in kernels
+                                     for s in "+-" for n in levels}
+
+    def test_kept_reports_stay_small(self, zeros, mangoldt):
+        # a report holds its kernel and eleven fields; the describe()
+        # dict and a stored residual took 504-571 B per kept report
+        ts = [float(t) for t in np.linspace(90.0, 150.0, 300)]
+        for kernel in (PoissonExtremalPair(beta=0.25, delta=1.5),
+                       OddExtremalPair(m=0, alpha=0.75, delta=1.5)):
+            def reports():
+                return [ef.gw_evaluate(kernel, "+-"[i % 2], t, 1.5, zeros,
+                                       mangoldt=mangoldt)
+                        for i, t in enumerate(ts)]
+            warm = reports()  # noqa: F841 -- the allocator's steady state
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                kept = reports()
+                gc.collect()
+                used = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert used / len(kept) <= 400, kernel
+
+
 class TestPrimeSum:
     def test_needs_full_sieve(self, mangoldt):
         p = PoissonExtremalPair(beta=0.25, delta=1.5)
@@ -158,9 +266,13 @@ class TestGwEvaluate:
         assert rep.zero_tail_bound > 0
         assert abs(rep.residual) <= (rep.zero_tail_bound
                                      + rep.prime_tail_bound + 1e-5)
-        d = asdict(rep)
+        d = report_items(rep)
         assert set(d) >= {"t", "delta", "residual", "zero_side",
                           "prime_sum"}
+        assert rep.kernel is p
+        assert rep.residual == rep.zero_side - (
+            rep.arch_terms - rep.log_pi_term + rep.gamma_integral
+            - rep.prime_sum)
 
     def test_residual_shrinks_with_more_zeros(self, zeros, zeros500,
                                               mangoldt):
@@ -229,9 +341,18 @@ class TestPrimeSideCache:
                             self.kernels(d)[family], sign, t, d, zeros,
                             mangoldt=sieve_mangoldt(
                                 int(math.ceil(math.exp(2 * math.pi * d)))))
-                        assert asdict(got) == asdict(fresh)
-        # one entry per (kernel, sign), whatever the number of calls
-        assert len(table._cache) == 2 * 2 * 2
+                        assert got.kernel is kernels[family]
+                        assert report_items(got) == report_items(fresh)
+        # one prime side per (kernel, sign), whatever the number of calls,
+        # and one digamma/arch grid per (kernel, sign, panel count): 2tΔ
+        # rounded up to 16 2^k
+        levels = {1.0: (64, 256, 512), 1.5: (128, 256, 512)}
+        want = {(k, s) for kernels in kept.values()
+                for k in kernels.values() for s in "+-"}
+        want |= {(k, s, n) for d, kernels in kept.items()
+                 for k in kernels.values() for s in "+-" for n in levels[d]}
+        assert set(table._cache) == want
+        assert len(table._cache) == 2 * 2 * 2 * (1 + 3)
 
     def test_equal_kernel_adds_no_entry(self, zeros, mangoldt):
         table = sieve_mangoldt(mangoldt.limit)
@@ -240,10 +361,11 @@ class TestPrimeSideCache:
                 for sign in "+-":
                     ef.gw_evaluate(kernel, sign, 50.0, 1.5, zeros,
                                    mangoldt=table)
-        assert len(table._cache) == 4
+        # a prime side and a grid (npan = 256) per kernel and sign
+        assert len(table._cache) == 4 * 2
         # prime_sum on a kernel and sign already kept adds none either
         ef.prime_sum(kernels["poisson"], "+", 50.0, table)
-        assert len(table._cache) == 4
+        assert len(table._cache) == 4 * 2
 
     def test_cache_dies_with_its_table(self, zeros, mangoldt):
         table = sieve_mangoldt(mangoldt.limit)
@@ -280,11 +402,13 @@ def test_batched_fourier_side_matches_scalar_loop(zeros):
                 (OddExtremalPair(m=0, alpha=0.75, delta=delta),
                  scalar_ft_g)):
             for sign in "+-":
-                got = asdict(ef.gw_evaluate(pair, sign, t, delta, zeros,
-                                            mangoldt=table))
-                want = asdict(ef.gw_evaluate(ScalarLoopFt(pair, scalar_ft),
-                                             sign, t, delta, zeros,
-                                             mangoldt=table))
+                rep = ef.gw_evaluate(pair, sign, t, delta, zeros,
+                                     mangoldt=table)
+                loop = ScalarLoopFt(pair, scalar_ft)
+                rep_loop = ef.gw_evaluate(loop, sign, t, delta, zeros,
+                                          mangoldt=table)
+                assert rep.kernel is pair and rep_loop.kernel is loop
+                got, want = report_items(rep), report_items(rep_loop)
                 assert got.keys() == want.keys()
                 if pair.ft_error:
                     assert 0.0 < got["prime_tail_bound"] < 1e-9
@@ -327,7 +451,9 @@ class TestThirdKernel:
             for t in (30.0, 50.0, 100.0, 150.0):
                 rep = ef.gw_evaluate(kernel, "+", t, delta, zeros,
                                      mangoldt=table)
-                assert rep.kernel == {"family": "fejer", "delta": delta}
+                assert rep.kernel is kernel
+                assert rep.kernel.describe() == {"family": "fejer",
+                                                 "delta": delta}
                 assert abs(rep.residual) <= rep.zero_tail_bound + 1e-5
 
 

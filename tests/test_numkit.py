@@ -133,6 +133,12 @@ class TestSieve:
             np.testing.assert_allclose(table.lam, [ref[n] for n in want],
                                        rtol=1e-15, atol=0)
 
+    def test_tables_compare_and_hash_by_identity(self):
+        # equal contents, distinct tables: each owns its own caches
+        a, b = sieve_mangoldt(100), sieve_mangoldt(100)
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
     @pytest.mark.parametrize("X", [12393, 130000, 10 ** 6])
     def test_prime_powers_keep_the_dense_bits(self, X):
         for got, want in zip(sieve_mangoldt(X).prime_powers,
