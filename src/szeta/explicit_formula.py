@@ -267,7 +267,7 @@ def prime_sum(kernel: Kernel, sign: Sign, t: float,
         raise DomainError(
             f"Mangoldt table limit {table.limit} below required "
             f"e^(2 pi delta) = {limit:.1f}")
-    logn, wft, _ = _prime_side(kernel, sign, table)
+    logn, wft, _, _ = _prime_side(kernel, sign, table)
     # w ft cos(t log n) in one work array, with the bits of the product
     c = np.multiply(t, logn)
     np.cos(c, out=c)
@@ -276,19 +276,24 @@ def prime_sum(kernel: Kernel, sign: Sign, t: float,
 
 
 def _prime_side(kernel: Kernel, sign: Sign, table: MangoldtTable):
-    """log n, the weighted transform Lambda(n) n^{-1/2} ft(log n / 2pi)
-    and (1/pi) sum Lambda(n) n^{-1/2}, over the prime powers n <= e^{2 pi
-    kernel.delta}.
+    """log n and the weighted transform Lambda(n) n^{-1/2} ft(log n / 2pi)
+    over the prime powers n <= e^{2 pi kernel.delta}, and two report
+    terms: log_pi_term = ft(0) log(pi)/2pi and prime_tail_bound =
+    ft_error (1/pi) sum Lambda(n) n^{-1/2}, the prime sum with every
+    transform value replaced by its error bound.
 
-    Only the cosine of the prime sum depends on t, so all three are kept
+    Only the cosine of the prime sum depends on t, so all four are kept
     in ``table._cache``, one entry per (kernel, sign): 8 B per prime
-    power, for as long as the table lives."""
+    power, for as long as the table lives, and kept reports share the
+    two floats."""
     key = (kernel, sign)
     if key not in table._cache:
         logn, xi, w = table.prime_powers
         k = int(np.searchsorted(xi, kernel.delta, side="right"))
+        log_pi = kernel.ft(sign, 0.0) * math.log(math.pi) / (2.0 * math.pi)
+        wsum = float(np.sum(w[:k])) / math.pi
         table._cache[key] = (logn[:k], w[:k] * kernel.ft(sign, xi[:k]),
-                             float(np.sum(w[:k])) / math.pi)
+                             log_pi, kernel.ft_error * wsum)
     return table._cache[key]
 
 
@@ -306,9 +311,10 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     prebuilt Mangoldt table may be supplied to amortize sieving across
     calls (prime_sum rejects one shorter than e^{2 pi delta}).  Such a
     table also keeps, per (kernel, sign), the prime side's weighted
-    transform Lambda(n) n^{-1/2} ft(log n / 2pi) and its weight sum, so a
-    later call computes only the cosines: 8 B per prime power n <= e^{2
-    pi delta} (12 KB at delta = 1.5, 36 MiB at delta = 2.9).  It keeps
+    transform Lambda(n) n^{-1/2} ft(log n / 2pi), log_pi_term and
+    prime_tail_bound, so a later call computes only the cosines and its
+    reports share those two floats: 8 B per prime power n <= e^{2 pi
+    delta} (12 KB at delta = 1.5, 36 MiB at delta = 2.9).  It keeps
     the digamma and archimedean grid of each power-of-two panel count
     too, 192 npan bytes per (kernel, sign, npan), so a later call at t
     of a kept octave computes only sin^2(pi xi t) (_gamma_integral).
@@ -340,11 +346,9 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     zvals = kernel.real(sign, np.concatenate([t - gam, t + gam]))
     zero_side = float(np.sum(zvals[:len(gam)] + zvals[len(gam):]))
 
-    log_pi = kernel.ft(sign, 0.0) * math.log(math.pi) / (2.0 * math.pi)
     gamma_int, arch = _gamma_integral(kernel, sign, t, mangoldt._cache)
     psum = prime_sum(kernel, sign, t, mangoldt)
-    # the prime sum with every transform value replaced by its error bound
-    ptail = kernel.ft_error * _prime_side(kernel, sign, mangoldt)[2]
+    _, _, log_pi, ptail = _prime_side(kernel, sign, mangoldt)
 
     return GwReport(t=t, delta=delta, kernel=kernel, sign=sign,
                     zero_side=zero_side, zero_tail_bound=ztail,

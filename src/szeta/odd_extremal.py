@@ -45,10 +45,11 @@ far-field coefficients of the most recent N per sign; each sign's
 transform table and L1 gap.  A point's sigma-integrals (f, fe, B) have
 the same bits in any batch, and every call reads exactly the slice |nu|
 <= N of its own budget N, which depends on the evaluation window alone,
-so results do not depend on earlier calls.  Budgets lie on the 2^a 3^b
-grid, so nearby windows share one N and its far-field coefficients.  A
-budget whose node data would exceed _NODE_MEMORY bytes raises
-ResourceError.
+so results do not depend on earlier calls.  A budget is the smallest
+2^a 3^b number, from a first candidate set by the window, that passes
+the tail test, so it never decreases as the window grows, and windows
+of one budget share its far-field coefficients.  A budget whose node
+data would exceed _NODE_MEMORY bytes raises ResourceError.
 
 Transform table
 ---------------
@@ -222,15 +223,18 @@ class OddExtremalPair:
         serves small arguments; for large R it is capped at 2R + 2000
         (nodes must only outrun the evaluation window, the tail test
         below does the rest).  Off the real axis the tail grows with
-        |sin pi w|^2 <= cosh^2(pi Y), a factor 1 on the axis.  Every
-        candidate N, the first and each 1.5x growth step, is rounded up
-        to the next 2^a 3^b number (_fft_len), so windows of similar R
-        share a budget and its far-field coefficients.  The tail test
-        reads only the slice |nu| <= N, so the budget depends on (R, Y)
-        alone.  Raises ResourceError, before any node is built, when the
-        node data of a budget would exceed _NODE_MEMORY bytes: for
-        R > 707 588 at delta < 10, and from at most R > 708 578 at larger
-        delta.
+        |sin pi w|^2 <= cosh^2(pi Y), a factor 1 on the axis.  The
+        first candidate N is rounded up to a 2^a 3^b number (_fft_len),
+        and the search then tries each larger 2^a 3^b number in turn, so
+        the budget is the smallest fast transform length from there that
+        passes the tail test.  The tail test reads only the slice |nu| <=
+        N, so the budget depends on (R, Y) alone; since the first
+        candidate grows with R and a budget passing for a window passes
+        for every smaller one, it never decreases as R grows.  Raises
+        ResourceError, before any node is built, when the node data of a
+        budget would exceed _NODE_MEMORY bytes: for R > 707 588 at delta
+        <= 9.98, and from at most R > 708 578 at larger delta (windows
+        that large pass at their first candidate).
         """
         dense = min(int(math.ceil(50 + 20 * R / self.delta)),
                     int(math.ceil(2 * R)) + 2000)
@@ -263,7 +267,7 @@ class OddExtremalPair:
                     + CFp * d ** 3 / N ** 3) / math.pi ** 2
             if tail * math.cosh(math.pi * Y) ** 2 <= _SERIES_TOL:
                 return N
-            N = _fft_len(int(N * 1.5) + 10)
+            N = _fft_len(N + 1)
 
     def g_eval(self, sign: Sign, z: complex) -> complex:
         """g+ ('+') or g- ('-') at complex z; the selftest's arch oracle."""

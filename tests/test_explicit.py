@@ -354,6 +354,28 @@ class TestPrimeSideCache:
         assert set(table._cache) == want
         assert len(table._cache) == 2 * 2 * 2 * (1 + 3)
 
+    def test_report_constants_kept_per_kernel_and_sign(self, zeros,
+                                                       mangoldt):
+        # log_pi_term and prime_tail_bound do not depend on t: warm calls
+        # share the floats of the prime side's entry, with the bits of
+        # the per-call expressions and of a fresh table
+        table = sieve_mangoldt(mangoldt.limit)
+        for kernel in self.kernels(1.5).values():
+            for sign in "+-":
+                a, b = (ef.gw_evaluate(kernel, sign, t, 1.5, zeros,
+                                       mangoldt=table) for t in (40.0, 90.0))
+                assert a.log_pi_term is b.log_pi_term
+                assert a.prime_tail_bound is b.prime_tail_bound
+                fresh = ef.gw_evaluate(kernel, sign, 90.0, 1.5, zeros,
+                                       mangoldt=sieve_mangoldt(table.limit))
+                _, xi, w = table.prime_powers
+                wsum = float(np.sum(w[xi <= 1.5])) / math.pi
+                for rep in (b, fresh):
+                    assert rep.log_pi_term == (kernel.ft(sign, 0.0)
+                                               * math.log(math.pi)
+                                               / (2.0 * math.pi))
+                    assert rep.prime_tail_bound == kernel.ft_error * wsum
+
     def test_equal_kernel_adds_no_entry(self, zeros, mangoldt):
         table = sieve_mangoldt(mangoldt.limit)
         for kernels in (self.kernels(1.5), self.kernels(1.5)):

@@ -293,12 +293,14 @@ def test_decay_envelope(m, alpha, delta):
         assert np.all(np.abs(g) <= K / (1 + x * x) + 1e-12)
 
 
-def dense_g_real(pair, sign, x):
+def dense_g_real(pair, sign, x, N=None):
     """Interpolation series summed directly over every node of the slice
-    g_real uses: a (points x nodes) matrix, with the guarded sinc at a
-    node within 1e-4.  Oracle for the near/far-field evaluator."""
+    |k| <= N, by default the one g_real uses: a (points x nodes) matrix,
+    with the guarded sinc at a node within 1e-4.  Oracle for the
+    near/far-field evaluator."""
     w = pair.delta * np.atleast_1d(np.asarray(x, dtype=np.float64))
-    N = pair._budget(sign, float(np.max(np.abs(w))))
+    if N is None:
+        N = pair._budget(sign, float(np.max(np.abs(w))))
     nu, F, Fp = pair._nodes(sign, N)
     near = np.round(w) if sign == "+" else np.floor(w) + 0.5
     S2 = (np.sin(math.pi * (w - near)) / math.pi) ** 2
@@ -528,6 +530,66 @@ def test_budget_does_not_depend_on_call_history():
         assert warm._cache[key] == (
             float(np.max(np.abs(F) * (d * d + v * v) / (d * d))),
             float(np.max(np.abs(Fp) * (d ** 3 + v * v * v) / d ** 3)))
+
+
+BUDGET_PAIRS = [(0, 0.5, 1.0), (0, 0.75, 1.5), (2, 0.9, 2.0)]
+BUDGET_WINDOWS = np.r_[0.0, np.geomspace(0.25, 5e3, 39)]
+
+
+def _budget_tail(pair, sign, N, R):
+    """_budget's tail bound for the window R, recomputed on the slice
+    |k| <= N."""
+    d = pair.delta
+    nu, F, Fp = pair._nodes(sign, N)
+    CF = np.max(np.abs(F) * (d * d + nu * nu) / (d * d))
+    CFp = np.max(np.abs(Fp) * (d ** 3 + np.abs(nu) ** 3) / d ** 3)
+    return (2 * CF * d * d / ((N - R) ** 2 * N)
+            + CFp * d ** 3 / N ** 3) / math.pi ** 2
+
+
+@pytest.mark.parametrize("m,alpha,delta", BUDGET_PAIRS)
+def test_budget_is_monotone_in_the_window(m, alpha, delta):
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    for sign in "+-":
+        budgets = [pair._budget(sign, float(R)) for R in BUDGET_WINDOWS]
+        assert budgets == sorted(budgets), sign
+
+
+@pytest.mark.parametrize("m,alpha,delta", BUDGET_PAIRS)
+def test_budget_is_the_smallest_3_smooth_that_passes(m, alpha, delta):
+    # the 3-smooth number just below a budget fails the tail test, unless
+    # it lies below the search's first candidate
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    d = delta
+    for sign in "+-":
+        for R in map(float, BUDGET_WINDOWS):
+            N = pair._budget(sign, R)
+            below = next(n for n in range(N - 1, 0, -1) if _is_3_smooth(n))
+            dense = min(math.ceil(50 + 20 * R / d), math.ceil(2 * R) + 2000)
+            first = _fft_len(max(math.ceil(10 * d), dense,
+                                 math.ceil(2 * R + 20)))
+            if below >= first:
+                assert _budget_tail(pair, sign, below, R) > _SERIES_TOL
+
+
+@pytest.mark.parametrize("m,alpha,delta,signs", [
+    (0, 0.5, 1.0, "+"), (2, 0.5, 1.0, "+-"), (1, 0.9, 2.0, "+-")])
+def test_g_real_at_the_smallest_budget_against_4x_the_nodes(m, alpha, delta,
+                                                            signs):
+    # odd_grid's window R = 120.1 delta: the nodes a budget leaves out
+    # are within its tail test, here against a dense sum over 4x the
+    # nodes (26 244 for the 6 561 at (0, 1/2, 1) '+')
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    rng = np.random.default_rng(20)
+    R = 120.1 * delta
+    w = np.r_[R, -R, 0.0, 0.5, 119.5, -119.0, 3.0 + 1e-6,
+              rng.uniform(-R, R, 48)]
+    x = w / delta
+    for sign in signs:
+        N = pair._budget(sign, R)
+        g = pair.g_real(sign, x)
+        assert np.max(np.abs(g - dense_g_real(pair, sign, x, 4 * N))) \
+            <= _SERIES_TOL, sign
 
 
 def test_g_real_far_out_and_node_memory_limit():
