@@ -42,9 +42,9 @@ from typing import Callable, Mapping, Optional, Protocol
 
 import numpy as np
 
-from .numkit import (AccuracyError, DomainError, MangoldtTable, Sign,
-                     _check_sign, gauss_panels, quad_adaptive,
-                     sieve_mangoldt)
+from .numkit import (DomainError, MangoldtTable, Sign, _check_sign,
+                     gauss_panels, quad_adaptive, sieve_mangoldt,
+                     sum_tail_bounded)
 from .odd_extremal import OddExtremalPair
 from .zeta_core import SnValue, ZeroTable, ZeroTableError
 
@@ -56,7 +56,7 @@ class Kernel(Protocol):
     type 2 pi delta, as gw_evaluate and the CLI use it; ``formula`` names
     how ``real``, ``ft`` and ``l1_gap`` are computed.  ``ft_error`` bounds
     |ft - transform| at each xi: 0 for the Poisson closed forms; for the
-    odd pair its series tail, or its table's budget, partly an estimate.
+    odd pair the stated budget of its sigma-sum.
     Kernels are hashable, and equal kernels have equal transforms: a
     Mangoldt table keys its cached prime side (_prime_side) and its
     digamma and archimedean grids (_gamma_integral) on them, and a
@@ -326,11 +326,6 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     if abs(delta - kernel.delta) > 1e-12:
         raise DomainError(
             f"delta {delta} does not match kernel delta {kernel.delta}")
-    if isinstance(kernel, OddExtremalPair) and kernel.alpha == 0.5:
-        raise DomainError(
-            "odd kernel with alpha=1/2 unsupported here: near xi = 0, where "
-            "the digamma integral needs it, its transform jumps (m=0) or "
-            "loses every digit to cancellation (m>=1)")
     t0 = float(gam[-1])
     if t >= t0:
         raise ZeroTableError(
@@ -505,28 +500,29 @@ def _error_scale(alpha: float, x: float, p: int) -> float:
     return x ** (1 - alpha) / ((1 - alpha) ** 2 * math.log(x) ** (p + 1))
 
 
-def _stalled_series(name: str, term: Callable[[int], float], kmax: int,
-                    rel: float, bound: float) -> float:
-    """sum of term(k), k = 1..kmax, stopped once three terms in a row are
-    below rel * max(partial sum, bound); AccuracyError if none stops."""
-    total = 0.0
-    stall = 0
-    for k in range(1, kmax + 1):
-        t = term(k)
-        total += t
-        stall = stall + 1 if t < rel * max(total, bound) else 0
-        if stall >= 3:
-            return total
-    raise AccuracyError(f"{name} series did not converge", total)
+def _q_series(q: float, c: Callable[[int], float],
+              c_bound: Callable[[int], float], tol: float) -> float:
+    """sum over k >= 1 of (k+1) q^k |c(k)|, 0 < q < 1, to an absolute tol
+    (sum_tail_bounded), where c_bound(K) >= |c(k)| for every k >= K.  The
+    tail from K is then at most c_bound(K) q^K sum_{j>=0} (K+1+j) q^j =
+    c_bound(K) q^K ((K+1)/(1-q) + q/(1-q)^2): a proved bound."""
+    def tail(j):  # the terms k >= K = j + 1
+        K = j + 1
+        return c_bound(K) * q ** K * ((K + 1) / (1 - q) + q / (1 - q) ** 2)
+    return sum_tail_bounded(
+        lambda j: (j + 2) * q ** (j + 1) * abs(c(j + 1)), tail, tol).value
 
 
 def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
     """Evaluate one of the asymptotic facts: the direct quantity (adaptive
-    quadrature for integral items A1-A5, exact sieve for sum items B1-B4),
+    quadrature for integral items A1-A3, exact sieve for sum items B1-B4),
     its closed-form main term, and the error scale it is asserted against.
 
     For the pure-inequality items (A4, A5, B3) the main term is the bound
-    itself (A4) or zero with the bound as error scale (A5, B3).
+    itself (A4) or zero with the bound as error scale (A5, B3).  A5 and B3
+    are series in q = x^(1/2 - alpha), summed until a proved tail bound is
+    below 1e-15 (A5) or 1e-13 (B3) times that scale (_q_series), so they
+    need alpha > 1/2.
     """
     params = dict(params)
     pid = id.upper()
@@ -583,15 +579,24 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
                                main_term=main, error_scale=main)
     if pid == "A5":
         m, alpha, x = _req(params, "m", "alpha", "x")
-        _check_alpha_x(alpha, x, None)
+        # the tail bound of _q_series needs q < 1
+        _check_alpha_x(alpha, x, None, strict_half=True)
         p = 2 * m + 2
         lx = math.log(x)
         l2 = math.log(2.0)
         q = x ** (-(alpha - 0.5))
         bound = _error_scale(alpha, x, p)
-        total = _stalled_series("A5", lambda k: (k + 1) * q ** k * abs(
-            2.0 ** alpha / (x ** (2 * alpha - 1) * ((k + 2) * lx - l2) ** p)
-            - 2.0 ** (1 - alpha) / ((k * lx + l2) ** p)), 200000, 1e-14, bound)
+
+        def left(k):
+            return 2.0 ** alpha / (x ** (2 * alpha - 1)
+                                   * ((k + 2) * lx - l2) ** p)
+
+        def right(k):
+            return 2.0 ** (1 - alpha) / ((k * lx + l2) ** p)
+
+        # both parts are positive and decrease in k
+        total = _q_series(q, lambda k: left(k) - right(k),
+                          lambda k: left(k) + right(k), 1e-15 * bound)
         return AsymptoticCheck(id=pid, params=params, direct=total,
                                main_term=0.0, error_scale=bound)
     if pid == "B1":
@@ -617,7 +622,8 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
                                error_scale=_error_scale(alpha, x, p))
     if pid == "B3":
         m, alpha, x = _req(params, "m", "alpha", "x")
-        _check_alpha_x(alpha, x, params.get("c"))
+        # the tail bound of _q_series needs q < 1
+        _check_alpha_x(alpha, x, params.get("c"), strict_half=True)
         p = 2 * m + 2
         lx = math.log(x)
         n, lam = _mangoldt_arrays(x)
@@ -626,10 +632,14 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         w_right = lam * n ** (alpha - 1) / x ** (2 * alpha - 1)
         q = x ** (-(alpha - 0.5))
         bound = _error_scale(alpha, x, p)
-        total = _stalled_series("B3", lambda k: (k + 1) * q ** k * abs(
-            float(np.sum(w_left / (k * lx + logn) ** p
-                         - w_right / ((k + 2) * lx - logn) ** p))),
-            20000, 1e-13, bound)
+        # log 2 <= log n <= log x bounds each prime sum by its weights'
+        s_left, s_right = float(np.sum(w_left)), float(np.sum(w_right))
+        l2 = math.log(2.0)
+        total = _q_series(
+            q, lambda k: float(np.sum(w_left / (k * lx + logn) ** p
+                                      - w_right / ((k + 2) * lx - logn) ** p)),
+            lambda k: (s_left / (k * lx + l2) ** p
+                       + s_right / ((k + 1) * lx) ** p), 1e-13 * bound)
         return AsymptoticCheck(id=pid, params=params, direct=total,
                                main_term=0.0, error_scale=bound)
     if pid == "B4":

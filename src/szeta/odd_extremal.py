@@ -14,8 +14,19 @@ A majorant g+ and minorant g- of exponential type 2*pi*delta are built by
 two-point (value + derivative) interpolation of F(x) = f(x/delta) at the
 integers (majorant) or the half-integers (minorant), scaled back by
 g(z) = G(delta*z).  Their Fourier transforms are supported on
-[-delta, delta]: ft_g sums an explicit shifted-frequency series, ft reads
-a table of it; the L1 gaps have closed sigma-integral forms.
+[-delta, delta], and the L1 gaps have closed sigma-integral forms.
+
+With a0 = alpha - 1/2, u = sigma - 1/2, h_u(x) = u/(u^2 + x^2) and
+rho(u) = (u - a0)^{2m+1}/(2m+1) on [a0, 1], the target is the mixture
+f = int rho(u) h_u du of Poisson kernels, and the pair is the same
+mixture of the Poisson pairs (poisson_extremal) at beta = u, which
+interpolate h_u at the same nodes (Carneiro, Littmann and Vaaler, Trans.
+AMS 365 (2013)).  So the transforms are the sigma-integrals
+
+    ghat+-(xi) = (pi/2) int rho(u) sinh(2 pi u (delta - |xi|))
+                 / {sinh^2, cosh^2}(pi u delta) du,   |xi| < delta,
+
+which ft_g sums on the sigma grid; they are continuous at xi = 0.
 
 Evaluating the interpolation series on the real axis
 ----------------------------------------------------
@@ -42,7 +53,7 @@ Caches live in the pair's ``_cache``: one node set per sign, grown
 outward when a larger budget N is needed; the decay-envelope maxima of
 the slice |k| <= N per sign and N, which the budget search reads; the
 far-field coefficients of the most recent N per sign; each sign's
-transform table and L1 gap.  A point's sigma-integrals (f, fe, B) have
+decay envelope and L1 gap.  A point's sigma-integrals (f, fe, ghat) have
 the same bits in any batch, and every call reads exactly the slice |nu|
 <= N of its own budget N, which depends on the evaluation window alone,
 so results do not depend on earlier calls.  A budget is the smallest
@@ -50,20 +61,6 @@ so results do not depend on earlier calls.  A budget is the smallest
 the tail test, so it never decreases as the window grows, and windows
 of one budget share its far-field coefficients.  A budget whose node
 data would exceed _NODE_MEMORY bytes raises ResourceError.
-
-Transform table
----------------
-ft interpolates ft_g's series, its oracle, on 40 panels of (0, delta)
-halving toward each end: degree 24 at 25 first-kind Chebyshev points
-valued by the series to _SERIES_TOL/5.  A sign's first call builds its
-whole table from one series call and keeps it; a value depends on its
-panel alone.  Error per value: 2e-13 per node times the Lebesgue
-constant, at most (2/pi) ln 25 + 1 = 3.05, is 0.61e-12; the truncation,
-estimated (not bounded) by the coefficient tail |c_23| + |c_24|, must be
-<= 0.25e-12: 0.86e-12 <= ft_error in all.  A panel failing that test has
-NaN coefficients and leaves its points to the series, as ft_g (25-35 of 40
-panels at alpha = 1/2, where the series cancels).  xi = 0 and
-|xi| >= delta keep their closed forms.
 """
 
 from __future__ import annotations
@@ -76,9 +73,9 @@ from functools import cached_property
 import numpy as np
 
 from .numkit import (DomainError, ResourceError, Sign, _check_sign,
-                     gauss_panels, hurwitz_zeta, sum_tail_bounded)
+                     gauss_panels)
 
-# absolute tolerance of the truncated interpolation and frequency series
+# absolute tolerance of the truncated interpolation series
 _SERIES_TOL = 1e-12
 # g_real: nodes summed directly on each side of the nearest one, and the
 # number of far-field polynomial coefficients; |r/j| <= 1/10 in the far
@@ -98,8 +95,6 @@ _NODE_MEMORY = 1 << 30
 # mapping and faulting in fresh ones; the row-wise sums make the values
 # independent of the block size
 _SIGMA_BLOCK = 16_000
-_FT_LEVELS = 20  # transform table: panels halving toward each end of
-_FT_DEG = 24  # (0, delta), and their degree
 
 
 @dataclass(frozen=True)
@@ -111,9 +106,11 @@ class OddExtremalPair:
     alpha: float
     delta: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    formula = {"real": "interpolation_series", "ft": "frequency_series",
+    formula = {"real": "interpolation_series", "ft": "poisson_mixture",
                "l1_gap": "closed_sigma_integral"}
-    ft_error = _SERIES_TOL  # series tail bound; table budget (see above)
+    # a stated budget of the transform's sigma-sum, checked against a
+    # 30-digit mpmath quadrature of the same integral (within 2e-15)
+    ft_error = _SERIES_TOL
 
     def __post_init__(self):
         if not isinstance(self.m, (int, np.integer)) or self.m < 0:
@@ -122,13 +119,6 @@ class OddExtremalPair:
             raise DomainError(f"alpha must lie in [1/2, 1), got {self.alpha}")
         if self.delta < 1.0:
             raise DomainError(f"delta must be >= 1, got {self.delta}")
-
-    @cached_property
-    def _gamma_j(self) -> tuple:
-        """Factorial ratios (2m)!/(2m+1-j)!, j = 0..2m+1, of _B_exp."""
-        f2m = math.factorial(2 * self.m)
-        return tuple(f2m / math.factorial(2 * self.m + 1 - j)
-                     for j in range(2 * self.m + 2))
 
     # ------------------------------------------------------------------
     # sigma-integral quadrature grid (dyadic panels toward sigma = 1/2)
@@ -158,11 +148,13 @@ class OddExtremalPair:
     # target functions
     # ------------------------------------------------------------------
 
-    def _sigma_sum(self, integrand, x) -> np.ndarray:
+    def _sigma_sum(self, integrand, x, w=None) -> np.ndarray:
         """sum over the sigma grid of w * integrand(u, x) along one row
         per x, in blocks of about _SIGMA_BLOCK elements: the same bits in
-        any batch (a matrix product's bits can depend on the batch)."""
-        u, w = self._sigma_grid
+        any batch (a matrix product's bits can depend on the batch).  The
+        weights w default to the grid's own."""
+        u, w0 = self._sigma_grid
+        w = w0 if w is None else w
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         out = np.empty(len(x))
         block = max(1, _SIGMA_BLOCK // len(u))
@@ -406,150 +398,35 @@ class OddExtremalPair:
     # Fourier transform
     # ------------------------------------------------------------------
 
-    def _B(self, u: np.ndarray) -> np.ndarray:
-        """B(u) = integral of (sigma-alpha)^{2m} (e^{-2 pi u (sigma-1/2)}
-        - e^{-2 pi u}), elementwise; closed form for u >= 1, quadrature
-        below (the closed form cancels catastrophically as u -> 0)."""
-        out = np.empty(u.shape)
-        low = u < 1.0
-        out[low] = self._sigma_sum(_laplace_integrand, u[low])
-        out[~low] = self._B_poly(u[~low]) + self._B_exp(u[~low])
-        return out
-
-    def _B_poly(self, u: np.ndarray) -> np.ndarray:
-        c = 2.0 * math.pi * u
-        return (math.factorial(2 * self.m)
-                * np.exp(-c * (self.alpha - 0.5)) / c ** (2 * self.m + 1))
-
-    def _B_exp(self, u: np.ndarray) -> np.ndarray:
-        c = 2.0 * math.pi * u
-        L = 1.5 - self.alpha
-        g = self._gamma_j
-        s = sum(g[j] * L ** (2 * self.m + 1 - j) / c ** j
-                for j in range(2 * self.m + 2))
-        return -np.exp(-c) * s
-
     def ft_g(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
-        """Fourier transform of g at each xi (a float for a scalar xi);
-        identically 0 for |xi| >= delta.  The series oracle of ``ft``.
+        """Fourier transform of g at each xi (a float for a scalar xi),
+        even in xi and identically 0 for |xi| >= delta.
 
-        For 0 < |xi| < delta the value is a series over frequencies
-        xi + k*delta grouped in cancelling pairs, summed for all xi at
-        once, each xi until its own tail bound is <= _SERIES_TOL; for
-        alpha = 1/2 the slowly-decaying polynomial part is resummed in
-        closed form with Hurwitz zeta / cotangent lattice sums.  At xi = 0
-        the closed sigma-integral form is used (for alpha = 1/2, m = 0 this
-        is the one-sided limit from xi > 0; the transform has a jump there).
+        The pair is the rho-mixture of Poisson pairs at beta = u (module
+        docstring), so with s = delta - |xi| clamped at 0
+
+            ghat(xi) = (pi/2) int rho(u) sinh(2 pi u s) / {sinh^2, cosh^2}
+                       (pi u delta) du
+                     = pi int rho(u) e^{-2 pi u |xi|} (1 - e^{-4 pi u s})
+                       / (1 -/+ e^{-2 pi u delta})^2 du,
+
+        '+' with sinh^2 and 1 - e, '-' with cosh^2 and 1 + e.  The second
+        form, through exp and expm1, neither overflows nor cancels, also
+        at the nodes u ~ 1e-19 of alpha = 1/2; s = 0 gives exactly 0.  A
+        sigma-sum on _sigma_grid: the same bits in any batch.
         """
-        return self._transform(sign, xi, self._ft_series)
-
-    def _transform(self, sign: Sign, xi, band) -> float | np.ndarray:
-        """The transform at each xi, from ``band`` at 0 < |xi| < delta."""
         _check_sign(sign)
-        axi = np.abs(np.asarray(xi, dtype=np.float64))
-        # all in (0, delta), as on the explicit formula's grids: no masks
-        if axi.ndim == 1 and len(axi) and (
-                axi.min() > 0.0 and axi.max() < self.delta):
-            return band(sign, axi)
-        out = np.where(np.isnan(axi), axi, 0.0)
-        zero = axi == 0.0
-        if np.any(zero):
-            gap = self.l1_gap_odd(sign)
-            out[zero] = self._f_integral() + (gap if sign == "+" else -gap)
-        inner = (axi > 0.0) & (axi < self.delta)
-        if np.any(inner):
-            out[inner] = band(sign, axi[inner])
-        return float(out) if out.ndim == 0 else out
-
-    def _ft_table(self, sign: Sign, xi: np.ndarray) -> np.ndarray:
-        """The transform table (module docstring) at 0 < xi < delta.
-
-        Stored transposed, one row per coefficient degree, and evaluated
-        by chebval's Clenshaw recurrence one coefficient at a time, with
-        chebval's bits: O(len(xi)) memory, no (points x 25) gather."""
-        # edges 0, delta 2^-20, ..., delta/2, ..., delta (1 - 2^-20), delta
-        h = self.delta * 0.5 ** np.arange(_FT_LEVELS, 0, -1)
-        edges = np.r_[0.0, h, self.delta - h[-2::-1], self.delta]
-        coef = self._cache.get(("ft_table", sign))
-        if coef is None:  # the whole table, one series call
-            cheb = np.polynomial.chebyshev
-            y = cheb.chebpts1(_FT_DEG + 1)
-            to_coef = cheb.chebvander(y, _FT_DEG).T * (2.0 / (_FT_DEG + 1))
-            to_coef[0] /= 2.0  # c_k = (2/25) sum_j v_j T_k(y_j), c_0 halved
-            a, b = edges[:-1, None], edges[1:, None]
-            y = 0.5 * (a + b) + 0.5 * (b - a) * y
-            v = self._ft_series(sign, y.ravel(), _SERIES_TOL / 5)
-            # one product per panel: a batched matmul moves the last bits
-            coef = np.array([to_coef @ vj for vj in v.reshape(y.shape)])
-            ok = abs(coef[:, -2]) + abs(coef[:, -1]) <= _SERIES_TOL / 4
-            coef[~ok] = np.nan  # uncertified rows
-            coef = np.ascontiguousarray(coef.T)
-            self._cache[("ft_table", sign)] = coef
-        p = np.searchsorted(edges, xi, side="right") - 1
-        a, b = edges[p], edges[p + 1]
-        y = (2.0 * xi - (a + b)) / (b - a)
-        y2 = 2.0 * y
-        c0, c1 = coef[-2, p], coef[-1, p]
-        for ck in coef[-3::-1]:
-            c0, c1 = ck[p] - c1, c0 + c1 * y2
-        out = c0 + c1 * y
-        bad = np.isnan(out)  # uncertified: the series itself
-        if np.any(bad):
-            out[bad] = self._ft_series(sign, xi[bad])
-        return out
-
-    def _ft_series(self, sign: Sign, xi: np.ndarray, tol=_SERIES_TOL):
-        """The shifted-frequency series of ft_g at 0 < xi < delta, to tol."""
+        u, w = self._sigma_grid
         d = self.delta
-        alt = (sign == "-")
-        beta2 = 2.0 * math.pi * (self.alpha - 0.5)  # decay rate of B_poly
-
-        if self.alpha == 0.5:
-            # polynomial part in closed form, exponential part as pair series
-            s1, s2 = 2 * self.m + 1, 2 * self.m + 2
-            cpoly = 0.5 * math.factorial(2 * self.m) / (2 * math.pi) ** s1
-            lat = (_lattice_sum(s1, xi, d, alt) / d
-                   + (d - xi) / d * _lattice_sum(s2, xi, d, alt))
-            poly = cpoly * lat
-
-            def term(k):
-                sgn = -1.0 if (alt and k % 2) else 1.0
-                u1, u2 = xi + k * d, (k + 2) * d - xi
-                return 0.5 * sgn * (k + 1) * (self._B_exp(u1) / u1
-                                              - self._B_exp(u2) / u2)
-
-            def tail(K):
-                u = xi + K * d
-                return (K + 2) * np.abs(self._B_exp(u)) / u / (
-                    1.0 - math.exp(-2 * math.pi * d))
-
-            res = sum_tail_bounded(term, tail, tol)
-            return poly + res.value
-
-        def term(k):
-            sgn = -1.0 if (alt and k % 2) else 1.0
-            u1, u2 = xi + k * d, (k + 2) * d - xi
-            t1 = self._B(u1) / u1
-            t2 = self._B(u2) / u2
-            return 0.5 * sgn * (k + 1) * (t1 - t2)
-
-        def tail(K):
-            # |B(u)| <= B_poly(u); terms decay at least like e^{-beta2 d}
-            u = xi + K * d
-            tb = (K + 1) * (self._B_poly(u) / u
-                            + self._B_poly((K + 2) * d - xi) / ((K + 2) * d - xi))
-            q = math.exp(-beta2 * d) * (K + 2) / (K + 1)
-            if q >= 1.0:
-                return math.inf
-            return tb / (1.0 - q)
-
-        res = sum_tail_bounded(term, tail, tol)
-        return res.value
-
-    def _f_integral(self) -> float:
-        """Integral of the target over the real line (closed form)."""
-        return (math.pi * (1.5 - self.alpha) ** (2 * self.m + 2)
-                / ((2 * self.m + 1) * (2 * self.m + 2)))
+        c = -2.0 * math.pi * u
+        den = (np.expm1(c * d) ** 2 if sign == "+"
+               else (1.0 + np.exp(c * d)) ** 2)
+        w = math.pi / (2 * self.m + 1) * w * (u - (self.alpha - 0.5)) / den
+        axi = np.minimum(np.abs(np.asarray(xi, dtype=np.float64)), d)
+        out = self._sigma_sum(lambda u, x: np.exp(-2.0 * math.pi * u * x)
+                              * -np.expm1(-4.0 * math.pi * u * (d - x)),
+                              axi.ravel(), w)
+        return float(out[0]) if axi.ndim == 0 else out.reshape(axi.shape)
 
     # ------------------------------------------------------------------
     # L1 gaps
@@ -557,7 +434,7 @@ class OddExtremalPair:
 
     def l1_gap_odd(self, sign: Sign) -> float:
         """L1 distance between g and the target (closed sigma-integral),
-        kept per sign: ft(0) reads it."""
+        kept per sign."""
         _check_sign(sign)
         key = ("l1_gap", sign)
         if key in self._cache:
@@ -611,7 +488,7 @@ class OddExtremalPair:
         return self.g_real(sign, x)
 
     def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
-        return self._transform(sign, xi, self._ft_table)
+        return self.ft_g(sign, xi)
 
     def l1_gap(self, sign: Sign) -> float:
         return self.l1_gap_odd(sign)
@@ -636,13 +513,6 @@ def _log_quotient(u, x):
     np.log1p(arg, out=arg)
     np.copyto(direct, arg, where=use_log1p)
     return direct
-
-
-def _laplace_integrand(u, x):
-    """B's sigma-integrand e^{-2 pi x u} - e^{-2 pi x}, without cancellation
-    as x -> 0: e^{-2 pi x} expm1(2 pi x (1 - u))."""
-    c = 2 * math.pi * x
-    return np.exp(-c) * np.expm1(c * (1.0 - u))
 
 
 def _even_integrand(u, x):
@@ -670,25 +540,3 @@ def _fft_len(n: int) -> int:
         p3 *= 3
     return best
 
-
-def _lattice_sum(s: int, xi: np.ndarray, d: float,
-                 alternating: bool) -> np.ndarray:
-    """Sum over all integers k of (+/-1)^k (xi + k d)^{-s}, 0 < xi < d,
-    elementwise.
-
-    Conditionally convergent for s = 1 (cotangent/cosecant closed forms,
-    symmetric principal value); absolutely convergent via Hurwitz zeta
-    for s >= 2.
-    """
-    q = xi / d
-    if s == 1:
-        if alternating:
-            return math.pi / np.sin(math.pi * q) / d
-        return math.pi / np.tan(math.pi * q) / d
-    zeta = hurwitz_zeta
-    sgn = (-1.0) ** s
-    if not alternating:
-        return (zeta(s, q) + sgn * zeta(s, 1.0 - q)) / d ** s
-    even = zeta(s, q / 2) + sgn * zeta(s, 1.0 - q / 2)
-    odd = zeta(s, (q + 1.0) / 2) + sgn * zeta(s, (1.0 - q) / 2)
-    return (even - odd) / (2.0 * d) ** s

@@ -1,6 +1,8 @@
 """Scalar reference transforms: one frequency per call, in the float
 arithmetic of the original per-frequency code.  Oracles for the array
-``ft_g``/``ft_m`` and for the batched explicit formula.
+``ft_m``, for the odd pair's ``ft_g`` (its Poisson-mixture sigma-sum
+against the shifted-frequency series of the same transform) and for the
+batched explicit formula.
 
 The lattice sums take the library's ``hurwitz_zeta``, the zeta of the
 array code: at alpha = 1/2 they cancel as xi -> delta (and as xi -> 0 for
@@ -43,8 +45,9 @@ def _B_poly(pair, u):
 def _B_exp(pair, u):
     c = 2.0 * math.pi * u
     L = 1.5 - pair.alpha
-    g = pair._gamma_j
-    s = sum(g[j] * L ** (2 * pair.m + 1 - j) / c ** j
+    f2m = math.factorial(2 * pair.m)
+    s = sum(f2m / math.factorial(2 * pair.m + 1 - j)
+            * L ** (2 * pair.m + 1 - j) / c ** j
             for j in range(2 * pair.m + 2))
     return -math.exp(-c) * s
 
@@ -62,6 +65,13 @@ def _lattice_sum(s, xi, d, alternating):
     even = zeta(s, q / 2) + sgn * zeta(s, 1.0 - q / 2)
     odd = zeta(s, (q + 1.0) / 2) + sgn * zeta(s, (1.0 - q) / 2)
     return (even - odd) / (2.0 * d) ** s
+
+
+def f_integral(pair):
+    """Integral of the odd pair's target over the real line (closed
+    form)."""
+    return (math.pi * (1.5 - pair.alpha) ** (2 * pair.m + 2)
+            / ((2 * pair.m + 1) * (2 * pair.m + 2)))
 
 
 def _series(term, tail):
@@ -83,9 +93,8 @@ def scalar_ft_g(pair, sign, xi):
     if xi >= d:
         return 0.0
     if xi == 0.0:
-        if sign == "+":
-            return pair._f_integral() + pair.l1_gap_odd("+")
-        return pair._f_integral() - pair.l1_gap_odd("-")
+        gap = pair.l1_gap_odd(sign)
+        return f_integral(pair) + (gap if sign == "+" else -gap)
     alt = (sign == "-")
     beta2 = 2.0 * math.pi * (pair.alpha - 0.5)
 

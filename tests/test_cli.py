@@ -337,12 +337,12 @@ def test_cli_does_not_import_selftest():
     assert r.stdout.strip() == "False"
 
 
-def test_gw_odd_alpha_half_exit3():
-    r = run_cli("verify", "gw", "--kernel", "odd", "--m", "2", "--alpha",
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_gw_odd_alpha_half_within_band(m):
+    r = run_cli("verify", "gw", "--kernel", "odd", "--m", str(m), "--alpha",
                 "0.5", "--delta", "1.5", "--t", "50")
-    assert r.returncode == 3
-    assert r.stderr.count("\n") == 1 and "alpha=1/2" in r.stderr
-    assert r.stdout == ""
+    assert r.returncode == 0 and r.stderr == ""
+    assert json.loads(r.stdout)["within_band"] is True
 
 
 # scipy is a test oracle only: no command may import it

@@ -63,25 +63,18 @@ class TestGammaIntegral:
             val, _ = ef._gamma_integral(p, sign, t)
             assert val == pytest.approx(ref, abs=1e-10)
 
-    def test_odd_alpha_half_rejected(self):
-        kernel = OddExtremalPair(m=0, alpha=0.5, delta=1.0)
-        zeros = zc.ZeroTable(ordinates=np.array([14.13, 21.02]),
-                             precision=1e-2, source="stub")
-        with pytest.raises(DomainError):
-            ef.gw_evaluate(kernel, "+", 30.0, 1.0, zeros)
-
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_odd_alpha_half_rejected_for_every_m(self, m, monkeypatch):
-        # rejected before the zero-table check (t = 30 is beyond this
-        # table) and before any sieve
-        def no_sieve(*args):
-            raise AssertionError("sieve_mangoldt called")
-        monkeypatch.setattr(ef, "sieve_mangoldt", no_sieve)
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_odd_alpha_half_closes(self, m, zeros):
+        # the transform's sigma-sum keeps its digits as xi -> 0 and xi ->
+        # delta at alpha = 1/2, so the formula closes with the bands of
+        # alpha > 1/2: residuals -3.0e-4, -5.9e-5 and -2.5e-5 against zero
+        # tails 7.1e-3, 7.9e-4 and 2.8e-4
         kernel = OddExtremalPair(m=m, alpha=0.5, delta=1.5)
-        zeros = zc.ZeroTable(ordinates=np.array([14.13, 21.02]),
-                             precision=1e-2, source="stub")
-        with pytest.raises(DomainError, match="alpha=1/2"):
-            ef.gw_evaluate(kernel, "+", 30.0, 1.5, zeros)
+        for sign in "+-":
+            rep = ef.gw_evaluate(kernel, sign, 50.0, 1.5, zeros)
+            # the band of `szeta verify gw` at its default --tol
+            band = rep.zero_tail_bound + rep.prime_tail_bound + 1e-5
+            assert abs(rep.residual) <= band, sign
 
 
 class TestArchTerm:
@@ -163,14 +156,10 @@ class TestGammaGrid:
 
     @pytest.mark.parametrize("family,params", GRID_KERNELS)
     def test_each_level_agrees_with_the_doubled_grid(self, family, params):
-        # rounding: 16 eps times the scale of each sum.  The odd pair's
-        # ft(0) and its table's limit at 0+ may differ by up to 2
-        # ft_error, a jump J that (ft - ft0)/xi turns into J sum wq/xi;
-        # doubling the panels adds log 2 to that sum (measured: J ~ 3e-14
-        # to 7e-14, moving the digamma integral by 3e-15 to 7e-15).
+        # rounding: 16 eps times the scale of each sum; both transforms
+        # are continuous at xi = 0, so (ft - ft0)/xi has no J/xi part
         kernel = family(**params)
         eps = np.finfo(float).eps
-        jump = 2.0 * kernel.ft_error * math.log(2.0) / (2.0 * math.pi)
         for sign in "+-":
             for t in (14.2, 30.0, 77.7, 154.0, 1000.0, 2400.0):
                 npan = grid_level(t, kernel.delta)
@@ -178,7 +167,7 @@ class TestGammaGrid:
                 one, s_one = on_grid(kernel, sign, t, npan)
                 two, s_two = on_grid(kernel, sign, t, 2 * npan)
                 assert np.all(np.abs(got - one) <= 16 * eps * s_one)
-                band = 16 * eps * (s_one + s_two) + [jump, 0.0]
+                band = 16 * eps * (s_one + s_two)
                 assert np.all(np.abs(one - two) <= band), (sign, t)
 
     def test_same_bits_whatever_the_call_history(self):
@@ -518,3 +507,44 @@ class TestAppendix:
         chk = ef.appendix_asymptotic("B4", {"x": 1e4, "beta": 0.25})
         assert chk.error_scale > 0
         assert chk.deviation_multiple < 10.0
+
+    @pytest.mark.parametrize("m,alpha,x", [(0, 0.51, 1e12), (1, 0.7, 1e6),
+                                           (1, 0.8, 1e12), (0, 0.95, 1e4)])
+    def test_a5_within_its_tail_tolerance_of_mpmath(self, m, alpha, x):
+        # the series stops once its proved tail bound is below 1e-15
+        # times the error scale
+        import mpmath
+        chk = ef.appendix_asymptotic("A5", {"x": x, "alpha": alpha, "m": m})
+        with mpmath.workdps(40):
+            a, X, p = mpmath.mpf(alpha), mpmath.mpf(x), 2 * m + 2
+            lx, l2 = mpmath.log(X), mpmath.log(2)
+            q = X ** (mpmath.mpf(1) / 2 - a)
+            ref = float(mpmath.nsum(lambda k: (k + 1) * q ** k * abs(
+                2 ** a / (X ** (2 * a - 1) * ((k + 2) * lx - l2) ** p)
+                - 2 ** (1 - a) / (k * lx + l2) ** p), [1, mpmath.inf]))
+        assert chk.main_term == 0.0
+        assert abs(chk.direct - ref) <= (1e-15 * chk.error_scale
+                                         + 1e-15 * ref)
+
+    @pytest.mark.parametrize("m,alpha", [(0, 0.55), (1, 0.7), (1, 0.9)])
+    def test_b3_within_its_tail_tolerance_of_a_long_sum(self, m, alpha):
+        x = 1e4
+        chk = ef.appendix_asymptotic("B3", {"x": x, "alpha": alpha, "m": m})
+        table = sieve_mangoldt(int(x))
+        n, lam = table.n, table.lam
+        p, lx, logn = 2 * m + 2, math.log(x), np.log(n)
+        q = x ** (0.5 - alpha)
+        ref = math.fsum(
+            (k + 1) * q ** k * abs(float(np.sum(
+                lam / n ** alpha / (k * lx + logn) ** p
+                - lam * n ** (alpha - 1) / x ** (2 * alpha - 1)
+                / ((k + 2) * lx - logn) ** p)))
+            for k in range(1, 400))
+        assert abs(chk.direct - ref) <= 1e-13 * chk.error_scale + 1e-15 * ref
+
+    @pytest.mark.parametrize("aid", ["A5", "B3"])
+    def test_a5_b3_need_alpha_above_half(self, aid):
+        # q = x^(1/2 - alpha) = 1 leaves the series without a geometric
+        # tail bound
+        with pytest.raises(DomainError, match="alpha"):
+            ef.appendix_asymptotic(aid, {"x": 1e4, "alpha": 0.5, "m": 0})
