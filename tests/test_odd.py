@@ -127,6 +127,30 @@ def test_ft_array_matches_scalar_oracle(m, alpha, delta):
         assert type(one) is float and one == got[2]
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 0.9])
+@pytest.mark.parametrize("delta", [1.0, 1.5, 2.9])
+def test_ft_table_within_ft_error_of_series(m, alpha, delta):
+    # ft (the sigma-sum) against the shifted-frequency series on random
+    # frequencies and the band's ends; alpha near 1/2 is left to
+    # test_ft_matches_mpmath, since there each series sums some 10^4 terms.
+    # At 1e-9 delta the series' B(u)/u cancels (3e-9 off at m = 0,
+    # alpha = .55, delta = 1), so that point is checked against mpmath.
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    rng = np.random.default_rng(round(1000 * (m + alpha + delta)))
+    xi = np.r_[rng.uniform(-delta, delta, 60), (1 - 1e-9) * delta, 0.0,
+               delta]
+    sign = "+-"[round(10 * (m + alpha + delta)) % 2]
+    got = pair.ft(sign, xi)
+    want = np.array([scalar_ft_g(pair, sign, x) for x in xi])
+    assert np.all(np.abs(got - want) <= pair.ft_error)
+    assert got[-1] == 0.0 and np.array_equal(pair.ft(sign, -xi), got)
+    assert type(pair.ft(sign, float(xi[0]))) is float
+    near = pair.ft(sign, 1e-9 * delta)
+    assert abs(near - mpmath_ft(m, alpha, delta, sign, 1e-9 * delta)) \
+        <= 1e-14
+
+
 def mpmath_ft(m, alpha, delta, sign, xi):
     """(pi/2) int rho(u) sinh(2 pi u (delta - |xi|)) / {sinh^2, cosh^2}(pi u
     delta) du over [alpha - 1/2, 1], rho(u) = (u - a0)^{2m+1}/(2m+1), by
