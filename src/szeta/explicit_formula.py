@@ -56,7 +56,10 @@ class Kernel(Protocol):
     type 2 pi delta, as gw_evaluate and the CLI use it; ``formula`` names
     how ``real``, ``ft`` and ``l1_gap`` are computed.  ``ft_error`` bounds
     |ft - transform| at each xi: 0 for the Poisson closed forms; for the
-    odd pair the stated budget of its sigma-sum.
+    odd pair the stated budget of its sigma-sum.  ``real`` is a closed
+    form for the Poisson pair and, for the odd pair, the sigma-mixture
+    of Poisson pairs, checked within 1e-13 of a 30-digit mpmath
+    evaluation; neither builds interpolation nodes.
     Kernels are hashable, and equal kernels have equal transforms: a
     Mangoldt table keys its cached prime side (_prime_side) and its
     digamma and archimedean grids (_gamma_integral) on them, and a
@@ -83,7 +86,9 @@ class Kernel(Protocol):
         """L1 distance between the pair member and the target."""
 
     def tail_envelope(self, sign: Sign) -> float:
-        """K with |real(sign, x)| <= K/x^2 on the real axis."""
+        """K with |real(sign, x)| <= K/x^2 on the real axis: exact for
+        the Poisson pair, calibrated on samples of ``real`` for the odd
+        pair."""
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +339,7 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
         mangoldt = sieve_mangoldt(
             int(math.ceil(math.exp(2.0 * math.pi * kernel.delta))))
 
-    # the envelope first: a kernel may calibrate it on a window of its
-    # own, which should not displace the zero side's cached work
     ztail = _zero_tail_bound(kernel.tail_envelope(sign), t, t0)
-    # one window for both shifts, so both share one node budget
     zvals = kernel.real(sign, np.concatenate([t - gam, t + gam]))
     zero_side = float(np.sum(zvals[:len(gam)] + zvals[len(gam):]))
 

@@ -28,8 +28,31 @@ AMS 365 (2013)).  So the transforms are the sigma-integrals
 
 which ft_g sums on the sigma grid; they are continuous at xi = 0.
 
-Evaluating the interpolation series on the real axis
-----------------------------------------------------
+The pair on the real axis
+-------------------------
+The Poisson pair at beta = u is h_u (1 + sin^2(pi delta x)/sinh^2(pi u
+delta)) ('+') or h_u (1 - cos^2(pi delta x)/cosh^2(pi u delta)) ('-'), so
+
+    g+-(x) = f(x) +- trig(x) A+-(x),  f = int rho h_u du,
+    A+-(x) = int rho(u) h_u(x) / {sinh^2, cosh^2}(pi u delta) du,
+
+with trig = sin^2(pi r) and r = delta x minus its nearest node, reduced
+exactly, so g equals f bit for bit at every node.  g+ - f and f - g- are
+trig times a positive integral: the pair brackets f by construction.
+real and target evaluate f and A+- by one routine (_mixture): for |x| <
+_SERIES_FROM = 4 a row-wise sum on the sigma grid, beyond it the series
+1/(u^2 + x^2) = sum_k (-u^2)^k / x^(2k+2), whose ratio u^2/x^2 <= 1/16
+makes _MOMENTS = 14 terms in y = 1/x^2 exact to (1/16)^14 ~ 1e-17
+relative; their moments int rho u^(2k+1) {1, 1/sinh^2, 1/cosh^2} are kept
+per pair.  A point costs O(1) at any x and has the same bits in any
+batch.
+
+The interpolation series
+------------------------
+g_real, g_eval and the node caches below evaluate the same pair as the
+interpolation series of F(x) = f(x/delta); they stay as the reference
+that tests, the selftest and perfbench's odd_grid workload read, and as
+the arch term's oracle off the real axis.
 On the real axis the series over the 2N+1 lattice nodes nu,
 
     g(w) = sin^2(pi w)/pi^2 * sum_nu [F(nu)/(w-nu)^2 + F'(nu)/(w-nu)],
@@ -49,13 +72,14 @@ budget N picks a nearest node outside them.  Those outputs need lattice
 offsets up to N + N//2, so transforms of length _fft_len(3N + 2) do not
 alias them.  Each point then costs O(K + P).
 
-Caches live in the pair's ``_cache``: one node set per sign, grown
-outward when a larger budget N is needed; the decay-envelope maxima of
-the slice |k| <= N per sign and N, which the budget search reads; the
-far-field coefficients of the most recent N per sign; each sign's
-decay envelope and L1 gap.  A point's sigma-integrals (f, fe, ghat) have
-the same bits in any batch, and every call reads exactly the slice |nu|
-<= N of its own budget N, which depends on the evaluation window alone,
+Caches live in the pair's ``_cache``: the mixture's sigma weights and
+moments (real and target); one node set per sign, grown outward when a
+larger budget N is needed; the decay-envelope maxima of the slice |k| <=
+N per sign and N, which the budget search reads; the far-field
+coefficients of the most recent N per sign; each sign's decay envelope
+and L1 gap.  A point's sigma-integrals (f, fe, A+-, ghat) have the same
+bits in any batch, and every call reads exactly the slice |nu| <= N of
+its own budget N, which depends on the evaluation window alone,
 so results do not depend on earlier calls.  A budget is the smallest
 2^a 3^b number, from a first candidate set by the window, that passes
 the tail test, so it never decreases as the window grows, and windows
@@ -95,18 +119,23 @@ _NODE_MEMORY = 1 << 30
 # mapping and faulting in fresh ones; the row-wise sums make the values
 # independent of the block size
 _SIGMA_BLOCK = 16_000
+# real and target: sigma-sums for |x| < _SERIES_FROM, and _MOMENTS terms
+# of the moment series in y = 1/x^2 beyond (module docstring)
+_SERIES_FROM = 4.0
+_MOMENTS = 14
 
 
 @dataclass(frozen=True)
 class OddExtremalPair:
     """Parameters (m, alpha, delta) of the odd-family extremal pair; an
-    explicit_formula.Kernel on top of g_real, ft_g and f_odd_vec."""
+    explicit_formula.Kernel on top of its Poisson sigma-mixture (real,
+    target, ft_g) and closed L1 gaps."""
 
     m: int
     alpha: float
     delta: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    formula = {"real": "interpolation_series", "ft": "poisson_mixture",
+    formula = {"real": "poisson_mixture", "ft": "poisson_mixture",
                "l1_gap": "closed_sigma_integral"}
     # a stated budget of the transform's sigma-sum, checked against a
     # 30-digit mpmath quadrature of the same integral (within 2e-15)
@@ -171,6 +200,55 @@ class OddExtremalPair:
     def f_even_vec(self, x: np.ndarray) -> np.ndarray:
         """Vectorized fe(x), the companion odd function -f'(x)."""
         return self._sigma_sum(_even_integrand, x)
+
+    # ------------------------------------------------------------------
+    # the pair on the real axis, from its Poisson sigma-mixture
+    # ------------------------------------------------------------------
+
+    def _mixture_terms(self) -> tuple:
+        """Sigma-grid weights W, shape (3, n), and signed moments M, shape
+        (3, _MOMENTS), of f, A+ and A- (module docstring), kept per pair.
+
+        W is the grid's weights times rho(u)/(u - a0)^{2m} = (u - a0)/(2m
+        + 1), times 1, 1/sinh^2 and 1/cosh^2 of pi u delta, and M[:, k] is
+        (-1)^k sum W u^(2k+1).  1/sinh^2(a) = 4 e^{-2a}/expm1(-2a)^2
+        neither overflows nor cancels, also at the nodes u ~ 1e-19 of
+        alpha = 1/2."""
+        hit = self._cache.get("mixture")
+        if hit is None:
+            u, w = self._sigma_grid
+            w = w * (u - (self.alpha - 0.5)) / (2 * self.m + 1)
+            c = -2.0 * math.pi * self.delta * u
+            e = np.exp(c)
+            W = np.stack([w, 4.0 * w * e / np.expm1(c) ** 2,
+                          4.0 * w * e / (1.0 + e) ** 2])
+            k = np.arange(_MOMENTS)
+            M = (W @ u[:, None] ** (2 * k + 1)) * (-1.0) ** k
+            hit = self._cache["mixture"] = (W, M)
+        return hit
+
+    def _mixture(self, x: np.ndarray, rows: list) -> list:
+        """The sigma-integrals of ``rows`` of _mixture_terms (0: f, 1: A+,
+        2: A-) at real points x, one array each.
+
+        The moment series y (M[i, 0] + M[i, 1] y + ...) in y = 1/x^2 by
+        Horner's rule, elementwise (one row at a time: scalar coefficients
+        run twice as fast as a broadcast column), and then, for |x| <
+        _SERIES_FROM, the row-wise sigma-sums in its place: a point has
+        the same bits in any batch."""
+        W, M = self._mixture_terms()
+        y = 1.0 / np.maximum(np.square(x), _SERIES_FROM ** 2)
+        near = np.flatnonzero(np.abs(x) < _SERIES_FROM)
+        out = []
+        for i in rows:
+            v = M[i, -1] * y
+            for c in M[i, -2::-1]:
+                v += c
+                v *= y
+            if len(near):
+                v[near] = self._sigma_sum(_poisson, x[near], W[i])
+            out.append(v)
+        return out
 
     # ------------------------------------------------------------------
     # interpolation series for g+/g-
@@ -460,16 +538,18 @@ class OddExtremalPair:
     def decay_envelope_const(self, sign: Sign) -> float:
         """Calibrated K with |g(x)| <= K/(1+x^2) on the real axis.
 
-        Calibrated as twice the largest |g(x)| (1 + x^2) sampled on the
-        grid x = 0, 0.05, ..., 59.95; nothing bounds the tail beyond, so
-        this is an engineering constant, not a proved one, and downstream
-        reports flag it as calibrated.
+        Calibrated as twice the largest |g(x)| (1 + x^2) of ``real``
+        sampled on the grid x = 0, 0.05, ..., 59.95, so it builds no
+        interpolation nodes.  The mixture bounds |g+-| by K+-/x^2 with
+        K- = int rho u and K+ = K- + int rho u / sinh^2(pi u delta), but
+        that proof is not used here: this is an engineering constant, and
+        downstream reports flag it as calibrated.
         """
         _check_sign(sign)
         key = ("envelope", sign)
         if key not in self._cache:
             x = np.arange(0.0, 60.0, 0.05)
-            g = self.g_real(sign, x)
+            g = self.real(sign, x)
             self._cache[key] = 2.0 * float(np.max(np.abs(g) * (1.0 + x * x)))
         return self._cache[key]
 
@@ -482,10 +562,24 @@ class OddExtremalPair:
                 "delta": self.delta}
 
     def target(self, x: np.ndarray) -> np.ndarray:
-        return self.f_odd_vec(x)
+        """f(x) from the mixture, the routine of ``real``, so real equals
+        target bit for bit at every node."""
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        return self._mixture(x, [0])[0]
 
     def real(self, sign: Sign, x: np.ndarray) -> np.ndarray:
-        return self.g_real(sign, x)
+        """g+ ('+') or g- ('-') at real points x: f +- sin^2(pi r) A+-,
+        with r = delta x minus its nearest node as in g_real (module
+        docstring)."""
+        _check_sign(sign)
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        f, a = self._mixture(x, [0, 1] if sign == "+" else [0, 2])
+        r = self.delta * x
+        r -= np.round(r) if sign == "+" else np.floor(r) + 0.5
+        r *= math.pi
+        np.sin(r, out=r)
+        a *= np.square(r, out=r)
+        return f + a if sign == "+" else f - a
 
     def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
         return self.ft_g(sign, xi)
@@ -513,6 +607,12 @@ def _log_quotient(u, x):
     np.log1p(arg, out=arg)
     np.copyto(direct, arg, where=use_log1p)
     return direct
+
+
+def _poisson(u, x):
+    """h_u(x) = u/(u^2 + x^2), the sigma-integrand of f and A+-."""
+    d = u * u + x * x
+    return np.divide(u, d, out=d)
 
 
 def _even_integrand(u, x):

@@ -230,11 +230,14 @@ def check_poisson_suite() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_odd_suite() -> CheckResult:
-    """Odd-family majorization, interpolation, FT and L1 cross-checks."""
+    """Odd-family majorization, interpolation, FT and L1 cross-checks of
+    the served values (``real``) against the log-form target f_odd_vec
+    and window quadrature, and of ``real`` against the interpolation
+    series g_real."""
     t0 = time.perf_counter()
     failures = []
     worst = {"maj": 0.0, "node": 0.0, "deriv": 0.0, "ft": 0.0,
-             "ft_out": 0.0, "l1": 0.0}
+             "ft_out": 0.0, "l1": 0.0, "series": 0.0}
     windows: dict[float, WindowedLine] = {}
     for m in (0, 1, 2):
         for alpha in (0.5, 0.6, 0.75, 0.9):
@@ -246,13 +249,13 @@ def check_odd_suite() -> CheckResult:
                 h = 1e-3
                 for sign, s in (("+", 1.0), ("-", -1.0)):
                     tag = f"m={m} alpha={alpha} delta={delta} sign={sign}"
-                    gv = pair.g_real(sign, W.nodes)
+                    gv = pair.real(sign, W.nodes)
                     viol = float(np.min(s * (gv - fv)))
                     worst["maj"] = max(worst["maj"], -viol)
                     if viol < -1e-9:
                         failures.append(f"majorization {tag}: {viol:.2e}")
                     nodes = (k if sign == "+" else k - 0.5) / delta
-                    nd = float(np.max(np.abs(pair.g_real(sign, nodes)
+                    nd = float(np.max(np.abs(pair.real(sign, nodes)
                                              - pair.f_odd_vec(nodes))))
                     worst["node"] = max(worst["node"], nd)
                     if nd > 1e-8:
@@ -260,8 +263,8 @@ def check_odd_suite() -> CheckResult:
                     # derivative at nodes: f' = -f_even, vs. central
                     # difference of g (origin skipped for '+')
                     dn = nodes[:3]
-                    gd = (pair.g_real(sign, dn + h)
-                          - pair.g_real(sign, dn - h)) / (2 * h)
+                    gd = (pair.real(sign, dn + h)
+                          - pair.real(sign, dn - h)) / (2 * h)
                     dd = float(np.max(np.abs(gd + pair.f_even_vec(dn))))
                     worst["deriv"] = max(worst["deriv"], dd)
                     if dd > 1e-4:
@@ -286,6 +289,19 @@ def check_odd_suite() -> CheckResult:
                     worst["l1"] = max(worst["l1"], dl1)
                     if dl1 > 1e-7:
                         failures.append(f"l1 {tag}: {dl1:.2e}")
+    # the served mixture against the interpolation series, an independent
+    # construction of the same pair, within the series' own tolerance,
+    # on one pair per delta whose sigma grid is short (32 nodes), since
+    # the series builds its nodes from sigma-sums
+    for delta, W in windows.items():
+        pair = OddExtremalPair(m=0, alpha=0.75, delta=delta)
+        for sign in "+-":
+            ds = float(np.max(np.abs(pair.real(sign, W.nodes)
+                                     - pair.g_real(sign, W.nodes))))
+            worst["series"] = max(worst["series"], ds)
+            if ds > _SERIES_TOL:
+                failures.append(f"series delta={delta} sign={sign}: "
+                                f"{ds:.2e}")
     return _result("odd_suite", t0, failures, worst=worst)
 
 

@@ -69,16 +69,24 @@ class TestExitCodes:
         ("extremal odd --m 0 --alpha 1.2 --delta 1 --l1",
          "region violation: "),
         ("extremal poisson --beta 0.7 --delta 1 --l1", "region violation: "),
-        ("extremal odd --m 0 --alpha 0.75 --delta 1 --eval 1e7",
-         "resource limit: "),
         ("verify gw --kernel odd --m 0 --alpha 0.55 --delta 3 --t 30",
          "resource limit: "),
-    ], ids=["odd alpha", "poisson beta", "odd eval budget", "gw sieve"])
+    ], ids=["odd alpha", "poisson beta", "gw sieve"])
     def test_library_error_exit3_one_line(self, argv, prefix, capsys):
         assert main(argv.split()) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(prefix)
+
+    def test_odd_eval_far_out_exit0(self, capsys):
+        # the pair's mixture costs O(1) at any x: at x = 1e7 the target is
+        # y (nu_0 - nu_1 y + ...), y = 1/x^2, with nu_0 = int rho(u) u du
+        # over [1/4, 1] = 27/128
+        argv = "extremal odd --m 0 --alpha 0.75 --delta 1 --eval 1e7"
+        assert main(argv.split()) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["minorant"] <= out["target"] <= out["majorant"]
+        assert out["target"] == pytest.approx(27 / 128 / 1e14, rel=1e-12)
 
     @pytest.mark.parametrize("t", ["1e9", "1e30"])
     def test_zeta_height_limit_exit3_one_line(self, t):

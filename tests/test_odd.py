@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import tracemalloc
 
@@ -434,14 +435,21 @@ def test_g_real_independent_of_call_history_at_alpha_half():
 @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75])
 def test_sigma_sums_do_not_depend_on_the_batch(m, alpha):
     pair = OddExtremalPair(m=m, alpha=alpha, delta=1.0)
-    x = np.linspace(-50.0, 50.0, 20003)
+    # the last six points straddle |x| = 4, where real and target hand
+    # the sigma-sum over to the moment series
+    edge = np.array([np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0)])
+    x = np.r_[np.linspace(-50.0, 50.0, 20003), edge, -edge]
     xi = np.linspace(0.0, 0.999, 20003)
     idx = [1, 4321, 10001, 15000, 20002]
-    for f, pts in ((pair.f_odd_vec, x), (pair.f_even_vec, x),
-                   (lambda xi: pair.ft_g("+", xi), xi),
-                   (lambda xi: pair.ft_g("-", xi), xi)):
+    ix = idx + list(range(20003, 20009))
+    for f, pts, at in ((pair.f_odd_vec, x, ix), (pair.f_even_vec, x, ix),
+                       (pair.target, x, ix),
+                       (lambda x: pair.real("+", x), x, ix),
+                       (lambda x: pair.real("-", x), x, ix),
+                       (lambda xi: pair.ft_g("+", xi), xi, idx),
+                       (lambda xi: pair.ft_g("-", xi), xi, idx)):
         batch = f(pts)
-        assert [f(pts[i:i + 1])[0] for i in idx] == list(batch[idx])
+        assert [f(pts[i:i + 1])[0] for i in at] == list(batch[at])
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -454,7 +462,8 @@ def test_sigma_sums_do_not_depend_on_the_block_size(m, alpha, monkeypatch):
     def values():
         pair = OddExtremalPair(m=m, alpha=alpha, delta=1.0)
         return [pair.f_odd_vec(x), pair.f_even_vec(x), pair.ft_g("+", xi),
-                pair.ft_g("-", xi)]
+                pair.ft_g("-", xi), pair.target(x), pair.real("+", x),
+                pair.real("-", x)]
 
     want = values()
     for block in (250_000, 1):
@@ -470,6 +479,84 @@ def test_real_at_a_node_is_the_target_bit_for_bit(m, alpha, delta):
         for k in [1, 2, 5, 17, 40]:
             x = (k + (0.0 if sign == "+" else 0.5)) / delta
             assert pair.real(sign, x)[0] == pair.target(x)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_mixture(m, alpha, delta, x, weight):
+    """int rho(u) h_u(x) k(u) du over [alpha - 1/2, 1], rho(u) = (u -
+    a0)^{2m+1}/(2m+1), h_u(x) = u/(u^2 + x^2) and k = 1 (weight None), 1/
+    sinh^2 ('+') or 1/cosh^2 ('-') of pi u delta, by mpmath's
+    Gauss-Legendre quadrature at 30 digits on dyadic panels toward 0,
+    down to |x|/16."""
+    import mpmath
+    with mpmath.workdps(30):
+        a0 = mpmath.mpf(alpha) - mpmath.mpf(1) / 2
+        x = mpmath.mpf(x)
+        if weight is None:
+            def k(u):
+                return 1
+        else:
+            den = mpmath.sinh if weight == "+" else mpmath.cosh
+
+            def k(u):
+                return 1 / den(mpmath.pi * u * delta) ** 2
+        low = (4 if x == 0 or abs(x) >= 1
+               else 4 - math.floor(math.log2(abs(x))))
+        edges = [a0] + [mpmath.mpf(2) ** -j for j in range(low, -1, -1)
+                        if mpmath.mpf(2) ** -j > a0]
+        return mpmath.quad(lambda u: ((u - a0) ** (2 * m + 1) / (2 * m + 1)
+                                      * u / (u * u + x * x) * k(u)),
+                           edges, method="gauss-legendre")
+
+
+def mpmath_real(m, alpha, delta, sign, x):
+    """g+- = f +- trig A+- (module docstring of odd_extremal) from
+    mpmath_mixture, with trig = sin^2 ('+') or cos^2 ('-') of pi delta x;
+    f alone where trig is 0 (A+ diverges at x = 0 for m = 0, alpha =
+    1/2)."""
+    import mpmath
+    f = mpmath_mixture(m, alpha, None, x, None)
+    if sign is None:
+        return float(f)
+    with mpmath.workdps(30):
+        trig = (mpmath.sin if sign == "+" else mpmath.cos)(
+            mpmath.pi * mpmath.mpf(delta) * mpmath.mpf(x)) ** 2
+        if trig == 0:
+            return float(f)
+        a = trig * mpmath_mixture(m, alpha, delta, x, sign)
+        return float(f + a if sign == "+" else f - a)
+
+
+MIXTURE_X = np.array([0.0, 1e-7, 1e-3, 3.999, 4.0, 4.001, 60.0, -2345.6,
+                      1e6])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 0.5001, 0.55, 0.75, 0.9])
+def test_real_and_target_match_mpmath(m, alpha):
+    # both sides of the |x| = 4 switch between sigma-sum and moment
+    # series, and the node x = 0; measured within 6.7e-16
+    for delta in MP_DELTAS:
+        pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+        for sign in (None, "+", "-"):
+            got = (pair.target(MIXTURE_X) if sign is None
+                   else pair.real(sign, MIXTURE_X))
+            want = [mpmath_real(m, alpha, delta, sign, float(x))
+                    for x in MIXTURE_X]
+            assert np.all(np.abs(got - want) <= 1e-13), (delta, sign)
+
+
+@pytest.mark.parametrize("m,alpha,delta", SMALL_GRID + [(3, 0.5001, 2.9)])
+def test_real_within_series_tol_of_g_real(m, alpha, delta, zeros):
+    # the interpolation series as the oracle, on [-60, 60] and on the
+    # zero side's window 150 -+ gamma at t = 150; measured within 4.0e-13
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    gam = zeros.ordinates
+    for x in (np.linspace(-60.0, 60.0, 2401),
+              np.concatenate([150.0 - gam, 150.0 + gam])):
+        for sign in "+-":
+            assert np.max(np.abs(pair.real(sign, x) - pair.g_real(sign, x))) \
+                <= _SERIES_TOL, sign
 
 
 def _is_3_smooth(n):
