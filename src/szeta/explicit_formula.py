@@ -86,9 +86,9 @@ class Kernel(Protocol):
         """L1 distance between the pair member and the target."""
 
     def tail_envelope(self, sign: Sign) -> float:
-        """K with |real(sign, x)| <= K/x^2 on the real axis: exact for
-        the Poisson pair, calibrated on samples of ``real`` for the odd
-        pair."""
+        """K with |real(sign, x)| <= K/x^2 on the real axis, proved: in
+        closed form for the Poisson pair, and for the odd pair from the
+        first moments of its Poisson sigma-mixture."""
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +248,10 @@ def _density_tail(t_shift: float, t0: float) -> float:
 def _zero_tail_bound(env_k: float, t: float, t0: float) -> float:
     """Bound on the dropped zero-sum tail beyond the last ordinate t0.
 
-    Uses |kernel(x)| <= env_k/x^2, the zero-counting density
-    log(u/2pi)/(2pi) du, conjugate symmetry (both tails), and a factor-2
-    safety margin for the oscillating part of the counting function.
+    Uses the proved |kernel(x)| <= env_k/x^2 (Kernel.tail_envelope), the
+    zero-counting density log(u/2pi)/(2pi) du, conjugate symmetry (both
+    tails), and a factor-2 safety margin for the oscillating part of the
+    counting function.
     """
     per_line = env_k / (2.0 * math.pi) * (_density_tail(t, t0)
                                           + _density_tail(-t, t0))
@@ -358,13 +359,6 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
 # zero-sum representations of S_n
 # ---------------------------------------------------------------------------
 
-def _tail_const(fvec: Callable[[np.ndarray], np.ndarray], power: int) -> float:
-    """Calibrated C with |f(x)| <= C/|x|^power for |x| >= 20 (factor-2
-    safety over the sampled maximum on [20, 200])."""
-    x = np.linspace(20.0, 200.0, 361)
-    return 2.0 * float(np.max(np.abs(fvec(x)) * x ** power))
-
-
 def _density_tail_p3(t_shift: float, t0: float) -> float:
     """Upper bound for int_{t0}^inf log(u/2pi)/(u - t_shift)^3 du."""
     s = t_shift
@@ -380,7 +374,10 @@ def rep_sum(n: int, alpha: float, t: float, zeros: ZeroTable) -> SnValue:
     odd n = 2m+1 sums the even target function plus an explicit
     (3/2-alpha)^{2m+2} log t leading term.  The even/odd n >= 0 cases
     carry an unquantified O(1) offset; est_error reports only the
-    zero-sum truncation bound.
+    zero-sum truncation bound, with a factor 2 for the counting
+    function's wiggle.  Its decay constants are proved: h_beta(x) <=
+    beta/x^2, and with nu0 = int rho u, the first moment of the target's
+    Poisson mixture (odd_extremal), f <= nu0/x^2 and |fe| <= 2 nu0/|x|^3.
     """
     if n < -1:
         raise DomainError("n must be >= -1")
@@ -411,14 +408,14 @@ def rep_sum(n: int, alpha: float, t: float, zeros: ZeroTable) -> SnValue:
 
     m, odd_index = divmod(n, 2)
     pair = OddExtremalPair(m=m, alpha=alpha, delta=1.0)
+    nu0 = float(pair._mixture_terms()[1][0, 0])
     sgn_m = (-1.0) ** m
     if odd_index == 0:
         f = pair.f_even_vec
         coeff = sgn_m / (math.pi * math.factorial(2 * m))
         zsum = float(np.sum(f(t - gam) + f(t + gam)))
-        c3 = _tail_const(f, 3)
         dens3 = _density_tail_p3(t, t0) + _density_tail_p3(-t, t0)
-        tail = 2.0 * abs(coeff) * c3 / (2.0 * math.pi) * dens3
+        tail = 2.0 * abs(coeff) * 2.0 * nu0 / (2.0 * math.pi) * dens3
         return SnValue(n=n, alpha=alpha, t=t, value=coeff * zsum,
                        method="zero_sum", est_error=tail)
     f = pair.f_odd_vec
@@ -426,8 +423,7 @@ def rep_sum(n: int, alpha: float, t: float, zeros: ZeroTable) -> SnValue:
             * (1.5 - alpha) ** (2 * m + 2) * math.log(t))
     coeff = -sgn_m / (math.pi * math.factorial(2 * m))
     zsum = float(np.sum(f(t - gam) + f(t + gam)))
-    c2 = _tail_const(f, 2)
-    tail = 2.0 * abs(coeff) * c2 / (2.0 * math.pi) * dens2
+    tail = 2.0 * abs(coeff) * nu0 / (2.0 * math.pi) * dens2
     return SnValue(n=n, alpha=alpha, t=t, value=lead + coeff * zsum,
                    method="zero_sum", est_error=tail)
 

@@ -14,7 +14,7 @@ A majorant g+ and minorant g- of exponential type 2*pi*delta are built by
 two-point (value + derivative) interpolation of F(x) = f(x/delta) at the
 integers (majorant) or the half-integers (minorant), scaled back by
 g(z) = G(delta*z).  Their Fourier transforms are supported on
-[-delta, delta], and the L1 gaps have closed sigma-integral forms.
+[-delta, delta].
 
 With a0 = alpha - 1/2, u = sigma - 1/2, h_u(x) = u/(u^2 + x^2) and
 rho(u) = (u - a0)^{2m+1}/(2m+1) on [a0, 1], the target is the mixture
@@ -26,7 +26,12 @@ AMS 365 (2013)).  So the transforms are the sigma-integrals
     ghat+-(xi) = (pi/2) int rho(u) sinh(2 pi u (delta - |xi|))
                  / {sinh^2, cosh^2}(pi u delta) du,   |xi| < delta,
 
-which ft_g sums on the sigma grid; they are continuous at xi = 0.
+which ft_g sums on the sigma grid; they are continuous at xi = 0.  Every
+other constant of the pair is a sigma-sum of the Poisson pairs' closed
+forms too: the L1 gap is the mixture of their gaps 2 pi q/(1 -/+ q), q =
+e^{-2 pi u delta} (l1_gap_odd), and |g+-(x)| <= K+-/x^2 with the proved
+K- = int rho u and K+ = K- + int rho u/sinh^2(pi u delta), read off the
+first moments (decay_envelope_const).  Nothing is calibrated on samples.
 
 The pair on the real axis
 -------------------------
@@ -73,11 +78,11 @@ offsets up to N + N//2, so transforms of length _fft_len(3N + 2) do not
 alias them.  Each point then costs O(K + P).
 
 Caches live in the pair's ``_cache``: the mixture's sigma weights and
-moments (real and target); one node set per sign, grown outward when a
-larger budget N is needed; the decay-envelope maxima of the slice |k| <=
-N per sign and N, which the budget search reads; the far-field
-coefficients of the most recent N per sign; each sign's decay envelope
-and L1 gap.  A point's sigma-integrals (f, fe, A+-, ghat) have the same
+moments (real, target, ft_g, the L1 gaps and the tail envelopes); one
+node set per sign, grown outward when a larger budget N is needed; the
+decay-envelope maxima of the slice |k| <= N per sign and N, which the
+budget search reads; the far-field coefficients of the most recent N per
+sign.  A point's sigma-integrals (f, fe, A+-, ghat) have the same
 bits in any batch, and every call reads exactly the slice |nu| <= N of
 its own budget N, which depends on the evaluation window alone,
 so results do not depend on earlier calls.  A budget is the smallest
@@ -128,8 +133,8 @@ _MOMENTS = 14
 @dataclass(frozen=True)
 class OddExtremalPair:
     """Parameters (m, alpha, delta) of the odd-family extremal pair; an
-    explicit_formula.Kernel on top of its Poisson sigma-mixture (real,
-    target, ft_g) and closed L1 gaps."""
+    explicit_formula.Kernel on top of its Poisson sigma-mixture: real,
+    target, ft_g, the L1 gaps and the proved tail envelopes."""
 
     m: int
     alpha: float
@@ -494,12 +499,12 @@ class OddExtremalPair:
         sigma-sum on _sigma_grid: the same bits in any batch.
         """
         _check_sign(sign)
-        u, w = self._sigma_grid
+        u = self._sigma_grid[0]
         d = self.delta
         c = -2.0 * math.pi * u
         den = (np.expm1(c * d) ** 2 if sign == "+"
                else (1.0 + np.exp(c * d)) ** 2)
-        w = math.pi / (2 * self.m + 1) * w * (u - (self.alpha - 0.5)) / den
+        w = math.pi * self._mixture_terms()[0][0] / den
         axi = np.minimum(np.abs(np.asarray(xi, dtype=np.float64)), d)
         out = self._sigma_sum(lambda u, x: np.exp(-2.0 * math.pi * u * x)
                               * -np.expm1(-4.0 * math.pi * u * (d - x)),
@@ -511,47 +516,34 @@ class OddExtremalPair:
     # ------------------------------------------------------------------
 
     def l1_gap_odd(self, sign: Sign) -> float:
-        """L1 distance between g and the target (closed sigma-integral),
-        kept per sign."""
+        """L1 distance between g and the target: the rho-mixture of the
+        Poisson pairs' gaps 2 pi q/(1 -/+ q), q = e^{-2 pi u delta}, at
+        beta = u, with 1 - q as -expm1.  Each member's gap has one sign
+        (g+ - f and f - g- are sums of nonnegative members), so the gaps
+        add."""
         _check_sign(sign)
-        key = ("l1_gap", sign)
-        if key in self._cache:
-            return self._cache[key]
-        d = self.delta
-        un, wn = self._sigma_grid
-        e1 = math.exp(-2 * math.pi * d)
-        if sign == "+":
-            # 1 - e via expm1: e underflows to 1 on the lowest panels
-            one_minus_e = -np.expm1(-2 * math.pi * d * un)
-            gap = -float(np.dot(wn, np.log(one_minus_e)
-                                - math.log1p(-e1))) / d
-        else:
-            e = np.exp(-2 * math.pi * d * un)
-            gap = float(np.dot(wn, np.log1p(e) - math.log1p(e1))) / d
-        self._cache[key] = gap
-        return gap
+        c = -2.0 * math.pi * self.delta * self._sigma_grid[0]
+        q = np.exp(c)
+        den = -np.expm1(c) if sign == "+" else 1.0 + q
+        return 2.0 * math.pi * float(np.dot(self._mixture_terms()[0][0],
+                                            q / den))
 
     # ------------------------------------------------------------------
     # decay envelope (for zero-sum truncation downstream)
     # ------------------------------------------------------------------
 
     def decay_envelope_const(self, sign: Sign) -> float:
-        """Calibrated K with |g(x)| <= K/(1+x^2) on the real axis.
+        """K with |g(x)| <= K/x^2 on the real axis, proved: K- = int rho u
+        = M[0, 0] and K+ = K- + int rho u/sinh^2(pi u delta) = M[0, 0] +
+        M[1, 0] (_mixture_terms).
 
-        Calibrated as twice the largest |g(x)| (1 + x^2) of ``real``
-        sampled on the grid x = 0, 0.05, ..., 59.95, so it builds no
-        interpolation nodes.  The mixture bounds |g+-| by K+-/x^2 with
-        K- = int rho u and K+ = K- + int rho u / sinh^2(pi u delta), but
-        that proof is not used here: this is an engineering constant, and
-        downstream reports flag it as calibrated.
-        """
+        0 <= h_u(x) <= u/x^2 gives f <= K-/x^2 and A+ <= M[1, 0]/x^2, so
+        0 <= g+ = f + trig A+ <= K+/x^2; A- <= f gives 0 <= f - A- <= g-
+        <= f.  Sharp: x^2 g+ tends to K+ where trig = 1, and x^2 g- to
+        K- at the nodes."""
         _check_sign(sign)
-        key = ("envelope", sign)
-        if key not in self._cache:
-            x = np.arange(0.0, 60.0, 0.05)
-            g = self.real(sign, x)
-            self._cache[key] = 2.0 * float(np.max(np.abs(g) * (1.0 + x * x)))
-        return self._cache[key]
+        M = self._mixture_terms()[1]
+        return float(M[0, 0] + M[1, 0]) if sign == "+" else float(M[0, 0])
 
     # ------------------------------------------------------------------
     # kernel interface

@@ -489,6 +489,28 @@ class TestRepSum:
         v = ef.rep_sum(0, 0.6, 100.0, zeros)
         assert v.method == "zero_sum"
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("alpha,t", [(0.5, 100.0), (0.75, 1000.0)])
+    def test_est_error_is_the_nu0_closed_form(self, zeros, n, alpha, t):
+        # f <= nu0/x^2 and |fe| <= 2 nu0/|x|^3 with nu0 = int rho u over
+        # [a0, 1], rho(u) = (u - a0)^{2m+1}/(2m+1), in closed form; a
+        # factor 2 for the counting function's wiggle
+        m, odd_index = divmod(n, 2)
+        a0, L = alpha - 0.5, 1.5 - alpha
+        nu0 = (L ** (2 * m + 3) / (2 * m + 3)
+               + a0 * L ** (2 * m + 2) / (2 * m + 2)) / (2 * m + 1)
+        t0 = float(zeros.ordinates[-1])
+        coeff = 1.0 / (math.pi * math.factorial(2 * m))
+        if odd_index:
+            dens = ef._density_tail(t, t0) + ef._density_tail(-t, t0)
+            want = 2.0 * coeff * nu0 / (2.0 * math.pi) * dens
+        else:
+            dens = (ef._density_tail_p3(t, t0)
+                    + ef._density_tail_p3(-t, t0))
+            want = 2.0 * coeff * 2.0 * nu0 / (2.0 * math.pi) * dens
+        got = ef.rep_sum(n, alpha, t, zeros).est_error
+        assert got == pytest.approx(want, rel=1e-13)
+
 
 class TestAppendix:
     def test_unknown_id(self):

@@ -277,12 +277,58 @@ def test_gap_decreases_with_delta():
 
 @pytest.mark.parametrize("m,alpha,delta", SMALL_GRID)
 def test_decay_envelope(m, alpha, delta):
+    # the interpolation series, an independent construction of the pair,
+    # within its own tolerance of the envelope K/x^2
     pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
-    x = np.linspace(0.0, 80.0, 1601)
+    x = np.linspace(0.0, 80.0, 1601)[1:]
     for sign in "+-":
         K = pair.decay_envelope_const(sign)
         g = pair.g_real(sign, x)
-        assert np.all(np.abs(g) <= K / (1 + x * x) + 1e-12)
+        assert np.all(np.abs(g) <= K / (x * x) + _SERIES_TOL)
+
+
+@pytest.mark.parametrize("m,alpha,delta",
+                         SMALL_GRID + [(0, 0.5, 2.9), (2, 0.5, 1.5)])
+def test_tail_envelope_is_proved_and_sharp(m, alpha, delta):
+    # |g| x^2 <= K on [1e-3, 1e6], and the bound is attained as x grows
+    # at the points (k + 1/2)/delta: there trig = 1 for '+', so x^2 g+
+    # tends to int rho u (1 + 1/sinh^2) = K+, and g- = f (its nodes), so
+    # x^2 g- tends to int rho u = K-
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    sharp = (np.round(np.array([1e4, 1e5, 1e6]) * delta) + 0.5) / delta
+    x = np.r_[np.geomspace(1e-3, 1e6, 20_001), sharp]
+    for sign in "+-":
+        K = pair.tail_envelope(sign)
+        ratio = np.abs(pair.real(sign, x)) * x * x / K
+        assert np.all(ratio <= 1.0 + 1e-12), (sign, ratio.max())
+        assert np.all(ratio[-3:] >= 1.0 - 1e-6), (sign, ratio[-3:])
+
+
+def _l1_gap_log_form(pair, sign):
+    """The L1 gap as the sigma-integral of the log form, (1/delta) int
+    (sigma - alpha)^{2m} log((1 -/+ e^{-2 pi delta})/(1 -/+ e^{-2 pi u
+    delta})) dsigma, on the pair's sigma grid."""
+    u, w = pair._sigma_grid
+    d = pair.delta
+    if sign == "+":
+        logs = np.log(-np.expm1(-2 * math.pi * d * u)) - math.log1p(
+            -math.exp(-2 * math.pi * d))
+        return -float(np.dot(w, logs)) / d
+    logs = np.log1p(np.exp(-2 * math.pi * d * u)) - math.log1p(
+        math.exp(-2 * math.pi * d))
+    return float(np.dot(w, logs)) / d
+
+
+@pytest.mark.parametrize("m,alpha,delta", SMALL_GRID + [
+    (0, 0.5, 2.9), (2, 0.5, 1.5), (2, 0.9, 2.9), (1, 0.5001, 1.0)])
+def test_l1_gap_matches_log_form(m, alpha, delta):
+    # the mixture of the Poisson gaps against the log form, which
+    # cancels at large m, alpha and delta (5.2e-12 at m = 2, alpha =
+    # 0.9, delta = 2.9, '+')
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    for sign in "+-":
+        assert pair.l1_gap_odd(sign) == pytest.approx(
+            _l1_gap_log_form(pair, sign), rel=1e-11, abs=0.0)
 
 
 def dense_g_real(pair, sign, x, N=None):
