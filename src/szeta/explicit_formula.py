@@ -9,33 +9,28 @@ Because both kernel families have compactly supported transforms, the prime
 sum is finite and exact; the only truncation is the zero sum, whose tail is
 bounded by the zero-counting density times the kernel's real-line envelope.
 
-The digamma integral is evaluated on the Fourier side.  Writing
-phi(xi) = e^{-pi xi}/(1 - e^{-4 pi xi}) = 1/(4 pi xi) + phi_reg(xi) for the
-summed Laplace weights of the poles of psi(1/4 + ix/2), one gets for any
-even L1 kernel K with transform Khat supported in [-delta, delta]:
+Both kernel families are Poisson mixtures: real(sign, x) = sum h_u(x) (a +
+b cos(2 pi delta x)), h_u(x) = u/(u^2 + x^2), over the members (u, a, b) of
+Kernel.poisson_mixture(sign).  So the two terms that need the kernel off
+the real line are closed forms summed over the members (_gamma_integral).
+With D(K) = (1/2pi) int K(t - x) Re psi(1/4 + ix/2) dx, D(h_u) is the
+harmonic extension of Re psi(1/4 - iz/2), as h_u/pi is the Poisson kernel
+of the upper half-plane.  For h_u cos(2 pi delta .) the contour closes
+upward on e^{2 pi i delta (x - t)}, through x = t + iu and, in the half
+psi(1/4 + ix/2)/2 of Re psi, the poles x = i y_k, y_k = 2k + 1/2, each of
+residue 2i; as |h_u(t - iy)| <= u/(y^2 - u^2), the poles k >= 3 add less
+than 5e-20 sum |b| for delta >= 1 and u <= 1:
 
-  (1/2pi) int K(t-x) Re psi(1/4 + ix/2) dx
-    = (1/2pi) [ -Khat(0) (gamma_E + log(4 pi delta))
-                - int_0^delta (Khat(xi) cos(2 pi xi t) - Khat(0))/xi dxi
-                - 4 pi int_0^delta Khat(xi) cos(2 pi xi t) phi_reg(xi) dxi ].
-
-This requires Khat continuous at 0 and trades an integrand with logarithmic
-growth over the whole line for two smooth integrals on [0, delta].  The
-archimedean term takes the same transform values, for Khat also real:
-
-  K(t+i/2) + K(t-i/2) = 4 int_0^delta Khat(xi) cosh(pi xi) cos(2 pi xi t) dxi.
-
-Only cos(2 pi xi t) depends on t.  Written as 1 - 2 sin^2(pi xi t), it
-splits both integrals into a t-independent constant and a weighted sum of
-sin^2(pi xi t), which has no cancellation near xi = 0.  So each (kernel,
-sign) needs one grid per panel count npan = 16 2^k, the smallest with
-npan >= 2 |t| delta (no Gauss panel wider than half a period of the
-cosine); a Mangoldt table keeps it, 192 npan bytes, and a call costs one
-sine per node and one matrix-vector product.
+  D(h_u) = (1/2) Re psi(1/4 + u/2 + it/2),
+  D(h_u cos) = (1/2) Re[e^{-2 pi delta u} (psi(1/4 + u/2 + it/2)
+               + psi(1/4 - u/2 + it/2))/2 - 2 e^{-2 pi i delta t}
+               sum_{k>=0} e^{-2 pi delta y_k} h_u(t - i y_k)],
+  K(t+i/2) + K(t-i/2) = 2 Re sum h_u(z) (a + b cos(2 pi delta z)), z = t+i/2.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Protocol
@@ -43,12 +38,10 @@ from typing import Callable, Mapping, Optional, Protocol
 import numpy as np
 
 from .numkit import (DomainError, MangoldtTable, Sign, _check_sign,
-                     gauss_panels, quad_adaptive, sieve_mangoldt,
+                     digamma, quad_adaptive, sieve_mangoldt,
                      sum_tail_bounded)
 from .odd_extremal import OddExtremalPair
 from .zeta_core import SnValue, ZeroTable, ZeroTableError
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 class Kernel(Protocol):
@@ -59,11 +52,11 @@ class Kernel(Protocol):
     odd pair the stated budget of its sigma-sum.  ``real`` is a closed
     form for the Poisson pair and, for the odd pair, the sigma-mixture
     of Poisson pairs, checked within 1e-13 of a 30-digit mpmath
-    evaluation; neither builds interpolation nodes.
+    evaluation; neither builds interpolation nodes.  ``poisson_mixture``
+    gives the digamma and archimedean terms in closed form.
     Kernels are hashable, and equal kernels have equal transforms: a
-    Mangoldt table keys its cached prime side (_prime_side) and its
-    digamma and archimedean grids (_gamma_integral) on them, and a
-    GwReport holds its kernel rather than a copy of describe()."""
+    Mangoldt table keys its cached prime side (_prime_side) on them, and
+    a GwReport holds its kernel rather than a copy of describe()."""
 
     delta: float
     formula: Mapping[str, str]
@@ -89,6 +82,9 @@ class Kernel(Protocol):
         """K with |real(sign, x)| <= K/x^2 on the real axis, proved: in
         closed form for the Poisson pair, and for the odd pair from the
         first moments of its Poisson sigma-mixture."""
+
+    def poisson_mixture(self, sign: Sign) -> tuple:
+        """(u, a, b), 0 < u <= 1: real = sum h_u (a + b cos(2 pi delta x))."""
 
 
 # ---------------------------------------------------------------------------
@@ -148,81 +144,36 @@ class AsymptoticCheck:
 
 
 # ---------------------------------------------------------------------------
-# digamma integral on the Fourier side
+# digamma integral and archimedean term of a Poisson mixture
 # ---------------------------------------------------------------------------
 
-def _phi_reg(xi: np.ndarray) -> np.ndarray:
-    """e^{-pi xi}/(1-e^{-4 pi xi}) - 1/(4 pi xi), regular part, xi > 0.
-
-    Taylor series in y = 4 pi xi near 0 where the two singular pieces
-    cancel catastrophically: phi_reg = 1/4 - y/96 - y^2/128 + O(y^3).
-    """
-    xi = np.asarray(xi, dtype=np.float64)
-    y = 4.0 * math.pi * xi
-    small = y < 1e-3
-    ys = np.where(small, y, 1.0)
-    taylor = 0.25 - ys / 96.0 - ys * ys / 128.0
-    yb = np.where(small, 1.0, y)
-    direct = (np.exp(-0.25 * yb) / (-np.expm1(-yb))) - 1.0 / yb
-    return np.where(small, taylor, direct)
+# i y_k at the poles y_k = 2k + 1/2, k < 3, of the residue series (the rest
+# adds < 5e-20 sum |b|), and the +-u/2 of psi's arguments 1/4 +- u/2 + it/2
+_POLES = 1j * np.array([[0.5], [2.5], [4.5]])
+_HALVES = np.array([[0.5], [-0.5]])
 
 
-def _gamma_grid(kernel: Kernel, sign: Sign, npan: int):
-    """pi xi on npan 8-point Gauss-Legendre panels of [0, delta], the
-    (2, 8 npan) weights of sin^2(pi xi t) and the two constants of
-    _gamma_integral.
-
-    With q = sin^2(pi xi t), the digamma integral is gamma0 + sum w[0] q,
-    w[0] = wq ft (1/xi + 4 pi phi_reg)/pi, and the archimedean term is
-    arch0 + sum w[1] q, w[1] = -8 wq ft cosh(pi xi).  gamma0 keeps the
-    (ft - ft0)/xi form of the module docstring."""
-    delta = kernel.delta
-    ft0 = kernel.ft(sign, 0.0)
-    xi, wq = gauss_panels(np.linspace(0.0, delta, npan + 1), 8)
-    ft = kernel.ft(sign, xi)
-    reg = _phi_reg(xi)
-    cosh = np.cosh(math.pi * xi)
-    wft = wq * ft
-    gamma0 = (-ft0 * (EULER_GAMMA + math.log(4.0 * math.pi * delta))
-              - float(np.dot(wq, (ft - ft0) / xi))
-              - 4.0 * math.pi * float(np.dot(wft, reg))) / (2.0 * math.pi)
-    arch0 = 4.0 * float(np.dot(wft, cosh))
-    w = np.stack([wft * (1.0 / xi + 4.0 * math.pi * reg) / math.pi,
-                  -8.0 * wft * cosh])
-    return math.pi * xi, w, gamma0, arch0
-
-
-def _gamma_integral(kernel: Kernel, sign: Sign, t: float,
-                    cache: Optional[dict] = None) -> tuple[float, float]:
-    """(1/2pi) int K(t-x) Re psi(1/4+ix/2) dx via the Fourier-side formula,
-    and the archimedean term 2 Re K(t+i/2) on the same nodes.
-
-    Composite Gauss-Legendre panels no wider than half the period 1/t of
-    the cosine factor: npan = 16 2^k, the smallest with npan >= 2 |t|
-    delta, so t of one octave share one grid (_gamma_grid).  ``cache``
-    (a Mangoldt table's) keeps each grid under (kernel, sign, npan), 192
-    npan bytes: 172 KB per (kernel, sign) for npan = 128, 256 and 512, 3
-    MiB at delta = 2.9, t = 2400.  Without it the grid is built and
-    dropped; the bits are the same.  A call then computes sin^2(pi xi t)
-    on the nodes and one matrix-vector product.
-
-    Errors up to ft_error move the archimedean term by up to 4 ft_error
-    sinh(pi delta)/pi, 7e-11 at delta = 1.5 for the odd pair; no report
-    field.
-    """
-    need = math.ceil(2.0 * max(abs(t), 1.0) * kernel.delta)
-    npan = max(16, 1 << (need - 1).bit_length())
-    key = (kernel, sign, npan)
-    if cache is None:
-        cache = {}
-    if key not in cache:
-        cache[key] = _gamma_grid(kernel, sign, npan)
-    pxi, w, gamma0, arch0 = cache[key]
-    q = np.multiply(pxi, t)
-    np.sin(q, out=q)
-    np.square(q, out=q)
-    dg, da = w @ q
-    return gamma0 + float(dg), arch0 + float(da)
+def _gamma_integral(kernel: Kernel, sign: Sign,
+                    t: float) -> tuple[float, float]:
+    """(1/2pi) int K(t-x) Re psi(1/4+ix/2) dx and 2 Re K(t+i/2) for K =
+    real(sign, .), the module docstring's closed forms summed over the
+    members, each member's digamma part first: a psi+ and b e (psi+ +
+    psi-)/2 nearly cancel where b is large (the odd pair as u -> 0).  The
+    phase is taken from delta t less its nearest integer; an error e in it
+    moves the arch term by up to 2 e sinh(pi delta) |sum b h_u(t+i/2)|."""
+    u, a, b = kernel.poisson_mixture(sign)
+    d = kernel.delta
+    pp, pm = digamma(_HALVES * u + (0.25 + 0.5j * t)).real
+    e = np.exp(-2.0 * math.pi * d * u)
+    h = u / (u * u + (t + _POLES) ** 2)
+    H = h @ b
+    r = d * t - round(d * t)
+    q = math.exp(-4.0 * math.pi * d)  # e^{-2 pi delta y_k} = e^{-pi delta} q^k
+    res = math.exp(-math.pi * d) * complex(H[0] + q * (H[1] + q * H[2]))
+    gamma = (0.5 * float(np.sum(a * pp + 0.5 * b * e * (pp + pm)))
+             - (cmath.exp(-2j * math.pi * r) * res.conjugate()).real)
+    cos_z = cmath.cos(complex(2.0 * math.pi * r, math.pi * d))
+    return gamma, float(2.0 * (np.dot(h[0], a) + cos_z * H[0]).real)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +271,10 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     transform Lambda(n) n^{-1/2} ft(log n / 2pi), log_pi_term and
     prime_tail_bound, so a later call computes only the cosines and its
     reports share those two floats: 8 B per prime power n <= e^{2 pi
-    delta} (12 KB at delta = 1.5, 36 MiB at delta = 2.9).  It keeps
-    the digamma and archimedean grid of each power-of-two panel count
-    too, 192 npan bytes per (kernel, sign, npan), so a later call at t
-    of a kept octave computes only sin^2(pi xi t) (_gamma_integral).
-    Both are freed with the table.  The archimedean term's budget 4
-    ft_error sinh(pi delta)/pi is not a report field.
+    delta} (12 KB at delta = 1.5, 36 MiB at delta = 2.9), freed with the
+    table.  The digamma integral and the archimedean term are closed
+    forms in the kernel's Poisson mixture (_gamma_integral), the same
+    cost at any t, and keep nothing.
     """
     _check_sign(sign)
     gam = np.asarray(zeros.ordinates)
@@ -344,7 +293,7 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     zvals = kernel.real(sign, np.concatenate([t - gam, t + gam]))
     zero_side = float(np.sum(zvals[:len(gam)] + zvals[len(gam):]))
 
-    gamma_int, arch = _gamma_integral(kernel, sign, t, mangoldt._cache)
+    gamma_int, arch = _gamma_integral(kernel, sign, t)
     psum = prime_sum(kernel, sign, t, mangoldt)
     _, _, log_pi, ptail = _prime_side(kernel, sign, mangoldt)
 

@@ -582,6 +582,13 @@ class OddExtremalPair:
     def tail_envelope(self, sign: Sign) -> float:
         return self.decay_envelope_const(sign)
 
+    def poisson_mixture(self, sign: Sign) -> tuple:
+        """The sigma grid, as g = f +- trig A with trig = (1 -+ cos)/2."""
+        _check_sign(sign)
+        W = self._mixture_terms()[0]
+        b = -0.5 * W[1 if sign == "+" else 2]
+        return self._sigma_grid[0], W[0] - b if sign == "+" else W[0] + b, b
+
 
 def _log_quotient(u, x):
     """log((u^2+x^2)/(1+x^2)) by two cancellation-free routes: log1p(arg)

@@ -96,6 +96,14 @@ class PoissonExtremalPair:
     def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
         return self.ft_m(sign, xi)
 
+    def poisson_mixture(self, sign: Sign) -> tuple:
+        """One member, u = beta: m_real = h_u (a + b cos(2 pi delta x))."""
+        _check_sign(sign)
+        c = 2.0 * math.pi * self.beta * self.delta
+        D = self._denom(sign)
+        return tuple(np.array([[self.beta], [(math.exp(c) + math.exp(-c)) / D],
+                               [-2.0 / D]]))
+
     def tail_envelope(self, sign: Sign) -> float:
         """K with |m_sign(x)| <= K/x^2 on the real axis, exactly.
 

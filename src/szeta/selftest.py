@@ -321,10 +321,8 @@ def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
     failures = []
     reports = []
     table = sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)
+    arch_band = 2 * _SERIES_TOL  # 2 Re of one g_eval value
     for t, delta in ((50.0, 1.5), (100.0, 2.0)):
-        # 2 Re of one g_eval value, and the ft errors under the cosh weight
-        arch_band = 2 * _SERIES_TOL * (1 + 2 / math.pi
-                                       * math.sinh(math.pi * delta))
         kernels = (("poisson", PoissonExtremalPair(beta=0.25, delta=delta)),
                    ("odd", OddExtremalPair(m=0, alpha=0.75, delta=delta)))
         for kname, kernel in kernels:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gamma_grid import grid_level, on_grid
 from scalar_ft import scalar_ft_g, scalar_ft_m
 from szeta import explicit_formula as ef
 from szeta import zeta_core as zc
@@ -78,14 +79,15 @@ class TestGammaIntegral:
 
 
 class TestArchTerm:
-    """2 Re K(t + i/2), taken from _gamma_integral's transform grid."""
+    """2 Re K(t + i/2), from _gamma_integral's Poisson mixture."""
 
     @pytest.mark.parametrize("beta,delta,tol", [(0.25, 1.5, 1e-13),
                                                 (0.45, 1.0, 1e-13),
                                                 (0.05, 2.0, 5e-12)])
     def test_poisson_against_closed_form(self, beta, delta, tol):
-        # at beta = 0.05 the cosh-weighted integrand is of order 10^2,
-        # so rounding alone reaches 2e-12
+        # the bands of the retired panel grid, whose cosh-weighted
+        # rounding reached 2e-12 at beta = 0.05; the closed form is within
+        # 4.3e-15 there (TestClosedForms holds it to 1e-14 of mpmath)
         p = PoissonExtremalPair(beta=beta, delta=delta)
         b, d = beta, delta
         for sign in "+-":
@@ -128,23 +130,6 @@ class TestArchTerm:
         assert "mixture" in pair._cache
 
 
-def grid_level(t, delta):
-    """2 |t| delta panels rounded up to 16 2^k."""
-    npan = 16
-    while npan < 2 * max(abs(t), 1.0) * delta:
-        npan *= 2
-    return npan
-
-
-def on_grid(kernel, sign, t, npan):
-    """(digamma integral, arch) summed on the grid of npan panels, and
-    the scale of their rounding: |constant| + sum |w q|."""
-    pxi, w, gamma0, arch0 = ef._gamma_grid(kernel, sign, npan)
-    wq = w * np.sin(pxi * t) ** 2
-    const = np.array([gamma0, arch0])
-    return const + wq.sum(axis=1), np.abs(const) + np.abs(wq).sum(axis=1)
-
-
 GRID_KERNELS = [
     *(pytest.param(OddExtremalPair, dict(m=m, alpha=a, delta=d),
                    id=f"odd-{m}-{a}-{d}")
@@ -155,12 +140,15 @@ GRID_KERNELS = [
 
 
 class TestGammaGrid:
-    """The digamma and arch grid per (kernel, sign, 16 2^k panels)."""
+    """The closed forms against the panel grid of tests/gamma_grid.py,
+    which sums both terms from the kernel's transform alone, and what a
+    call keeps."""
 
     @pytest.mark.parametrize("family,params", GRID_KERNELS)
     def test_each_level_agrees_with_the_doubled_grid(self, family, params):
-        # rounding: 16 eps times the scale of each sum; both transforms
-        # are continuous at xi = 0, so (ft - ft0)/xi has no J/xi part
+        # the closed forms agree with the oracle within its rounding, 16
+        # eps times the scale of each sum, and the oracle is converged at
+        # its level (against twice the panels)
         kernel = family(**params)
         eps = np.finfo(float).eps
         for sign in "+-":
@@ -173,31 +161,31 @@ class TestGammaGrid:
                 band = 16 * eps * (s_one + s_two)
                 assert np.all(np.abs(one - two) <= band), (sign, t)
 
-    def test_same_bits_whatever_the_call_history(self):
-        # t on both sides of the level boundaries 2 t delta = 128, 256,
-        # 512 at delta = 1.5; cold, warm ascending, warm descending, and
-        # through a Mangoldt table's cache
+    def test_same_bits_whatever_the_call_history(self, zeros):
+        # cold kernels, warm ascending and descending t, and through
+        # gw_evaluate on a Mangoldt table: the same bits, and the table
+        # keeps the prime sides alone
         ts = (30.0, 42.6, 42.7, 85.3, 85.4, 150.0, 170.6, 170.7)
-        kernels = [PoissonExtremalPair(beta=0.25, delta=1.5),
-                   OddExtremalPair(m=0, alpha=0.75, delta=1.5)]
-        table = sieve_mangoldt(100)
-        for kernel in kernels:
+
+        def kernels():
+            return [PoissonExtremalPair(beta=0.25, delta=1.5),
+                    OddExtremalPair(m=0, alpha=0.75, delta=1.5)]
+        table = sieve_mangoldt(int(math.ceil(math.exp(3 * math.pi))))
+        for i, kernel in enumerate(kernels()):
             for sign in "+-":
-                cold = [ef._gamma_integral(kernel, sign, t) for t in ts]
-                up, down = {}, {}
-                assert [ef._gamma_integral(kernel, sign, t, up)
+                cold = [ef._gamma_integral(kernels()[i], sign, t)
+                        for t in ts]
+                assert [ef._gamma_integral(kernel, sign, t)
                         for t in ts] == cold
-                assert [ef._gamma_integral(kernel, sign, t, down)
+                assert [ef._gamma_integral(kernel, sign, t)
                         for t in ts[::-1]] == cold[::-1]
-                for cache in (up, down, table._cache):
-                    for t, want in zip(ts, cold):
-                        assert ef._gamma_integral(kernel, sign, t,
-                                                  cache) == want
-                assert all(isinstance(v, float) for v in cold[0])
-        levels = {grid_level(t, 1.5) for t in ts}
-        assert levels == {128, 256, 512, 1024}
-        assert set(table._cache) == {(k, s, n) for k in kernels
-                                     for s in "+-" for n in levels}
+                for t, (gamma, arch) in zip(ts, cold):
+                    rep = ef.gw_evaluate(kernel, sign, t, 1.5, zeros,
+                                         mangoldt=table)
+                    assert (rep.gamma_integral, rep.arch_terms) == (gamma,
+                                                                    arch)
+                assert all(type(v) is float for v in cold[0])
+        assert set(table._cache) == {(k, s) for k in kernels() for s in "+-"}
 
     def test_kept_reports_stay_small(self, zeros, mangoldt):
         # a report holds its kernel and eleven fields; the describe()
@@ -220,6 +208,89 @@ class TestGammaGrid:
             finally:
                 tracemalloc.stop()
             assert used / len(kept) <= 400, kernel
+
+
+def mp_closed_forms(kernel, t):
+    """(digamma integral, arch) per sign, from the kernel's (u, a, b) in
+    30-digit mpmath: the closed forms of explicit_formula's docstring as
+    written there, with 6 poles.  psi(1/4 + it/2 +- u/2) at u < 1e-3 is
+    its Taylor series about 1/4 + it/2 to the 8th power, whose remainder
+    is below (2e-3)^9 relative; the members share psi across signs."""
+    import mpmath
+    with mpmath.workdps(30):
+        T, d, pi = mpmath.mpf(t), mpmath.mpf(kernel.delta), mpmath.pi
+        w0 = mpmath.mpc(0.25, T / 2)
+        taylor = [mpmath.psi(j, w0) / mpmath.factorial(j) for j in range(9)]
+        ys = [mpmath.mpf(2 * k) + mpmath.mpf(0.5) for k in range(6)]
+        z = mpmath.mpc(T, 0.5)
+        phase = mpmath.expj(-2 * pi * d * T)
+        members = {}
+        for x in kernel.poisson_mixture("+")[0].tolist():
+            U = mpmath.mpf(x)
+            if x < 1e-3:
+                pp, pm = (sum(c * s ** j for j, c in enumerate(taylor))
+                          for s in (U / 2, -U / 2))
+            else:
+                pp, pm = mpmath.digamma(w0 + U / 2), mpmath.digamma(w0 - U / 2)
+            res = sum(mpmath.exp(-2 * pi * d * y) * U
+                      / (U ** 2 + mpmath.mpc(T, -y) ** 2) for y in ys)
+            members[x] = (mpmath.re(pp) / 2,
+                          mpmath.re(mpmath.exp(-2 * pi * d * U) * (pp + pm) / 2
+                                    - 2 * phase * res) / 2,
+                          U / (U ** 2 + z ** 2))
+        cos_z = mpmath.cos(2 * pi * d * z)
+        out = {}
+        for sign in "+-":
+            gamma = arch = mpmath.mpf(0)
+            for x, a, b in zip(*(v.tolist()
+                                 for v in kernel.poisson_mixture(sign))):
+                plain, cos_part, h = members[x]
+                gamma += a * plain + b * cos_part
+                arch += 2 * mpmath.re(h * (a + b * cos_z))
+            out[sign] = (float(gamma), float(arch))
+    return out
+
+
+CLOSED_FORM_KERNELS = [
+    *(pytest.param(OddExtremalPair, dict(m=m, alpha=a, delta=d),
+                   id=f"odd-{m}-{a}-{d}")
+      for m, a, d in ((0, 0.75, 1.5), (2, 0.9, 2.0), (1, 0.6, 2.9),
+                      (0, 0.5, 1.0), (3, 0.5001, 2.9))),
+    *(pytest.param(PoissonExtremalPair, dict(beta=b, delta=d),
+                   id=f"poisson-{b}-{d}")
+      for b, d in ((0.25, 1.5), (0.45, 1.0), (0.05, 2.0)))]
+
+
+class TestClosedForms:
+    """_gamma_integral's closed forms against the panel grid and mpmath."""
+
+    @pytest.mark.parametrize("family,params", CLOSED_FORM_KERNELS)
+    def test_against_the_panel_grid(self, family, params):
+        # within 1e-13 of tests/gamma_grid.py at t <= 2400; the Poisson
+        # arch term at beta = 0.05 within 5e-12, where the cosh-weighted
+        # grid's own rounding reaches 1.2e-12
+        kernel = family(**params)
+        arch_tol = 5e-12 if params.get("beta") == 0.05 else 1e-13
+        for sign in "+-":
+            for t in (0.0, 0.1, 1.0, 3.0, -7.3, 14.2, 30.0, 100.0, 154.0,
+                      2400.0):
+                gamma, arch = ef._gamma_integral(kernel, sign, t)
+                (g_gamma, g_arch), _ = on_grid(kernel, sign, t)
+                assert abs(gamma - g_gamma) <= 1e-13, (sign, t)
+                assert abs(arch - g_arch) <= arch_tol, (sign, t)
+
+    @pytest.mark.parametrize("family,params", CLOSED_FORM_KERNELS)
+    def test_against_mpmath(self, family, params):
+        # within 1e-14 max(1, |term|) of the same closed forms in 30-digit
+        # mpmath, on the members' own (u, a, b), up to t = 1e12
+        kernel = family(**params)
+        for t in (0.0, 0.5, 14.2, 2400.0, 1e6, 1e12):
+            ref = mp_closed_forms(kernel, t)
+            for sign in "+-":
+                got = ef._gamma_integral(kernel, sign, t)
+                for v, want in zip(got, ref[sign]):
+                    assert abs(v - want) <= 1e-14 * max(1.0, abs(want)), (
+                        sign, t)
 
 
 class TestPrimeSum:
@@ -333,15 +404,11 @@ class TestPrimeSideCache:
                         assert got.kernel is kernels[family]
                         assert report_items(got) == report_items(fresh)
         # one prime side per (kernel, sign), whatever the number of calls,
-        # and one digamma/arch grid per (kernel, sign, panel count): 2tΔ
-        # rounded up to 16 2^k
-        levels = {1.0: (64, 256, 512), 1.5: (128, 256, 512)}
+        # and nothing per t: the digamma and arch terms keep nothing
         want = {(k, s) for kernels in kept.values()
                 for k in kernels.values() for s in "+-"}
-        want |= {(k, s, n) for d, kernels in kept.items()
-                 for k in kernels.values() for s in "+-" for n in levels[d]}
         assert set(table._cache) == want
-        assert len(table._cache) == 2 * 2 * 2 * (1 + 3)
+        assert len(table._cache) == 2 * 2 * 2
 
     def test_report_constants_kept_per_kernel_and_sign(self, zeros,
                                                        mangoldt):
@@ -372,11 +439,11 @@ class TestPrimeSideCache:
                 for sign in "+-":
                     ef.gw_evaluate(kernel, sign, 50.0, 1.5, zeros,
                                    mangoldt=table)
-        # a prime side and a grid (npan = 256) per kernel and sign
-        assert len(table._cache) == 4 * 2
+        # a prime side per kernel and sign, and nothing else
+        assert len(table._cache) == 4
         # prime_sum on a kernel and sign already kept adds none either
         ef.prime_sum(kernels["poisson"], "+", 50.0, table)
-        assert len(table._cache) == 4 * 2
+        assert len(table._cache) == 4
 
     def test_cache_dies_with_its_table(self, zeros, mangoldt):
         table = sieve_mangoldt(mangoldt.limit)
@@ -433,39 +500,61 @@ def test_batched_fourier_side_matches_scalar_loop(zeros):
 
 
 class TestThirdKernel:
-    class Fejer:
-        """(sin pi d x/(pi x))^2 with transform (d - |xi|)_+; only what
-        gw_evaluate uses of the Kernel interface.  Not a majorant or
-        minorant of anything, so the sign is ignored."""
+    class TwoMembers:
+        """0.3 m_{0.1} + 0.7 m_{0.4}: two Poisson pairs of one delta and
+        sign, with weights that neither family builds; a majorant ('+')
+        or minorant ('-') of 0.3 h_{0.1} + 0.7 h_{0.4}, implementing what
+        gw_evaluate uses of the Kernel interface."""
 
         ft_error = 0.0
+        weights = (0.3, 0.7)
 
         def __init__(self, delta):
             self.delta = delta
+            self.pairs = [PoissonExtremalPair(beta=b, delta=delta)
+                          for b in (0.1, 0.4)]
 
         def describe(self):
-            return {"family": "fejer", "delta": self.delta}
+            return {"family": "two_members", "delta": self.delta}
 
         def real(self, sign, x):
-            return self.delta ** 2 * np.sinc(self.delta * np.asarray(x)) ** 2
+            return sum(c * p.real(sign, x)
+                       for c, p in zip(self.weights, self.pairs))
 
         def ft(self, sign, xi):
-            return np.maximum(self.delta - np.abs(xi), 0.0)
+            return sum(c * p.ft(sign, xi)
+                       for c, p in zip(self.weights, self.pairs))
 
         def tail_envelope(self, sign):
-            return 1.0 / math.pi ** 2
+            return sum(c * p.tail_envelope(sign)
+                       for c, p in zip(self.weights, self.pairs))
 
-    def test_fejer_closes_explicit_formula(self, zeros):
+        def poisson_mixture(self, sign):
+            parts = [p.poisson_mixture(sign) for p in self.pairs]
+            u, a, b = (np.concatenate(v) for v in zip(*parts))
+            c = np.array(self.weights)
+            return u, c * a, c * b
+
+    def test_two_member_mixture_closes_explicit_formula(self, zeros):
         table = sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)
         for delta in (1.0, 1.5, 2.0):
-            kernel = self.Fejer(delta)
-            for t in (30.0, 50.0, 100.0, 150.0):
-                rep = ef.gw_evaluate(kernel, "+", t, delta, zeros,
-                                     mangoldt=table)
-                assert rep.kernel is kernel
-                assert rep.kernel.describe() == {"family": "fejer",
-                                                 "delta": delta}
-                assert abs(rep.residual) <= rep.zero_tail_bound + 1e-5
+            kernel = self.TwoMembers(delta)
+            for sign in "+-":
+                for t in (30.0, 50.0, 100.0, 150.0):
+                    rep = ef.gw_evaluate(kernel, sign, t, delta, zeros,
+                                         mangoldt=table)
+                    assert rep.kernel is kernel
+                    assert rep.kernel.describe() == {
+                        "family": "two_members", "delta": delta}
+                    assert abs(rep.residual) <= rep.zero_tail_bound + 1e-5
+                    # the terms are linear in the kernel
+                    parts = [ef._gamma_integral(p, sign, t)
+                             for p in kernel.pairs]
+                    for i, v in enumerate((rep.gamma_integral,
+                                           rep.arch_terms)):
+                        want = sum(c * q[i]
+                                   for c, q in zip(kernel.weights, parts))
+                        assert abs(v - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestRepSum:
