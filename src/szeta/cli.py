@@ -30,7 +30,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from typing import NoReturn
 
 import numpy as np
@@ -74,12 +74,12 @@ def dumps(obj, _ind: str = "") -> str:
             return "[]"
         items = (f"{pad}{dumps(v, pad)}" for v in obj)
         return "[\n" + ",\n".join(items) + "\n" + _ind + "]"
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, (bool, np.bool_)) or obj is None:
         return {True: "true", False: "false", None: "null"}[obj]
-    if isinstance(obj, float):
-        return _jfloat(obj)
-    if isinstance(obj, int):
-        return str(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _jfloat(float(obj))
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -232,19 +232,22 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+# the GwReport terms that `verify gw` prints, in order, before its band
+_GW_KEYS = ("t", "delta", "kernel", "sign", "zero_side", "zero_tail_bound",
+           "arch_terms", "gamma_integral", "log_pi_term", "prime_sum",
+           "prime_tail_bound", "residual")
+
+
 def _verify_gw(args) -> int:
     if not math.isfinite(args.tol) or args.tol <= 0:
         _usage_error("tol must be finite and > 0")
     zeros = _load_zeros(_zeros_path(args))
     rep = ef.gw_evaluate(_pair(args.kernel, args), args.sign, args.t,
                          args.delta, zeros)
-    band = rep.zero_tail_bound + rep.prime_tail_bound + args.tol
-    # field by field: asdict would copy the kernel dataclass, caches too
-    out = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    out = {key: getattr(rep, key) for key in _GW_KEYS}
     out["kernel"] = rep.kernel.describe()
-    out["residual"] = rep.residual
-    out["band"] = band
-    out["within_band"] = abs(rep.residual) <= band
+    out["band"] = out["zero_tail_bound"] + out["prime_tail_bound"] + args.tol
+    out["within_band"] = abs(out["residual"]) <= out["band"]
     _emit(out, args.output)
     return EXIT_OK if out["within_band"] else EXIT_BAND
 

@@ -26,20 +26,38 @@ than 5e-20 sum |b| for delta >= 1 and u <= 1:
                + psi(1/4 - u/2 + it/2))/2 - 2 e^{-2 pi i delta t}
                sum_{k>=0} e^{-2 pi delta y_k} h_u(t - i y_k)],
   K(t+i/2) + K(t-i/2) = 2 Re sum h_u(z) (a + b cos(2 pi delta z)), z = t+i/2.
+
+The zero side sum_gamma K(t - gamma) + K(t + gamma) reads the kernel
+through Kernel.real_parts: K = f + A sin^2(pi delta x) ('+') or f - A
+cos^2(pi delta x) ('-'), so with A-+ = A(t -+ gamma), c = cos(2 pi delta
+gamma), s = sin(2 pi delta gamma) and theta = 2 pi delta t,
+
+  sum A trig = (1/2) [sum (A- + A+) -+ (cos theta sum c (A- + A+)
+               + sin theta sum s (A- - A+))]
+
+(trig = sin^2 or cos^2), two dot products and no trigonometric call per
+zero (_zero_side).  The table keeps c and s per delta (_zero_phases),
+from delta gamma less its nearest integer, reduced exactly
+(numkit.frac_product), and each call reduces delta t the same way.  The
+zeros within _NEAR = 4 of |t| (the sum is even in t) stay out of the
+phases: they take A sin^2(pi r) with r reduced to the nearest node as
+real reduces it, since A may grow like 1/|t - gamma| there (the odd
+pair at alpha = 1/2) and (1 -+ cos)/2 would lose its digits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Protocol
 
 import numpy as np
 
 from .numkit import (DomainError, MangoldtTable, Sign, _check_sign,
-                     digamma, quad_adaptive, sieve_mangoldt,
-                     sum_tail_bounded)
+                     digamma, frac_product, quad_adaptive, sieve_mangoldt,
+                     sum_tail_bounded, trig_sq)
 from .odd_extremal import OddExtremalPair
 from .zeta_core import SnValue, ZeroTable, ZeroTableError
 
@@ -52,8 +70,10 @@ class Kernel(Protocol):
     odd pair the stated budget of its sigma-sum.  ``real`` is a closed
     form for the Poisson pair and, for the odd pair, the sigma-mixture
     of Poisson pairs, checked within 1e-13 of a 30-digit mpmath
-    evaluation; neither builds interpolation nodes.  ``poisson_mixture``
-    gives the digamma and archimedean terms in closed form.
+    evaluation; neither builds interpolation nodes.  ``real_parts``
+    splits ``real`` into the parts the zero side sums without a
+    trigonometric call per zero; ``poisson_mixture`` gives the digamma
+    and archimedean terms in closed form.
     Kernels are hashable, and equal kernels have equal transforms: a
     Mangoldt table keys its cached prime side (_prime_side) on them, and
     a GwReport holds its kernel rather than a copy of describe()."""
@@ -70,6 +90,10 @@ class Kernel(Protocol):
 
     def real(self, sign: Sign, x: np.ndarray) -> np.ndarray:
         """Values at real points x, as a 1-D array."""
+
+    def real_parts(self, sign: Sign, x: np.ndarray) -> tuple:
+        """(f, A), 1-D arrays at real points x: real = f + A sin^2(pi
+        delta x) ('+') or f - A cos^2(pi delta x) ('-')."""
 
     def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
         """Fourier transform at each xi, supported in [-delta, delta]:
@@ -92,28 +116,66 @@ class Kernel(Protocol):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
+class GwConstants:
+    """The two report terms that do not depend on t: log_pi_term =
+    ft(0) log(pi)/2pi and prime_tail_bound.  One per (kernel, sign) on a
+    Mangoldt table, kept in its prime-side entry (_prime_side) and
+    shared by the reports made with that table."""
+
+    log_pi_term: float
+    prime_tail_bound: float
+
+
+# a report's five t-dependent terms, in the order they are packed
+_TERM_NAMES = ("zero_side", "zero_tail_bound", "arch_terms",
+               "gamma_integral", "prime_sum")
+_TERMS = struct.Struct("5d")
+
+
+def _term(i: int) -> property:
+    return property(lambda rep: _TERMS.unpack(rep.terms)[i],
+                    doc=f"{_TERM_NAMES[i]}, read off ``terms``.")
+
+
+@dataclass(frozen=True, slots=True)
 class GwReport:
     """Both sides of the explicit formula for one (kernel, sign, t).
 
     ``kernel`` is the kernel object itself (its describe() gives the
-    family and parameters), and ``residual`` is computed from the
-    components, so a kept report holds eleven fields: about 300 B."""
+    family and parameters).  The five terms that depend on t are packed
+    as doubles in ``terms`` and read back as properties, so a kept report
+    is one 72 B object and one 73 B bytes object (tracemalloc), where
+    five float fields took 225 B: perfbench's gw_sweep keeps every
+    report.  log_pi_term and prime_tail_bound live in the shared
+    GwConstants."""
 
     t: float
-    delta: float
     kernel: Kernel
     sign: Sign
-    zero_side: float
-    zero_tail_bound: float
-    arch_terms: float
-    gamma_integral: float
-    log_pi_term: float
-    prime_sum: float
-    prime_tail_bound: float
+    constants: GwConstants
+    terms: bytes
+
+    zero_side = _term(0)
+    zero_tail_bound = _term(1)
+    arch_terms = _term(2)
+    gamma_integral = _term(3)
+    prime_sum = _term(4)
 
     def __post_init__(self):
         if self.zero_tail_bound < 0 or self.prime_tail_bound < 0:
             raise ValueError("tail bounds must be >= 0")
+
+    @property
+    def delta(self) -> float:
+        return self.kernel.delta
+
+    @property
+    def log_pi_term(self) -> float:
+        return self.constants.log_pi_term
+
+    @property
+    def prime_tail_bound(self) -> float:
+        return self.constants.prime_tail_bound
 
     @property
     def residual(self) -> float:
@@ -199,14 +261,65 @@ def _density_tail(t_shift: float, t0: float) -> float:
 def _zero_tail_bound(env_k: float, t: float, t0: float) -> float:
     """Bound on the dropped zero-sum tail beyond the last ordinate t0.
 
-    Uses the proved |kernel(x)| <= env_k/x^2 (Kernel.tail_envelope), the
-    zero-counting density log(u/2pi)/(2pi) du, conjugate symmetry (both
-    tails), and a factor-2 safety margin for the oscillating part of the
-    counting function.
+    The proved |kernel(x)| <= env_k/x^2 (Kernel.tail_envelope) against
+    the zero-counting density log(u/2pi)/(2pi) du on u > t0, summed over
+    both shifts, x = t - u and x = t + u: that is the whole dropped part
+    of the zero side.  The remaining factor 2 is a margin, not proved,
+    for the counting function's oscillating part S(u) = O(log u), which
+    the smooth density leaves out.
     """
-    per_line = env_k / (2.0 * math.pi) * (_density_tail(t, t0)
-                                          + _density_tail(-t, t0))
-    return 2.0 * 2.0 * per_line
+    smooth = env_k / (2.0 * math.pi) * (_density_tail(t, t0)
+                                        + _density_tail(-t, t0))
+    return 2.0 * smooth
+
+
+# ---------------------------------------------------------------------------
+# zero side
+# ---------------------------------------------------------------------------
+
+# zeros within this distance of |t| take A trig directly (module docstring)
+_NEAR = 4.0
+
+
+def _zero_phases(zeros: ZeroTable, delta: float) -> tuple:
+    """cos and sin of 2 pi delta gamma over the ordinates, from delta
+    gamma less its nearest integer (frac_product); kept in
+    ``zeros._cache`` per delta, 16 B per ordinate."""
+    key = ("phases", delta)
+    hit = zeros._cache.get(key)
+    if hit is None:
+        r = 2.0 * math.pi * frac_product(delta, np.asarray(zeros.ordinates))
+        hit = zeros._cache[key] = (np.cos(r), np.sin(r))
+    return hit
+
+
+def _zero_side(kernel: Kernel, sign: Sign, t: float,
+               zeros: ZeroTable) -> float:
+    """sum over the ordinates gamma of real(sign, t - gamma) + real(sign,
+    t + gamma): f summed, A trig from the phases except on the zeros
+    within _NEAR of |t| (module docstring)."""
+    gam = np.asarray(zeros.ordinates)
+    n = len(gam)
+    s = abs(t)
+    d = kernel.delta
+    x = np.empty(2 * n)
+    np.subtract(s, gam, out=x[:n])
+    np.add(s, gam, out=x[n:])
+    f, a = kernel.real_parts(sign, x)
+    am, ap = a[:n], a[n:]
+    lo, hi = gam.searchsorted((s - _NEAR, s + _NEAR))
+    near = float(am[lo:hi] @ trig_sq(sign, d * x[lo:hi]))
+    both, diff = am + ap, am - ap
+    both[lo:hi] = ap[lo:hi]
+    np.negative(ap[lo:hi], out=diff[lo:hi])
+    c, sn = _zero_phases(zeros, d)
+    theta = 2.0 * math.pi * float(frac_product(d, s))
+    osc = (math.cos(theta) * float(c @ both)
+           + math.sin(theta) * float(sn @ diff))
+    total = float(both.sum())
+    if sign == "+":
+        return float(f.sum()) + (near + 0.5 * (total - osc))
+    return float(f.sum()) - (near + 0.5 * (total + osc))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +337,7 @@ def prime_sum(kernel: Kernel, sign: Sign, t: float,
         raise DomainError(
             f"Mangoldt table limit {table.limit} below required "
             f"e^(2 pi delta) = {limit:.1f}")
-    logn, wft, _, _ = _prime_side(kernel, sign, table)
+    logn, wft, _ = _prime_side(kernel, sign, table)
     # w ft cos(t log n) in one work array, with the bits of the product
     c = np.multiply(t, logn)
     np.cos(c, out=c)
@@ -234,15 +347,15 @@ def prime_sum(kernel: Kernel, sign: Sign, t: float,
 
 def _prime_side(kernel: Kernel, sign: Sign, table: MangoldtTable):
     """log n and the weighted transform Lambda(n) n^{-1/2} ft(log n / 2pi)
-    over the prime powers n <= e^{2 pi kernel.delta}, and two report
-    terms: log_pi_term = ft(0) log(pi)/2pi and prime_tail_bound =
-    ft_error (1/pi) sum Lambda(n) n^{-1/2}, the prime sum with every
-    transform value replaced by its error bound.
+    over the prime powers n <= e^{2 pi kernel.delta}, and the report's
+    GwConstants, with log_pi_term = ft(0) log(pi)/2pi and
+    prime_tail_bound = ft_error (1/pi) sum Lambda(n) n^{-1/2}, the prime
+    sum with every transform value replaced by its error bound.
 
-    Only the cosine of the prime sum depends on t, so all four are kept
+    Only the cosine of the prime sum depends on t, so all three are kept
     in ``table._cache``, one entry per (kernel, sign): 8 B per prime
     power, for as long as the table lives, and kept reports share the
-    two floats."""
+    constants."""
     key = (kernel, sign)
     if key not in table._cache:
         logn, xi, w = table.prime_powers
@@ -250,7 +363,7 @@ def _prime_side(kernel: Kernel, sign: Sign, table: MangoldtTable):
         log_pi = kernel.ft(sign, 0.0) * math.log(math.pi) / (2.0 * math.pi)
         wsum = float(np.sum(w[:k])) / math.pi
         table._cache[key] = (logn[:k], w[:k] * kernel.ft(sign, xi[:k]),
-                             log_pi, kernel.ft_error * wsum)
+                             GwConstants(log_pi, kernel.ft_error * wsum))
     return table._cache[key]
 
 
@@ -268,21 +381,21 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     prebuilt Mangoldt table may be supplied to amortize sieving across
     calls (prime_sum rejects one shorter than e^{2 pi delta}).  Such a
     table also keeps, per (kernel, sign), the prime side's weighted
-    transform Lambda(n) n^{-1/2} ft(log n / 2pi), log_pi_term and
-    prime_tail_bound, so a later call computes only the cosines and its
-    reports share those two floats: 8 B per prime power n <= e^{2 pi
-    delta} (12 KB at delta = 1.5, 36 MiB at delta = 2.9), freed with the
-    table.  The digamma integral and the archimedean term are closed
-    forms in the kernel's Poisson mixture (_gamma_integral), the same
-    cost at any t, and keep nothing.
+    transform Lambda(n) n^{-1/2} ft(log n / 2pi) and the GwConstants
+    that its reports share, so a later call computes only the cosines:
+    8 B per prime power n <= e^{2 pi delta} (12 KB at delta = 1.5, 36
+    MiB at delta = 2.9), freed with the table.  The zero table keeps,
+    per delta, the phases of its ordinates (_zero_phases).  The digamma
+    integral and the archimedean term are closed forms in the kernel's
+    Poisson mixture (_gamma_integral), the same cost at any t, and keep
+    nothing.
     """
     _check_sign(sign)
-    gam = np.asarray(zeros.ordinates)
     if abs(delta - kernel.delta) > 1e-12:
         raise DomainError(
             f"delta {delta} does not match kernel delta {kernel.delta}")
-    t0 = float(gam[-1])
-    if t >= t0:
+    t0 = float(zeros.ordinates[-1])
+    if abs(t) >= t0:  # the zero side is even in t
         raise ZeroTableError(
             f"t = {t} not covered by the zero table (last ordinate {t0})")
     if mangoldt is None:
@@ -290,18 +403,11 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
             int(math.ceil(math.exp(2.0 * math.pi * kernel.delta))))
 
     ztail = _zero_tail_bound(kernel.tail_envelope(sign), t, t0)
-    zvals = kernel.real(sign, np.concatenate([t - gam, t + gam]))
-    zero_side = float(np.sum(zvals[:len(gam)] + zvals[len(gam):]))
-
+    zero_side = _zero_side(kernel, sign, t, zeros)
     gamma_int, arch = _gamma_integral(kernel, sign, t)
     psum = prime_sum(kernel, sign, t, mangoldt)
-    _, _, log_pi, ptail = _prime_side(kernel, sign, mangoldt)
-
-    return GwReport(t=t, delta=delta, kernel=kernel, sign=sign,
-                    zero_side=zero_side, zero_tail_bound=ztail,
-                    arch_terms=arch, gamma_integral=gamma_int,
-                    log_pi_term=log_pi, prime_sum=psum,
-                    prime_tail_bound=ptail)
+    return GwReport(t, kernel, sign, _prime_side(kernel, sign, mangoldt)[2],
+                    _TERMS.pack(zero_side, ztail, arch, gamma_int, psum))
 
 
 # ---------------------------------------------------------------------------

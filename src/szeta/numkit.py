@@ -6,6 +6,9 @@ envelopes) is built on the handful of primitives in this module:
 * ``polylog_H``      -- the shifted polylogarithm H_n(x) = sum_k x^k/(k+1)^n
 * ``hurwitz_zeta``   -- zeta(s, q) at integer s >= 2, elementwise in q
 * ``digamma``        -- psi(z) at complex z, elementwise
+* ``frac_product``   -- a x less its nearest integer, from the exact product
+* ``trig_sq``        -- sin^2 or cos^2 of pi w, reduced exactly to a node,
+  and ``from_parts``, an extremal pair's value from its two parts
 * ``sieve_mangoldt`` -- the prime powers n <= X with their exact von Mangoldt
   values, by the sieve of Eratosthenes
 * ``quad_adaptive``  -- adaptive Gauss-Kronrod quadrature on finite ranges
@@ -79,7 +82,8 @@ class MangoldtTable:
     explicit_formula derives per kernel, so it lives exactly as long as
     the table: per (kernel, sign) the prime side (_prime_side), 8 bytes
     per prime power n <= e^{2 pi delta} (12 KB at delta = 1.5, 36 MiB at
-    delta = 2.9), and nothing else.  Tables compare and hash by identity.
+    delta = 2.9), and the GwConstants that every report of that kernel
+    and sign shares (two floats), and nothing else.  Tables compare and hash by identity.
     """
 
     limit: int
@@ -270,6 +274,50 @@ def digamma(z: complex | np.ndarray) -> np.ndarray:
         lo += (hi - (total - back)) + (term - back)
         hi = total
     return hi + lo
+
+
+# ---------------------------------------------------------------------------
+# phases reduced to the nearest integer
+# ---------------------------------------------------------------------------
+
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
+
+
+def _split(v):
+    c = _SPLIT * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def frac_product(a: float, x):
+    """a x less its nearest integer, in [-1/2, 1/2] up to one rounding,
+    elementwise in x.  Dekker's two-product writes a x = p + e exactly
+    (Veltkamp's split; no overflow for |a x| < 1e300), p - round(p) is
+    exact, and adding e rounds once; fl(a x) alone would lose up to
+    ulp(a x)/2, 2.3e-13 at a x = 2^41."""
+    a_hi, a_lo = _split(a)
+    x_hi, x_lo = _split(x)
+    p = a * x
+    e = ((a_hi * x_hi - p) + a_hi * x_lo + a_lo * x_hi) + a_lo * x_lo
+    return (p - np.rint(p)) + e
+
+
+def trig_sq(sign: Sign, w: np.ndarray) -> np.ndarray:
+    """sin^2(pi w) ('+') or cos^2(pi w) ('-'), as sin^2(pi r) with r = w
+    less its nearest integer ('+') or half-integer ('-'): the subtraction
+    is exact, so the value is 0 to the bit at those nodes."""
+    r = w - (np.rint(w) if sign == "+" else np.floor(w) + 0.5)
+    r *= math.pi
+    np.sin(r, out=r)
+    return np.square(r, out=r)
+
+
+def from_parts(sign: Sign, w: np.ndarray, f: np.ndarray,
+               a: np.ndarray) -> np.ndarray:
+    """f + a sin^2(pi w) ('+') or f - a cos^2(pi w) ('-'), by trig_sq:
+    an extremal pair's value at w = delta x from Kernel.real_parts."""
+    a = a * trig_sq(sign, w)
+    return f + a if sign == "+" else f - a
 
 
 # ---------------------------------------------------------------------------

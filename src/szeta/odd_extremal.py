@@ -102,7 +102,7 @@ from functools import cached_property
 import numpy as np
 
 from .numkit import (DomainError, ResourceError, Sign, _check_sign,
-                     gauss_panels)
+                     from_parts, gauss_panels)
 
 # absolute tolerance of the truncated interpolation series
 _SERIES_TOL = 1e-12
@@ -563,15 +563,15 @@ class OddExtremalPair:
         """g+ ('+') or g- ('-') at real points x: f +- sin^2(pi r) A+-,
         with r = delta x minus its nearest node as in g_real (module
         docstring)."""
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        return from_parts(sign, self.delta * x, *self.real_parts(sign, x))
+
+    def real_parts(self, sign: Sign, x: np.ndarray) -> tuple:
+        """(f, A+-) at real points x, the rows of _mixture: real = f +
+        A+ sin^2(pi delta x) ('+') or f - A- cos^2(pi delta x) ('-')."""
         _check_sign(sign)
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        f, a = self._mixture(x, [0, 1] if sign == "+" else [0, 2])
-        r = self.delta * x
-        r -= np.round(r) if sign == "+" else np.floor(r) + 0.5
-        r *= math.pi
-        np.sin(r, out=r)
-        a *= np.square(r, out=r)
-        return f + a if sign == "+" else f - a
+        return tuple(self._mixture(x, [0, 1] if sign == "+" else [0, 2]))
 
     def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
         return self.ft_g(sign, xi)

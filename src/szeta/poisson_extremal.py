@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DomainError, Sign, _check_sign
+from .numkit import DomainError, Sign, _check_sign, from_parts
 
 
 @dataclass(frozen=True)
 class PoissonExtremalPair:
     """Parameters (beta, delta) of the extremal pair for beta/(beta^2+x^2);
-    an explicit_formula.Kernel on top of m_real and ft_m alone."""
+    an explicit_formula.Kernel on top of real_parts and ft_m alone."""
 
     beta: float
     delta: float
@@ -54,7 +54,10 @@ class PoissonExtremalPair:
     # -- extremal functions ------------------------------------------------
 
     def m_real(self, sign: Sign, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on the real axis (no singularities there)."""
+        """Vectorized evaluation on the real axis (no singularities there),
+        with cos(2 pi delta x) unreduced, so up to ulp(delta x) off in the
+        phase.  A reference only, for selftest check 1 and the tests: the
+        pair is served by real and real_parts, which do not call it."""
         _check_sign(sign)
         b, d = self.beta, self.delta
         x = np.asarray(x, dtype=np.float64)
@@ -91,7 +94,21 @@ class PoissonExtremalPair:
         return {"family": "poisson", "beta": self.beta, "delta": self.delta}
 
     def real(self, sign: Sign, x) -> np.ndarray:
-        return np.atleast_1d(self.m_real(sign, x))
+        """m_real from real_parts, with the phase reduced exactly to the
+        nearest node (numkit.trig_sq): within a few ulps at any x, where
+        m_real's cos(2 pi delta x) loses up to ulp(delta x)."""
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        return from_parts(sign, self.delta * x, *self.real_parts(sign, x))
+
+    def real_parts(self, sign: Sign, x) -> tuple:
+        """(f, A) with f = h_beta, A = h_beta/sinh^2(pi beta delta) ('+')
+        or h_beta/cosh^2(pi beta delta) ('-'): m_real = f + A sin^2(pi
+        delta x) ('+') or f - A cos^2(pi delta x) ('-'), as (e^{2a} +
+        e^{-2a} - 2 cos 2c)/(e^a -+ e^{-a})^2 = 1 + sin^2 c/sinh^2 a or 1
+        - cos^2 c/cosh^2 a with a = pi beta delta, c = pi delta x."""
+        _check_sign(sign)
+        f = np.atleast_1d(self.target(x))
+        return f, f * (4.0 / self._denom(sign))
 
     def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
         return self.ft_m(sign, xi)

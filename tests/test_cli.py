@@ -329,6 +329,17 @@ class TestConfigKeys:
         assert err.count("\n") == 1 and "/no/such.cfg" in err
 
 
+def test_dumps_writes_numpy_scalars_by_value():
+    import numpy as np
+    from szeta.cli import dumps
+    obj = {"b": np.True_, "f": np.float64(0.25), "i": np.int64(3),
+           "c": np.bool_(False), "g": np.float32(0.5)}
+    assert json.loads(dumps(obj)) == {"b": True, "f": 0.25, "i": 3,
+                                      "c": False, "g": 0.5}
+    assert dumps(obj) == dumps({"b": True, "f": 0.25, "i": 3, "c": False,
+                                "g": 0.5})
+
+
 def test_main_callable_in_process(capsys):
     rc = main(["extremal", "poisson", "--beta", "0.2", "--delta",
                "1.5", "--l1"])

@@ -3,7 +3,6 @@ import gc
 import math
 import tracemalloc
 import weakref
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +12,8 @@ from gamma_grid import grid_level, on_grid
 from scalar_ft import scalar_ft_g, scalar_ft_m
 from szeta import explicit_formula as ef
 from szeta import zeta_core as zc
-from szeta.numkit import DomainError, sieve_mangoldt
+from szeta.cli import _GW_KEYS
+from szeta.numkit import DomainError, sieve_mangoldt, trig_sq
 from szeta.odd_extremal import OddExtremalPair
 from szeta.poisson_extremal import PoissonExtremalPair
 
@@ -24,11 +24,10 @@ def mangoldt():
 
 
 def report_items(rep):
-    """A report's fields in order, the kernel as its describe() and the
-    residual property last, as `szeta verify gw` prints them."""
-    out = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    """A report's terms in order, the kernel as its describe(), as `szeta
+    verify gw` prints them."""
+    out = {key: getattr(rep, key) for key in _GW_KEYS}
     out["kernel"] = rep.kernel.describe()
-    out["residual"] = rep.residual
     return out
 
 
@@ -68,8 +67,8 @@ class TestGammaIntegral:
     def test_odd_alpha_half_closes(self, m, zeros):
         # the transform's sigma-sum keeps its digits as xi -> 0 and xi ->
         # delta at alpha = 1/2, so the formula closes with the bands of
-        # alpha > 1/2: residuals -3.0e-4, -5.9e-5 and -2.5e-5 against zero
-        # tails 7.1e-3, 7.9e-4 and 2.8e-4
+        # alpha > 1/2: residuals -3.0e-4, -5.9e-5 and -2.5e-5 ('+')
+        # against zero tails 6.2e-4, 1.2e-4 and 5.1e-5
         kernel = OddExtremalPair(m=m, alpha=0.5, delta=1.5)
         for sign in "+-":
             rep = ef.gw_evaluate(kernel, sign, 50.0, 1.5, zeros)
@@ -188,8 +187,10 @@ class TestGammaGrid:
         assert set(table._cache) == {(k, s) for k in kernels() for s in "+-"}
 
     def test_kept_reports_stay_small(self, zeros, mangoldt):
-        # a report holds its kernel and eleven fields; the describe()
-        # dict and a stored residual took 504-571 B per kept report
+        # a report keeps its five t-dependent terms packed in one bytes
+        # object and shares t, its kernel, sign and GwConstants: about
+        # 154 B; five float fields took 233 B, eleven fields 250-330 B,
+        # and the describe() dict and a stored residual 504-571 B
         ts = [float(t) for t in np.linspace(90.0, 150.0, 300)]
         for kernel in (PoissonExtremalPair(beta=0.25, delta=1.5),
                        OddExtremalPair(m=0, alpha=0.75, delta=1.5)):
@@ -207,7 +208,7 @@ class TestGammaGrid:
                 used = tracemalloc.get_traced_memory()[0] - base
             finally:
                 tracemalloc.stop()
-            assert used / len(kept) <= 400, kernel
+            assert used / len(kept) <= 160, kernel
 
 
 def mp_closed_forms(kernel, t):
@@ -371,10 +372,158 @@ class TestGwEvaluate:
                     + np.sum(pair.real(sign, t + gam)))
             assert abs(rep.zero_side - want) <= 1e-12
 
+    def test_t_beyond_the_table_rejected_on_either_side(self, zeros):
+        # the zero side is even in t, and so is the table's coverage
+        p = PoissonExtremalPair(beta=0.25, delta=1.5)
+        t0 = float(zeros.ordinates[-1])
+        for t in (t0, -t0, 3000.0, -3000.0):
+            with pytest.raises(zc.ZeroTableError):
+                ef.gw_evaluate(p, "+", t, 1.5, zeros)
+
     def test_delta_mismatch_rejected(self, zeros):
         p = PoissonExtremalPair(beta=0.25, delta=1.5)
         with pytest.raises(DomainError):
             ef.gw_evaluate(p, "+", 50.0, 2.0, zeros)
+
+
+def zero_side_by_real(kernel, sign, t, zeros):
+    """The zero side as one real() call on t - gamma and t + gamma,
+    summed, the route before the phases; and the sum of |real|."""
+    gam = np.asarray(zeros.ordinates)
+    v = kernel.real(sign, np.concatenate([t - gam, t + gam]))
+    return float(np.sum(v[:len(gam)] + v[len(gam):])), float(np.sum(abs(v)))
+
+
+def mp_poisson_zero_side(beta, delta, ts, zeros):
+    """{(sign, t): zero side} of the Poisson pair in 30-digit mpmath, at
+    t - gamma and t + gamma exactly, from h (1 + sin^2/sinh^2) and h (1 -
+    cos^2/cosh^2); the phases of gamma are shared across t."""
+    import mpmath
+    out = {}
+    with mpmath.workdps(30):
+        b, d, pi = mpmath.mpf(beta), mpmath.mpf(delta), mpmath.pi
+        gam = [mpmath.mpf(g) for g in zeros.ordinates.tolist()]
+        sg = [mpmath.sin(pi * d * g) for g in gam]
+        cg = [mpmath.cos(pi * d * g) for g in gam]
+        sh2, ch2 = mpmath.sinh(pi * b * d) ** 2, mpmath.cosh(pi * b * d) ** 2
+        for t in ts:
+            T = mpmath.mpf(t)
+            st, ct = mpmath.sin(pi * d * T), mpmath.cos(pi * d * T)
+            f = a_sin = a_cos = mpmath.mpf(0)
+            for g, s_, c_ in zip(gam, sg, cg):
+                for x, sx in ((T - g, st * c_ - ct * s_),
+                              (T + g, st * c_ + ct * s_)):
+                    h = b / (b * b + x * x)
+                    f += h
+                    a_sin += h * sx * sx
+                    a_cos += h * (1 - sx * sx)
+            out["+", t] = float(f + a_sin / sh2)
+            out["-", t] = float(f - a_cos / ch2)
+    return out
+
+
+# t on the first ordinate and 1e-9 off it, and at the table's end
+ZERO_SIDE_TS = (0.5, 14.2, 14.134725141734693, 14.134725141734693 + 1e-9,
+                50.0, 100.0, 2400.0, 2515.0)
+
+
+class TestZeroSide:
+    """The zero side from the per-table phases (_zero_side) against the
+    sum of real() it replaced and, for the Poisson pair, mpmath."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("alpha", [0.5, 0.5001, 0.75, 0.9])
+    def test_odd_against_the_sum_of_real(self, m, alpha, zeros):
+        for delta in (1.0, 1.5, 2.9):
+            pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+            for sign in "+-":
+                for t in ZERO_SIDE_TS:
+                    got = ef._zero_side(pair, sign, t, zeros)
+                    want, scale = zero_side_by_real(pair, sign, t, zeros)
+                    assert abs(got - want) <= 1e-14 * max(1.0, scale), (
+                        delta, sign, t)
+
+    @pytest.mark.parametrize("beta,delta", [(0.05, 1.0), (0.25, 1.5),
+                                            (0.45, 2.9)])
+    def test_poisson_against_mpmath_and_real(self, beta, delta, zeros):
+        pair = PoissonExtremalPair(beta=beta, delta=delta)
+        ref = mp_poisson_zero_side(beta, delta, ZERO_SIDE_TS, zeros)
+        for sign in "+-":
+            for t in ZERO_SIDE_TS:
+                got = ef._zero_side(pair, sign, t, zeros)
+                assert abs(got - ref[sign, t]) <= 1e-14 * max(
+                    1.0, abs(ref[sign, t])), (sign, t)
+                want, scale = zero_side_by_real(pair, sign, t, zeros)
+                assert abs(got - want) <= 1e-14 * max(1.0, scale), (sign, t)
+
+    def test_even_in_t(self, zeros):
+        pair = OddExtremalPair(m=0, alpha=0.5, delta=1.0)
+        for sign in "+-":
+            for t in (0.5, 14.2, 2400.0):
+                assert (ef._zero_side(pair, sign, -t, zeros)
+                        == ef._zero_side(pair, sign, t, zeros))
+
+    def test_same_bits_cold_or_warm_in_any_order(self, zeros):
+        # fresh tables and kernels at each t, against one warm table with
+        # t ascending and then descending; the table keeps its last
+        # ordinate and the phases of each delta, and nothing per t
+        ts = (0.5, 14.134725141734693, 30.0, 77.7, 150.0, 2515.0)
+
+        def fresh_table():
+            return zc.ZeroTable(ordinates=zeros.ordinates.copy(),
+                                precision=zeros.precision, source="copy")
+
+        def kernels():
+            return [PoissonExtremalPair(beta=0.25, delta=1.5),
+                    OddExtremalPair(m=0, alpha=0.75, delta=1.5),
+                    OddExtremalPair(m=0, alpha=0.5, delta=2.9)]
+        warm = fresh_table()
+        for i, kernel in enumerate(kernels()):
+            for sign in "+-":
+                cold = [ef._zero_side(kernels()[i], sign, t, fresh_table())
+                        for t in ts]
+                assert [ef._zero_side(kernel, sign, t, warm)
+                        for t in ts] == cold
+                assert [ef._zero_side(kernel, sign, t, warm)
+                        for t in ts[::-1]] == cold[::-1]
+                assert all(type(v) is float for v in cold)
+        assert set(warm._cache) == {("phases", 1.5), ("phases", 2.9)}
+
+    def test_zero_table_keeps_only_the_phases(self, zeros, mangoldt):
+        table = zc.ZeroTable(ordinates=zeros.ordinates.copy(),
+                             precision=zeros.precision, source="copy")
+        pair = PoissonExtremalPair(beta=0.25, delta=1.5)
+        for sign, t in (("+", 30.0), ("-", 90.0)):
+            ef.gw_evaluate(pair, sign, t, 1.5, table, mangoldt=mangoldt)
+        assert set(table._cache) == {("phases", 1.5)}
+
+    @pytest.mark.parametrize("pair", [
+        PoissonExtremalPair(beta=0.05, delta=1.0),
+        PoissonExtremalPair(beta=0.45, delta=2.9),
+        OddExtremalPair(m=0, alpha=0.5, delta=1.0),
+        OddExtremalPair(m=1, alpha=0.75, delta=2.9)],
+        ids=["poisson-0.05-1", "poisson-0.45-2.9", "odd-0-0.5-1",
+             "odd-1-0.75-2.9"])
+    def test_real_parts_rebuild_real(self, pair):
+        # real = f + A sin^2(pi delta x) ('+') or f - A cos^2(pi delta x)
+        # ('-'), 0 to the bit at the nodes; the Poisson pair's m_real
+        # agrees within its rounding, up to ulp(delta x) in its phase
+        x = np.concatenate([np.linspace(-7.0, 7.0, 1401),
+                            [100.3, 2514.9, 5030.1]])
+        nodes = np.arange(-3, 4) / pair.delta
+        for sign in "+-":
+            f, a = pair.real_parts(sign, x)
+            trig = trig_sq(sign, pair.delta * x)
+            rebuilt = f + a * trig if sign == "+" else f - a * trig
+            assert np.array_equal(pair.real(sign, x), rebuilt)
+            assert np.all(trig <= 1.0)
+            at = nodes if sign == "+" else nodes + 0.5 / pair.delta
+            assert np.array_equal(pair.real(sign, at), pair.target(at))
+            if isinstance(pair, PoissonExtremalPair):
+                err = np.abs(pair.m_real(sign, x) - rebuilt)
+                eps = np.finfo(float).eps
+                assert np.all(err <= 16 * eps * (1 + pair.delta * np.abs(x))
+                              * (f + a)), sign
 
 
 class TestPrimeSideCache:
@@ -457,7 +606,8 @@ class TestPrimeSideCache:
 
 
 class ScalarLoopFt:
-    """A pair whose ft loops over frequencies with a scalar oracle."""
+    """A pair whose ft loops over frequencies with a scalar oracle; every
+    other attribute, real and real_parts included, is the pair's."""
 
     def __init__(self, pair, scalar_ft):
         self.pair, self.scalar_ft = pair, scalar_ft
@@ -520,6 +670,11 @@ class TestThirdKernel:
         def real(self, sign, x):
             return sum(c * p.real(sign, x)
                        for c, p in zip(self.weights, self.pairs))
+
+        def real_parts(self, sign, x):
+            parts = [p.real_parts(sign, x) for p in self.pairs]
+            return tuple(sum(c * v for c, v in zip(self.weights, vs))
+                         for vs in zip(*parts))
 
         def ft(self, sign, xi):
             return sum(c * p.ft(sign, xi)

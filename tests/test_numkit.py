@@ -9,9 +9,10 @@ from szeta import explicit_formula as ef
 from szeta import selftest
 from szeta import zeta_core as zc
 from szeta.numkit import (_BERN, _GK_NODES, _GK_WG, _GK_WK, _HZ_DIRECT,
-                          AccuracyError, DomainError, digamma,
+                          AccuracyError, DomainError, digamma, frac_product,
                           gauss_panels, hurwitz_zeta, polylog_H,
-                          quad_adaptive, sieve_mangoldt, sum_tail_bounded)
+                          quad_adaptive, sieve_mangoldt, sum_tail_bounded,
+                          trig_sq)
 
 
 class TestPolylog:
@@ -371,6 +372,35 @@ class TestDigamma:
         bound = (43867 / 798 / (18 * np.abs(w) ** 18)
                  / np.cos(np.angle(w) / 2) ** 19)
         assert bound.max() < 3.6e-15 and bound[0] < 7.7e-18
+
+
+class TestPhases:
+    @pytest.mark.parametrize("a", [1.0, 1.5, 2.9, 0.1, 1 / 3])
+    def test_frac_product_against_exact_rationals(self, a):
+        # a x less its nearest integer, from the exact product, within one
+        # rounding of a number of size <= 1/2; fl(a x) - round(fl(a x))
+        # is off by up to 2.3e-13 at a x near 2^41
+        from fractions import Fraction
+        x = np.concatenate([zc.bundled_zeros().ordinates,
+                            [0.0, 0.5, 1e-300, 2.0 ** 41 + 0.3, 1e15 + 0.7,
+                             -2515.3, 2.0 ** 60]])
+        got = frac_product(a, x)
+        for g, v in zip(got.tolist(), x.tolist()):
+            p = Fraction(a) * Fraction(v)
+            want = p - round(p)
+            assert abs(Fraction(g) - want) <= Fraction(1, 2 ** 54), v
+        assert float(frac_product(a, 2514.5)) == float(
+            frac_product(a, np.array([2514.5]))[0])
+
+    def test_trig_sq_vanishes_at_the_nodes(self):
+        k = np.arange(-10 ** 6, 10 ** 6, 997, dtype=np.float64)
+        assert np.all(trig_sq("+", k) == 0.0)
+        assert np.all(trig_sq("-", k + 0.5) == 0.0)
+        w = np.linspace(-3.0, 3.0, 601)
+        assert np.allclose(trig_sq("+", w), np.sin(np.pi * w) ** 2,
+                           rtol=0, atol=1e-14)
+        assert np.allclose(trig_sq("-", w), np.cos(np.pi * w) ** 2,
+                           rtol=0, atol=1e-14)
 
 
 class TestSumTail:
