@@ -59,21 +59,19 @@ from .numkit import (DomainError, MangoldtTable, Sign, _check_sign,
                      digamma, frac_product, quad_adaptive, sieve_mangoldt,
                      sum_tail_bounded, trig_sq)
 from .odd_extremal import OddExtremalPair
+from .poisson_extremal import PoissonExtremalPair
 from .zeta_core import SnValue, ZeroTable, ZeroTableError
 
 
 class Kernel(Protocol):
     """A bandlimited majorant ('+') / minorant ('-') pair of exponential
     type 2 pi delta, as gw_evaluate and the CLI use it; ``formula`` names
-    how ``real``, ``ft`` and ``l1_gap`` are computed.  ``ft_error`` bounds
-    |ft - transform| at each xi: 0 for the Poisson closed forms; for the
-    odd pair the stated budget of its sigma-sum.  ``real`` is a closed
-    form for the Poisson pair and, for the odd pair, the sigma-mixture
-    of Poisson pairs, checked within 1e-13 of a 30-digit mpmath
-    evaluation; neither builds interpolation nodes.  ``real_parts``
-    splits ``real`` into the parts the zero side sums without a
-    trigonometric call per zero; ``poisson_mixture`` gives the digamma
-    and archimedean terms in closed form.
+    how ``real``, ``ft`` and ``l1_gap`` are computed, and ``ft_error``
+    bounds |ft - transform| at each xi.  Both families implement it once,
+    as mixtures of Poisson pairs (poisson_extremal.PoissonMixture).
+    ``real_parts`` splits ``real`` into the parts the zero side sums
+    without a trigonometric call per zero; ``poisson_mixture`` gives the
+    digamma and archimedean terms in closed form.
     Kernels are hashable, and equal kernels have equal transforms: a
     Mangoldt table keys its cached prime side (_prime_side) on them, and
     a GwReport holds its kernel rather than a copy of describe()."""
@@ -103,9 +101,7 @@ class Kernel(Protocol):
         """L1 distance between the pair member and the target."""
 
     def tail_envelope(self, sign: Sign) -> float:
-        """K with |real(sign, x)| <= K/x^2 on the real axis, proved: in
-        closed form for the Poisson pair, and for the odd pair from the
-        first moments of its Poisson sigma-mixture."""
+        """K with |real(sign, x)| <= K/x^2 on the real axis, proved."""
 
     def poisson_mixture(self, sign: Sign) -> tuple:
         """(u, a, b), 0 < u <= 1: real = sum h_u (a + b cos(2 pi delta x))."""
@@ -432,7 +428,8 @@ def rep_sum(n: int, alpha: float, t: float, zeros: ZeroTable) -> SnValue:
     zero-sum truncation bound, with a factor 2 for the counting
     function's wiggle.  Its decay constants are proved: h_beta(x) <=
     beta/x^2, and with nu0 = int rho u, the first moment of the target's
-    Poisson mixture (odd_extremal), f <= nu0/x^2 and |fe| <= 2 nu0/|x|^3.
+    Poisson mixture (the minorant's tail envelope, poisson_extremal), f
+    <= nu0/x^2 and |fe| <= 2 nu0/|x|^3.
     """
     if n < -1:
         raise DomainError("n must be >= -1")
@@ -452,10 +449,9 @@ def rep_sum(n: int, alpha: float, t: float, zeros: ZeroTable) -> SnValue:
 
     if n == -1:
         beta = alpha - 0.5
-        h = beta / (beta ** 2 + (t - gam) ** 2) \
-            + beta / (beta ** 2 + (t + gam) ** 2)
+        h = PoissonExtremalPair(beta, 1.0).target
         value = (-math.log(t / (2.0 * math.pi)) / (2.0 * math.pi)
-                 + float(np.sum(h)) / math.pi)
+                 + float(np.sum(h(t - gam) + h(t + gam))) / math.pi)
         # |h_beta(x)| <= beta/x^2; factor 2 for counting-function wiggle
         tail = 2.0 * beta / (2.0 * math.pi ** 2) * dens2
         return SnValue(n=n, alpha=alpha, t=t, value=value,
@@ -463,7 +459,7 @@ def rep_sum(n: int, alpha: float, t: float, zeros: ZeroTable) -> SnValue:
 
     m, odd_index = divmod(n, 2)
     pair = OddExtremalPair(m=m, alpha=alpha, delta=1.0)
-    nu0 = float(pair._mixture_terms()[1][0, 0])
+    nu0 = pair.tail_envelope("-")
     sgn_m = (-1.0) ** m
     if odd_index == 0:
         f = pair.f_even_vec

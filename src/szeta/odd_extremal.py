@@ -10,47 +10,18 @@ together with its companion odd function (minus its derivative)
     fe(x) = integral of (sigma - alpha)^{2m} *
             (x/((sigma-1/2)^2 + x^2) - x/(1 + x^2)).
 
-A majorant g+ and minorant g- of exponential type 2*pi*delta are built by
-two-point (value + derivative) interpolation of F(x) = f(x/delta) at the
-integers (majorant) or the half-integers (minorant), scaled back by
-g(z) = G(delta*z).  Their Fourier transforms are supported on
-[-delta, delta].
+A majorant g+ and minorant g- of exponential type 2*pi*delta interpolate
+F(x) = f(x/delta) and its derivative at the integers (majorant) or the
+half-integers (minorant), scaled back by g(z) = G(delta*z).  With a0 =
+alpha - 1/2, u = sigma - 1/2 and h_u(x) = u/(u^2 + x^2), the target is
+the mixture f = int rho(u) h_u du of Poisson kernels with density
 
-With a0 = alpha - 1/2, u = sigma - 1/2, h_u(x) = u/(u^2 + x^2) and
-rho(u) = (u - a0)^{2m+1}/(2m+1) on [a0, 1], the target is the mixture
-f = int rho(u) h_u du of Poisson kernels, and the pair is the same
-mixture of the Poisson pairs (poisson_extremal) at beta = u, which
-interpolate h_u at the same nodes (Carneiro, Littmann and Vaaler, Trans.
-AMS 365 (2013)).  So the transforms are the sigma-integrals
+    rho(u) = (u - a0)^{2m+1}/(2m+1) on [a0, 1],
 
-    ghat+-(xi) = (pi/2) int rho(u) sinh(2 pi u (delta - |xi|))
-                 / {sinh^2, cosh^2}(pi u delta) du,   |xi| < delta,
-
-which ft_g sums on the sigma grid; they are continuous at xi = 0.  Every
-other constant of the pair is a sigma-sum of the Poisson pairs' closed
-forms too: the L1 gap is the mixture of their gaps 2 pi q/(1 -/+ q), q =
-e^{-2 pi u delta} (l1_gap_odd), and |g+-(x)| <= K+-/x^2 with the proved
-K- = int rho u and K+ = K- + int rho u/sinh^2(pi u delta), read off the
-first moments (decay_envelope_const).  Nothing is calibrated on samples.
-
-The pair on the real axis
--------------------------
-The Poisson pair at beta = u is h_u (1 + sin^2(pi delta x)/sinh^2(pi u
-delta)) ('+') or h_u (1 - cos^2(pi delta x)/cosh^2(pi u delta)) ('-'), so
-
-    g+-(x) = f(x) +- trig(x) A+-(x),  f = int rho h_u du,
-    A+-(x) = int rho(u) h_u(x) / {sinh^2, cosh^2}(pi u delta) du,
-
-with trig = sin^2(pi r) and r = delta x minus its nearest node, reduced
-exactly, so g equals f bit for bit at every node.  g+ - f and f - g- are
-trig times a positive integral: the pair brackets f by construction.
-real and target evaluate f and A+- by one routine (_mixture): for |x| <
-_SERIES_FROM = 4 a row-wise sum on the sigma grid, beyond it the series
-1/(u^2 + x^2) = sum_k (-u^2)^k / x^(2k+2), whose ratio u^2/x^2 <= 1/16
-makes _MOMENTS = 14 terms in y = 1/x^2 exact to (1/16)^14 ~ 1e-17
-relative; their moments int rho u^(2k+1) {1, 1/sinh^2, 1/cosh^2} are kept
-per pair.  A point costs O(1) at any x and has the same bits in any
-batch.
+so the pair is served as that mixture of Poisson pairs
+(poisson_extremal.PoissonMixture): a Gauss rule for the u-integral on
+dyadic panels toward u = 0 (_sigma_grid), with rho in its weights.
+f_odd_vec and f_even_vec sum the log form above on the same grid.
 
 The interpolation series
 ------------------------
@@ -77,12 +48,11 @@ budget N picks a nearest node outside them.  Those outputs need lattice
 offsets up to N + N//2, so transforms of length _fft_len(3N + 2) do not
 alias them.  Each point then costs O(K + P).
 
-Caches live in the pair's ``_cache``: the mixture's sigma weights and
-moments (real, target, ft_g, the L1 gaps and the tail envelopes); one
-node set per sign, grown outward when a larger budget N is needed; the
-decay-envelope maxima of the slice |k| <= N per sign and N, which the
-budget search reads; the far-field coefficients of the most recent N per
-sign.  A point's sigma-integrals (f, fe, A+-, ghat) have the same
+Caches live in the pair's ``_cache``: the mixture's weights and moments
+(poisson_extremal); one node set per sign, grown outward when a larger
+budget N is needed; the decay-envelope maxima of the slice |k| <= N per
+sign and N, which the budget search reads; the far-field coefficients of
+the most recent N per sign.  A point's sigma-integrals (f, fe, A+-, ghat) have the same
 bits in any batch, and every call reads exactly the slice |nu| <= N of
 its own budget N, which depends on the evaluation window alone,
 so results do not depend on earlier calls.  A budget is the smallest
@@ -102,7 +72,8 @@ from functools import cached_property
 import numpy as np
 
 from .numkit import (DomainError, ResourceError, Sign, _check_sign,
-                     from_parts, gauss_panels)
+                     gauss_panels)
+from .poisson_extremal import PoissonMixture
 
 # absolute tolerance of the truncated interpolation series
 _SERIES_TOL = 1e-12
@@ -118,23 +89,12 @@ _FAR_TERMS = 17
 # at 368 B per node fail early instead of exhausting memory
 _BYTES_PER_NODE = 368
 _NODE_MEMORY = 1 << 30
-# the target's sigma-sums run over blocks of about this many
-# (sigma-node x point) elements: 128 kB temporaries, under glibc's default
-# 128 KiB mmap threshold, so every block reuses heap pages instead of
-# mapping and faulting in fresh ones; the row-wise sums make the values
-# independent of the block size
-_SIGMA_BLOCK = 16_000
-# real and target: sigma-sums for |x| < _SERIES_FROM, and _MOMENTS terms
-# of the moment series in y = 1/x^2 beyond (module docstring)
-_SERIES_FROM = 4.0
-_MOMENTS = 14
 
 
 @dataclass(frozen=True)
-class OddExtremalPair:
-    """Parameters (m, alpha, delta) of the odd-family extremal pair; an
-    explicit_formula.Kernel on top of its Poisson sigma-mixture: real,
-    target, ft_g, the L1 gaps and the proved tail envelopes."""
+class OddExtremalPair(PoissonMixture):
+    """Parameters (m, alpha, delta) of the odd-family extremal pair: the
+    rho-mixture of Poisson pairs on the sigma grid (module docstring)."""
 
     m: int
     alpha: float
@@ -178,82 +138,25 @@ class OddExtremalPair:
         u, w = gauss_panels(bps, 16)
         return u, w * (u - a0) ** (2 * self.m)
 
-    # ------------------------------------------------------------------
-    # target functions
-    # ------------------------------------------------------------------
+    def _members(self) -> tuple:
+        """The sigma grid with weights rho(u) du: the grid's weights
+        times (u - a0)/(2m + 1)."""
+        u, w = self._sigma_grid
+        return u, w * (u - (self.alpha - 0.5)) / (2 * self.m + 1)
 
-    def _sigma_sum(self, integrand, x, w=None) -> np.ndarray:
-        """sum over the sigma grid of w * integrand(u, x) along one row
-        per x, in blocks of about _SIGMA_BLOCK elements: the same bits in
-        any batch (a matrix product's bits can depend on the batch).  The
-        weights w default to the grid's own."""
-        u, w0 = self._sigma_grid
-        w = w0 if w is None else w
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        out = np.empty(len(x))
-        block = max(1, _SIGMA_BLOCK // len(u))
-        for i0 in range(0, len(x), block):
-            xb = x[i0:i0 + block, None]
-            out[i0:i0 + block] = np.einsum("ji,i->j", integrand(u, xb), w)
-        return out
+    # ------------------------------------------------------------------
+    # target functions in log form
+    # ------------------------------------------------------------------
 
     def f_odd_vec(self, x: np.ndarray) -> np.ndarray:
         """Vectorized f(x), the even, nonnegative target; absolute error
         ~1e-15."""
-        return -0.5 * self._sigma_sum(_log_quotient, x)
+        return -0.5 * self._sigma_sum(_log_quotient, x,
+                                      self._sigma_grid[1])[0]
 
     def f_even_vec(self, x: np.ndarray) -> np.ndarray:
         """Vectorized fe(x), the companion odd function -f'(x)."""
-        return self._sigma_sum(_even_integrand, x)
-
-    # ------------------------------------------------------------------
-    # the pair on the real axis, from its Poisson sigma-mixture
-    # ------------------------------------------------------------------
-
-    def _mixture_terms(self) -> tuple:
-        """Sigma-grid weights W, shape (3, n), and signed moments M, shape
-        (3, _MOMENTS), of f, A+ and A- (module docstring), kept per pair.
-
-        W is the grid's weights times rho(u)/(u - a0)^{2m} = (u - a0)/(2m
-        + 1), times 1, 1/sinh^2 and 1/cosh^2 of pi u delta, and M[:, k] is
-        (-1)^k sum W u^(2k+1).  1/sinh^2(a) = 4 e^{-2a}/expm1(-2a)^2
-        neither overflows nor cancels, also at the nodes u ~ 1e-19 of
-        alpha = 1/2."""
-        hit = self._cache.get("mixture")
-        if hit is None:
-            u, w = self._sigma_grid
-            w = w * (u - (self.alpha - 0.5)) / (2 * self.m + 1)
-            c = -2.0 * math.pi * self.delta * u
-            e = np.exp(c)
-            W = np.stack([w, 4.0 * w * e / np.expm1(c) ** 2,
-                          4.0 * w * e / (1.0 + e) ** 2])
-            k = np.arange(_MOMENTS)
-            M = (W @ u[:, None] ** (2 * k + 1)) * (-1.0) ** k
-            hit = self._cache["mixture"] = (W, M)
-        return hit
-
-    def _mixture(self, x: np.ndarray, rows: list) -> list:
-        """The sigma-integrals of ``rows`` of _mixture_terms (0: f, 1: A+,
-        2: A-) at real points x, one array each.
-
-        The moment series y (M[i, 0] + M[i, 1] y + ...) in y = 1/x^2 by
-        Horner's rule, elementwise (one row at a time: scalar coefficients
-        run twice as fast as a broadcast column), and then, for |x| <
-        _SERIES_FROM, the row-wise sigma-sums in its place: a point has
-        the same bits in any batch."""
-        W, M = self._mixture_terms()
-        y = 1.0 / np.maximum(np.square(x), _SERIES_FROM ** 2)
-        near = np.flatnonzero(np.abs(x) < _SERIES_FROM)
-        out = []
-        for i in rows:
-            v = M[i, -1] * y
-            for c in M[i, -2::-1]:
-                v += c
-                v *= y
-            if len(near):
-                v[near] = self._sigma_sum(_poisson, x[near], W[i])
-            out.append(v)
-        return out
+        return self._sigma_sum(_even_integrand, x, self._sigma_grid[1])[0]
 
     # ------------------------------------------------------------------
     # interpolation series for g+/g-
@@ -478,116 +381,17 @@ class OddExtremalPair:
         return acc
 
     # ------------------------------------------------------------------
-    # Fourier transform
+    # kernel interface: PoissonMixture's, and its older names here, in
+    # the class's own namespace, where perfbench's tracer looks them up
     # ------------------------------------------------------------------
 
-    def ft_g(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
-        """Fourier transform of g at each xi (a float for a scalar xi),
-        even in xi and identically 0 for |xi| >= delta.
-
-        The pair is the rho-mixture of Poisson pairs at beta = u (module
-        docstring), so with s = delta - |xi| clamped at 0
-
-            ghat(xi) = (pi/2) int rho(u) sinh(2 pi u s) / {sinh^2, cosh^2}
-                       (pi u delta) du
-                     = pi int rho(u) e^{-2 pi u |xi|} (1 - e^{-4 pi u s})
-                       / (1 -/+ e^{-2 pi u delta})^2 du,
-
-        '+' with sinh^2 and 1 - e, '-' with cosh^2 and 1 + e.  The second
-        form, through exp and expm1, neither overflows nor cancels, also
-        at the nodes u ~ 1e-19 of alpha = 1/2; s = 0 gives exactly 0.  A
-        sigma-sum on _sigma_grid: the same bits in any batch.
-        """
-        _check_sign(sign)
-        u = self._sigma_grid[0]
-        d = self.delta
-        c = -2.0 * math.pi * u
-        den = (np.expm1(c * d) ** 2 if sign == "+"
-               else (1.0 + np.exp(c * d)) ** 2)
-        w = math.pi * self._mixture_terms()[0][0] / den
-        axi = np.minimum(np.abs(np.asarray(xi, dtype=np.float64)), d)
-        out = self._sigma_sum(lambda u, x: np.exp(-2.0 * math.pi * u * x)
-                              * -np.expm1(-4.0 * math.pi * u * (d - x)),
-                              axi.ravel(), w)
-        return float(out[0]) if axi.ndim == 0 else out.reshape(axi.shape)
-
-    # ------------------------------------------------------------------
-    # L1 gaps
-    # ------------------------------------------------------------------
-
-    def l1_gap_odd(self, sign: Sign) -> float:
-        """L1 distance between g and the target: the rho-mixture of the
-        Poisson pairs' gaps 2 pi q/(1 -/+ q), q = e^{-2 pi u delta}, at
-        beta = u, with 1 - q as -expm1.  Each member's gap has one sign
-        (g+ - f and f - g- are sums of nonnegative members), so the gaps
-        add."""
-        _check_sign(sign)
-        c = -2.0 * math.pi * self.delta * self._sigma_grid[0]
-        q = np.exp(c)
-        den = -np.expm1(c) if sign == "+" else 1.0 + q
-        return 2.0 * math.pi * float(np.dot(self._mixture_terms()[0][0],
-                                            q / den))
-
-    # ------------------------------------------------------------------
-    # decay envelope (for zero-sum truncation downstream)
-    # ------------------------------------------------------------------
-
-    def decay_envelope_const(self, sign: Sign) -> float:
-        """K with |g(x)| <= K/x^2 on the real axis, proved: K- = int rho u
-        = M[0, 0] and K+ = K- + int rho u/sinh^2(pi u delta) = M[0, 0] +
-        M[1, 0] (_mixture_terms).
-
-        0 <= h_u(x) <= u/x^2 gives f <= K-/x^2 and A+ <= M[1, 0]/x^2, so
-        0 <= g+ = f + trig A+ <= K+/x^2; A- <= f gives 0 <= f - A- <= g-
-        <= f.  Sharp: x^2 g+ tends to K+ where trig = 1, and x^2 g- to
-        K- at the nodes."""
-        _check_sign(sign)
-        M = self._mixture_terms()[1]
-        return float(M[0, 0] + M[1, 0]) if sign == "+" else float(M[0, 0])
-
-    # ------------------------------------------------------------------
-    # kernel interface
-    # ------------------------------------------------------------------
+    ft_g = PoissonMixture.ft
+    l1_gap_odd = PoissonMixture.l1_gap
+    decay_envelope_const = PoissonMixture.tail_envelope
 
     def describe(self) -> dict:
         return {"family": "odd", "m": self.m, "alpha": self.alpha,
                 "delta": self.delta}
-
-    def target(self, x: np.ndarray) -> np.ndarray:
-        """f(x) from the mixture, the routine of ``real``, so real equals
-        target bit for bit at every node."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return self._mixture(x, [0])[0]
-
-    def real(self, sign: Sign, x: np.ndarray) -> np.ndarray:
-        """g+ ('+') or g- ('-') at real points x: f +- sin^2(pi r) A+-,
-        with r = delta x minus its nearest node as in g_real (module
-        docstring)."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return from_parts(sign, self.delta * x, *self.real_parts(sign, x))
-
-    def real_parts(self, sign: Sign, x: np.ndarray) -> tuple:
-        """(f, A+-) at real points x, the rows of _mixture: real = f +
-        A+ sin^2(pi delta x) ('+') or f - A- cos^2(pi delta x) ('-')."""
-        _check_sign(sign)
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return tuple(self._mixture(x, [0, 1] if sign == "+" else [0, 2]))
-
-    def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
-        return self.ft_g(sign, xi)
-
-    def l1_gap(self, sign: Sign) -> float:
-        return self.l1_gap_odd(sign)
-
-    def tail_envelope(self, sign: Sign) -> float:
-        return self.decay_envelope_const(sign)
-
-    def poisson_mixture(self, sign: Sign) -> tuple:
-        """The sigma grid, as g = f +- trig A with trig = (1 -+ cos)/2."""
-        _check_sign(sign)
-        W = self._mixture_terms()[0]
-        b = -0.5 * W[1 if sign == "+" else 2]
-        return self._sigma_grid[0], W[0] - b if sign == "+" else W[0] + b, b
 
 
 def _log_quotient(u, x):
@@ -606,12 +410,6 @@ def _log_quotient(u, x):
     np.log1p(arg, out=arg)
     np.copyto(direct, arg, where=use_log1p)
     return direct
-
-
-def _poisson(u, x):
-    """h_u(x) = u/(u^2 + x^2), the sigma-integrand of f and A+-."""
-    d = u * u + x * x
-    return np.divide(u, d, out=d)
 
 
 def _even_integrand(u, x):

@@ -3,6 +3,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from szeta import zeta_core as zc
 from szeta.cli import _GW_KEYS
 from szeta.numkit import DomainError, sieve_mangoldt, trig_sq
 from szeta.odd_extremal import OddExtremalPair
-from szeta.poisson_extremal import PoissonExtremalPair
+from szeta.poisson_extremal import PoissonExtremalPair, PoissonMixture
 
 
 @pytest.fixture(scope="module")
@@ -689,6 +690,40 @@ class TestThirdKernel:
             u, a, b = (np.concatenate(v) for v in zip(*parts))
             c = np.array(self.weights)
             return u, c * a, c * b
+
+    @dataclass(frozen=True)
+    class Mixture(PoissonMixture):
+        """The same mixture as a PoissonMixture: one short constructor."""
+
+        delta: float
+        _cache: dict = field(default_factory=dict, repr=False,
+                             compare=False)
+        formula = dict.fromkeys(("real", "ft", "l1_gap"), "poisson_mixture")
+        ft_error = 0.0
+
+        def _members(self):
+            return np.array([0.1, 0.4]), np.array([0.3, 0.7])
+
+        def describe(self):
+            return {"family": "two_members", "delta": self.delta}
+
+    def test_mixture_subclass_is_the_weighted_sum(self):
+        x = np.array([0.0, 0.25, 0.7, 3.9, 4.1, -17.3, 250.0, 1e5])
+        xi = np.array([0.0, 0.3, -0.6, 0.95, 1.0, 2.5])
+        for delta in (1.0, 1.5, 2.0):
+            mix, ref = self.Mixture(delta), self.TwoMembers(delta)
+            assert mix == self.Mixture(delta)
+            assert hash(mix) == hash(self.Mixture(delta))
+            for sign in "+-":
+                for got, want in (
+                        (mix.ft(sign, delta * xi), ref.ft(sign, delta * xi)),
+                        (mix.real(sign, x), ref.real(sign, x)),
+                        (mix.l1_gap(sign), sum(
+                            c * p.l1_gap(sign)
+                            for c, p in zip(ref.weights, ref.pairs))),
+                        (mix.tail_envelope(sign), ref.tail_envelope(sign))):
+                    assert np.all(np.abs(got - want)
+                                  <= 1e-15 * np.abs(want))
 
     def test_two_member_mixture_closes_explicit_formula(self, zeros):
         table = sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)

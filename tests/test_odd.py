@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from scalar_ft import f_integral, scalar_ft_g
-from szeta import odd_extremal
+from szeta import poisson_extremal
 from szeta.numkit import DomainError, ResourceError
 from szeta.odd_extremal import (_BYTES_PER_NODE, _FAR_TERMS, _NEAR_NODES,
                                 _SERIES_TOL, OddExtremalPair, _fft_len,
@@ -513,7 +513,7 @@ def test_sigma_sums_do_not_depend_on_the_block_size(m, alpha, monkeypatch):
 
     want = values()
     for block in (250_000, 1):
-        monkeypatch.setattr(odd_extremal, "_SIGMA_BLOCK", block)
+        monkeypatch.setattr(poisson_extremal, "_SIGMA_BLOCK", block)
         for got, ref in zip(values(), want):
             assert np.array_equal(got, ref)
 

@@ -97,6 +97,42 @@ def test_tail_envelope_bounds_decay(beta, delta):
                       <= K * (1.0 + 1e-12))
 
 
+@pytest.mark.parametrize("beta", [1e-4, 1e-3, 0.05, 0.25, 0.499])
+@pytest.mark.parametrize("delta", [1.0, 2.9])
+def test_served_forms_match_mpmath(beta, delta):
+    # the one-member mixture's exp/expm1 forms keep their digits as
+    # beta delta -> 0, where the former closed forms lost up to 7e-11 (ft
+    # near xi = delta) and 3.5e-13 (real and K+) at beta = 1e-4; measured
+    # within 6.1e-16 (ft, l1_gap, K) and 4.9e-16 (real).  real reads its
+    # phase from the rounded w = delta x, so the oracle does too
+    import mpmath
+    p = PoissonExtremalPair(beta=beta, delta=delta)
+    x = np.array([0.0, 1e-3, 0.3, 0.5, 1.7, 2.5, 3.999, 4.0, 17.3, -40.1,
+                  1234.5, 1e6])
+    xi = delta * np.array([0.0, 0.1, 0.5, 0.9, 0.999, 1.0, 1.5])
+    with mpmath.workdps(40):
+        b, d, pi = mpmath.mpf(beta), mpmath.mpf(delta), mpmath.pi
+        for sign in "+-":
+            den = (mpmath.sinh if sign == "+" else mpmath.cosh)(pi * b * d)
+            q = mpmath.exp(-2 * pi * b * d)
+            for got, want in (
+                    (p.l1_gap(sign), 2 * pi * q / (1 - q if sign == "+"
+                                                  else 1 + q)),
+                    (p.tail_envelope(sign),
+                     b * (1 + 1 / den ** 2) if sign == "+" else b)):
+                assert abs(got - want) <= 1e-15 * want
+            for v, got in zip(xi, p.ft(sign, xi)):
+                s = d - abs(mpmath.mpf(v))
+                want = pi / 2 * mpmath.sinh(2 * pi * b * s) / den ** 2
+                assert abs(got - want) <= 1e-15 * want if s > 0 else got == 0
+            for v, got in zip(x, p.real(sign, x)):
+                h = b / (b * b + mpmath.mpf(v) ** 2)
+                c = pi * mpmath.mpf(delta * v)
+                want = (h * (1 + mpmath.sin(c) ** 2 / den ** 2) if sign == "+"
+                        else h * (1 - mpmath.cos(c) ** 2 / den ** 2))
+                assert abs(got - want) <= 4e-15 * max(abs(want), h)
+
+
 def test_gap_decreases_with_delta():
     for sign in "+-":
         gaps = [PoissonExtremalPair(beta=0.25, delta=d).l1_gap(sign)

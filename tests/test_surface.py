@@ -2,9 +2,12 @@
 library or its scripts: referenced in ``src/szeta`` or ``scripts/``
 somewhere outside its own definition, as a name, an attribute or an
 import.  Code that only tests call fails here.  Dunder methods are
-exempt."""
+exempt.  Every name that perfbench's tracer wraps is where it looks
+it up."""
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -47,3 +50,20 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_has_a_runtime_reference():
     assert unused_definitions() == []
+
+
+def test_every_traced_name_resolves():
+    # Tracer.install reads a method in its class's own __dict__ (an
+    # inherited one raises KeyError there) and a function as a module
+    # attribute; a moved name fails here, not in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, clsname, attr, _ in tracer.TARGETS:
+        mod = importlib.import_module(f"szeta.{modname}")
+        owner = vars(getattr(mod, clsname)) if clsname else vars(mod)
+        if not callable(owner.get(attr)):
+            missing.append(".".join(filter(None, (modname, clsname, attr))))
+    assert missing == []
