@@ -272,7 +272,7 @@ def _verify_appendix(args) -> int:
         if v is not None:
             params[key] = v
     chk = ef.appendix_asymptotic(args.id, params)
-    band = ef.APPENDIX_BANDS.get((args.id, args.m or 0), args.slack)
+    band = ef.appendix_band(args.id, args.m, args.slack)
     out = asdict(chk)
     out["deviation_multiple"] = chk.deviation_multiple
     out["band"] = band
@@ -388,14 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--m", type=int)
     a.add_argument("--k", type=int)
     a.add_argument("--beta", type=float)
-    a.add_argument("--slack", type=float, default=10.0)
+    a.add_argument("--slack", type=float, default=ef.APPENDIX_SLACK)
     _output_flag(a)
     e = vsub.add_parser("envelope")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--alpha", type=float, required=True)
     e.add_argument("--t", type=float, required=True)
     e.add_argument("--c", type=float, default=1.0)
-    e.add_argument("--with-observed", action="store_true")
+    e.add_argument("--with-observed", action="store_true",
+                   help="load the zero table; it is used only when t lies "
+                   "within 1e-6 of an ordinate, where S_n is averaged over "
+                   "t +/- 1e-6 (the observed value is always printed)")
     e.add_argument("--slack", type=float, default=10.0)
     _output_flag(e)
     _zeros_flags(e)

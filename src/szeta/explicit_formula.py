@@ -524,11 +524,18 @@ def _mangoldt_arrays(x: float):
 # envelopes with ~30% headroom, and the selftest's monotone-ratio checks
 # at m=0 cover the "improving with x" requirement where the asymptotics
 # are already in regime.
-APPENDIX_BANDS = {("A1", 0): 20.0, ("A1", 1): 2200.0,
-                  ("A2", 0): 20.0, ("A2", 1): 2200.0,
-                  ("A3", 0): 10.0, ("A3", 1): 10.0,
-                  ("B1", 0): 25.0, ("B1", 1): 4000.0,
-                  ("B2", 0): 10.0, ("B2", 1): 10.0}
+_APPENDIX_BANDS = {("A1", 0): 20.0, ("A1", 1): 2200.0,
+                   ("A2", 0): 20.0, ("A2", 1): 2200.0,
+                   ("A3", 0): 10.0, ("A3", 1): 10.0,
+                   ("B1", 0): 25.0, ("B1", 1): 4000.0,
+                   ("B2", 0): 10.0, ("B2", 1): 10.0}
+APPENDIX_SLACK = 10.0  # the band of every other (id, m)
+
+
+def appendix_band(id: str, m: Optional[int] = None,
+                  slack: float = APPENDIX_SLACK) -> float:
+    """The band of item ``id`` at ``m`` (None reads as 0), or ``slack``."""
+    return _APPENDIX_BANDS.get((id, m or 0), slack)
 
 
 def _appendix_tol(main: float) -> float:

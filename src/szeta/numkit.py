@@ -13,9 +13,7 @@ envelopes) is built on the handful of primitives in this module:
   values, by the sieve of Eratosthenes
 * ``quad_adaptive``  -- adaptive Gauss-Kronrod quadrature on finite ranges
 * ``gauss_panels``   -- composite Gauss-Legendre nodes and weights
-* ``sum_tail_bounded`` -- series summation with caller-supplied tail majorant;
-  terms and tails may be arrays, summed elementwise, each element stopping
-  at its own tail bound
+* ``sum_tail_bounded`` -- series summation with caller-supplied tail majorant
 
 All operations are pure.  A MangoldtTable's arrays are not written after
 the sieve; its ``prime_powers`` and ``_cache`` are filled on first use and
@@ -59,10 +57,9 @@ class AccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Partial sum of an infinite series plus a bound on the dropped tail;
-    for an array series, the partial sums and the largest tail bound."""
+    """Partial sum of an infinite series plus a bound on the dropped tail."""
 
-    value: float | np.ndarray
+    value: float
     tail_bound: float
     terms_used: int
 
@@ -480,43 +477,25 @@ def gauss_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
 _MAX_TERMS = 200_000
 
 
-def sum_tail_bounded(term: Callable[[int], float | np.ndarray],
-                     tail_bound: Callable[[int], float | np.ndarray],
+def sum_tail_bounded(term: Callable[[int], float],
+                     tail_bound: Callable[[int], float],
                      tol: float) -> SeriesResult:
     """Sum term(k) for k >= 0 until tail_bound(K) <= tol.
 
     ``tail_bound(K)`` must majorize |sum_{k>=K} term(k)|; that is the
-    caller's contract.  Both callables return a float or a 1-D array of
-    one length (a float broadcasts).  An array series is summed
-    elementwise, with one array of partial sums and one of the indices
-    still summing: each element stops at the first K where its own tail
-    bound is <= tol, so it sums exactly the terms a scalar series of that
-    element would.  The callables are evaluated on every element, stopped
-    ones included.  ``value`` is a float for a scalar series and an array
-    otherwise; ``tail_bound`` is the largest stopping bound and
-    ``terms_used`` the most terms any element used.  At least one term is
-    always consumed; after _MAX_TERMS terms the sum gives up with
-    AccuracyError.
+    caller's contract.  ``tail_bound`` of the result is the stopping
+    bound.  At least one term is always consumed; after _MAX_TERMS terms
+    the sum gives up with AccuracyError.
     """
     if tol <= 0:
         raise DomainError("tol must be > 0")
-    first = term(0)
-    total = np.array(first, dtype=np.float64, ndmin=1)
-    tails = np.empty(total.shape)
-    live = np.arange(total.size)
+    total = float(term(0))
     k = 1
-    while True:
-        tb = np.broadcast_to(tail_bound(k), total.shape)[live]
-        tails[live] = tb
-        live = live[~(tb <= tol)]
-        if not live.size:
-            break
+    while not (tb := float(tail_bound(k))) <= tol:
         if k >= _MAX_TERMS:
             raise AccuracyError(
-                f"series tail bound {tails[live].max():.3e} still above "
+                f"series tail bound {tb:.3e} still above "
                 f"tol {tol:.3e} after {_MAX_TERMS} terms", total)
-        total[live] += np.broadcast_to(term(k), total.shape)[live]
+        total += float(term(k))
         k += 1
-    value = total if np.ndim(first) else float(total[0])
-    return SeriesResult(value=value, tail_bound=float(tails.max()),
-                        terms_used=k)
+    return SeriesResult(value=total, tail_bound=tb, terms_used=k)

@@ -5,6 +5,18 @@ independent oracle (closed forms vs. adaptive/oscillatory quadrature,
 zero-sum identities vs. sieve sums, limits vs. special-value constants)
 and returns a :class:`CheckResult`.  ``run_all`` executes the whole
 suite; the CLI ``selftest`` subcommand is a thin wrapper around it.
+Every value meets its band in ``_Check.band``, which fails a value above
+it, or NaN.  The bands, by check:
+
+1. majorization and nodes 0; ``m_real`` 5e-13 relative; ``l1`` and ``ft``
+   the oracles' quadrature tolerances (``_cos_integral``) over D.
+2. majorization 0; nodes 3e-14; derivative 1e-4; ``ft`` and ``ft_out``
+   1e-6, ``l1`` 1e-7 (window quadrature); ``series`` _SERIES_TOL.
+3. residual: the zero and prime tail bounds plus 1e-5; arch 2 _SERIES_TOL.
+4. 1e-6 relative.  5. 1e-10.  6. ``ef.appendix_band``; A4 its bound times
+   1 + 1e-12; the B1, B2 and B4 main-term ratios improve with x.
+7. ``ef.rep_band``.  8. lambda in [1/2, 2]; split and plug-back 1e-12
+   relative.  9. the two routes 1e-6; |S| below its cap.
 
 Numerical Fourier-side oracles
 ------------------------------
@@ -56,12 +68,30 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _result(name: str, t0: float, failures: list, **details) -> CheckResult:
-    details = dict(details)
-    if failures:
-        details["failures"] = failures
-    return CheckResult(name=name, passed=not failures,
-                       runtime=time.perf_counter() - t0, details=details)
+class _Check:
+    """One running check: its clock, its failures and, per key, the worst
+    value met (0 when every value is negative)."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.t0 = time.perf_counter()
+        self.failures: list[str] = []
+        self.worst: dict[str, float] = {}
+
+    def band(self, key: str, tag: str, value: float, limit: float) -> float:
+        """Record ``value`` under ``key``; fail if it exceeds ``limit`` or
+        is NaN."""
+        self.worst[key] = max(self.worst.get(key, 0.0), value)
+        if not value <= limit:
+            self.failures.append(f"{key} {tag}: {value:.2e} > {limit:.2e}")
+        return value
+
+    def result(self, **details) -> CheckResult:
+        if self.failures:
+            details["failures"] = self.failures
+        return CheckResult(name=self.name, passed=not self.failures,
+                           runtime=time.perf_counter() - self.t0,
+                           details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +101,12 @@ def _result(name: str, t0: float, failures: list, **details) -> CheckResult:
 # _cos_integral: periods of cos(w x) by quadrature, integrations by parts
 _COS_PERIODS = 8
 _COS_PARTS = 10
+_COS_TOL = 1e-13  # the tolerance of each quadrature
 
 
-def _cos_integral(b: float, w: float) -> float:
-    """int_0^inf b/(b^2+x^2) cos(w x) dx for b > 0, w >= 0, to about 1e-13.
+def _cos_integral(b: float, w: float) -> tuple[float, float]:
+    """int_0^inf b/(b^2+x^2) cos(w x) dx for b > 0, w >= 0, and its
+    tolerance: _COS_TOL, or 2 _COS_TOL for w = 0 (two quadratures).
 
     quad_adaptive on [0, X], X = n = _COS_PERIODS periods of cos(w x),
     then the tail.  With f = b/(b^2+x^2) = Im 1/(x - ib), whose k-th
@@ -91,21 +123,22 @@ def _cos_integral(b: float, w: float) -> float:
     def f(x):
         return b / (b * b + x * x)
     if w == 0.0:
-        return (quad_adaptive(f, 0.0, 1.0, 1e-13)
+        return (quad_adaptive(f, 0.0, 1.0, _COS_TOL)
                 + quad_adaptive(lambda u: b / (1.0 + b * b * u * u),
-                                0.0, 1.0, 1e-13))
+                                0.0, 1.0, _COS_TOL)), 2 * _COS_TOL
     X = _COS_PERIODS * 2.0 * math.pi / w
-    head = quad_adaptive(lambda x: f(x) * math.cos(w * x), 0.0, X, 1e-13)
+    head = quad_adaptive(lambda x: f(x) * math.cos(w * x), 0.0, X, _COS_TOL)
     z = complex(X, -b)
     tail = sum((-1) ** j * (-math.factorial(2 * j - 1)
                             / z ** (2 * j)).imag / w ** (2 * j)
                for j in range(1, _COS_PARTS + 1))
-    return head + tail
+    return head + tail, _COS_TOL
 
 
 def poisson_ft_oracle(pair: PoissonExtremalPair, sign: str,
-                      xi: float) -> float:
-    """Numerical full-line Fourier integral of the extremal function.
+                      xi: float) -> tuple[float, float]:
+    """Numerical full-line Fourier integral of the extremal function, and
+    its tolerance carried from the cosine integrals'.
 
     m(x)cos(2 pi xi x) expands over cos(2 pi xi x), cos(2 pi (d+xi) x)
     and cos(2 pi (d-xi) x) against the smooth factor b/(b^2+x^2); each
@@ -115,19 +148,21 @@ def poisson_ft_oracle(pair: PoissonExtremalPair, sign: str,
     D = pair._denom(sign)
     a = 2.0 * math.pi * b * d
     C = math.exp(a) + math.exp(-a)
-    val = (C * _cos_integral(b, 2 * math.pi * xi)
-           - _cos_integral(b, 2 * math.pi * (d + xi))
-           - _cos_integral(b, 2 * math.pi * abs(d - xi))) / D
-    return 2.0 * val
+    (i0, e0), (i1, e1), (i2, e2) = (
+        _cos_integral(b, 2 * math.pi * w) for w in (xi, d + xi, abs(d - xi)))
+    return 2.0 * ((C * i0 - i1 - i2) / D), 2.0 * (C * e0 + e1 + e2) / D
 
 
-def poisson_l1_oracle(pair: PoissonExtremalPair, sign: str) -> float:
-    """Numerical L1 gap |m - h| via the same cosine decomposition."""
+def poisson_l1_oracle(pair: PoissonExtremalPair,
+                      sign: str) -> tuple[float, float]:
+    """Numerical L1 gap |m - h| via the same cosine decomposition, and its
+    tolerance."""
     b, d = pair.beta, pair.delta
-    i0 = _cos_integral(b, 0.0)
-    ic = _cos_integral(b, 2 * math.pi * d)
+    i0, e0 = _cos_integral(b, 0.0)
+    ic, ec = _cos_integral(b, 2 * math.pi * d)
     s = -1.0 if sign == "+" else 1.0
-    return 4.0 * (i0 + s * ic) / pair._denom(sign)
+    D = pair._denom(sign)
+    return 4.0 * (i0 + s * ic) / D, 4.0 * (e0 + ec) / D
 
 
 class WindowedLine:
@@ -181,130 +216,96 @@ class WindowedLine:
 
 
 # ---------------------------------------------------------------------------
-# 1. Poisson extremal suite
+# 1-2. extremal pairs
 # ---------------------------------------------------------------------------
+
+def _majorization_and_nodes(c: _Check, pair, sign: str, tag: str,
+                            x: np.ndarray, fx: np.ndarray,
+                            nodes: np.ndarray, target,
+                            node_band: float) -> np.ndarray:
+    """Majorization of ``real`` at x over the target values fx (band 0:
+    real - target is trig times a positive term), and ``real`` against
+    ``target`` at ``nodes``; returns ``real`` at x."""
+    gv = pair.real(sign, x)
+    s = 1.0 if sign == "+" else -1.0
+    c.band("maj", tag, -float(np.min(s * (gv - fx))), 0.0)
+    c.band("node", tag, float(np.max(np.abs(pair.real(sign, nodes)
+                                            - target(nodes)))), node_band)
+    return gv
+
 
 def check_poisson_suite() -> CheckResult:
     """Majorization and node interpolation of the served values
     (``real``), ``real`` against the reference m_real, and the closed
     forms against quadrature."""
-    t0 = time.perf_counter()
-    failures = []
-    betas = (0.05, 0.15, 0.3, 0.45)
-    deltas = (1.0, 1.5, 3.0)
+    c = _Check("poisson_suite")
     xgrid = np.linspace(-40.0, 40.0, 10001)
-    worst = {"maj": 0.0, "node": 0.0, "ref": 0.0, "l1": 0.0, "ft": 0.0}
-    for beta in betas:
-        for delta in deltas:
+    k = np.arange(0, 20, dtype=np.float64)
+    for beta in (0.05, 0.15, 0.3, 0.45):
+        for delta in (1.0, 1.5, 3.0):
             p = PoissonExtremalPair(beta=beta, delta=delta)
             h = p.target(xgrid)
-            for sign, s in (("+", 1.0), ("-", -1.0)):
+            for sign in "+-":
                 tag = f"beta={beta} delta={delta} sign={sign}"
-                gv = p.real(sign, xgrid)
-                # bands: real - h is trig times a positive term, so no
-                # violation at all, and real equals the target at the
-                # nodes (worst 0.0 for both)
-                viol = float(np.min(s * (gv - h)))
-                worst["maj"] = max(worst["maj"], -viol)
-                if viol < 0.0:
-                    failures.append(f"majorization {tag}: {viol:.2e}")
-                # interpolation nodes: integers/delta ('+') or
-                # half-integers/delta ('-'), where the gap vanishes
-                k = np.arange(0, 20, dtype=np.float64)
+                # nodes: integers/delta ('+') or half-integers/delta
+                # ('-'), where real equals the target bit for bit
                 nodes = (k if sign == "+" else k + 0.5) / delta
-                nd = float(np.max(np.abs(p.real(sign, nodes)
-                                         - p.target(nodes))))
-                worst["node"] = max(worst["node"], nd)
-                if nd > 0.0:
-                    failures.append(f"nodes {tag}: {nd:.2e}")
+                gv = _majorization_and_nodes(c, p, sign, tag, xgrid, h,
+                                             nodes, p.target, 0.0)
                 # m_real, another form of the pair whose cos(2 pi delta
                 # x) is unreduced: within 5e-13 relative (worst 1.2e-13)
-                dref = float(np.max(np.abs(p.m_real(sign, xgrid) - gv)
-                                    / np.maximum(np.abs(gv), h)))
-                worst["ref"] = max(worst["ref"], dref)
-                if dref > 5e-13:
-                    failures.append(f"m_real {tag}: {dref:.2e}")
-                dl1 = abs(poisson_l1_oracle(p, sign) - p.l1_gap(sign))
-                worst["l1"] = max(worst["l1"], dl1)
-                if dl1 > 1e-8:
-                    failures.append(f"l1 {tag}: {dl1:.2e}")
+                c.band("ref", tag,
+                       float(np.max(np.abs(p.m_real(sign, xgrid) - gv)
+                                    / np.maximum(np.abs(gv), h))), 5e-13)
+                l1, tol = poisson_l1_oracle(p, sign)
+                c.band("l1", tag, abs(l1 - p.l1_gap(sign)), tol)
                 for q in (0.3, 0.7, 1.2):
                     xi = q * delta
-                    dft = abs(poisson_ft_oracle(p, sign, xi)
-                              - p.ft_m(sign, xi))
-                    worst["ft"] = max(worst["ft"], dft)
-                    if dft > 1e-7:
-                        failures.append(f"ft {tag} xi={xi}: {dft:.2e}")
-    return _result("poisson_suite", t0, failures, worst=worst)
+                    ft, tol = poisson_ft_oracle(p, sign, xi)
+                    c.band("ft", f"{tag} xi={xi}",
+                           abs(ft - p.ft_m(sign, xi)), tol)
+    return c.result(worst=c.worst)
 
-
-# ---------------------------------------------------------------------------
-# 2. odd extremal suite
-# ---------------------------------------------------------------------------
 
 def check_odd_suite() -> CheckResult:
     """Odd-family majorization, interpolation, FT and L1 cross-checks of
     the served values (``real``) against the log-form target f_odd_vec
     and window quadrature, and of ``real`` against the interpolation
     series g_real."""
-    t0 = time.perf_counter()
-    failures = []
-    worst = {"maj": 0.0, "node": 0.0, "deriv": 0.0, "ft": 0.0,
-             "ft_out": 0.0, "l1": 0.0, "series": 0.0}
+    c = _Check("odd_suite")
     windows: dict[float, WindowedLine] = {}
+    k = np.arange(1, 13, dtype=np.float64)
+    h = 1e-3
     for m in (0, 1, 2):
         for alpha in (0.5, 0.6, 0.75, 0.9):
             for delta in (1.0, 2.0):
                 pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
                 W = windows.setdefault(delta, WindowedLine(delta))
                 fv = pair.f_odd_vec(W.nodes)
-                k = np.arange(1, 13, dtype=np.float64)
-                h = 1e-3
-                for sign, s in (("+", 1.0), ("-", -1.0)):
+                for sign in "+-":
                     tag = f"m={m} alpha={alpha} delta={delta} sign={sign}"
-                    gv = pair.real(sign, W.nodes)
-                    # bands: g - f is trig times a positive integral, so
-                    # no violation at all (worst 0.0); at the nodes the
-                    # mixture and log forms of f agree to 3.3e-16
-                    viol = float(np.min(s * (gv - fv)))
-                    worst["maj"] = max(worst["maj"], -viol)
-                    if viol < 0.0:
-                        failures.append(f"majorization {tag}: {viol:.2e}")
+                    # at the nodes the mixture and log forms of f agree
+                    # to 3.3e-16
                     nodes = (k if sign == "+" else k - 0.5) / delta
-                    nd = float(np.max(np.abs(pair.real(sign, nodes)
-                                             - pair.f_odd_vec(nodes))))
-                    worst["node"] = max(worst["node"], nd)
-                    if nd > 3e-14:
-                        failures.append(f"nodes {tag}: {nd:.2e}")
+                    gv = _majorization_and_nodes(c, pair, sign, tag, W.nodes,
+                                                 fv, nodes, pair.f_odd_vec,
+                                                 3e-14)
                     # derivative at nodes: f' = -f_even, vs. central
                     # difference of g (origin skipped for '+')
                     dn = nodes[:3]
                     gd = (pair.real(sign, dn + h)
                           - pair.real(sign, dn - h)) / (2 * h)
-                    dd = float(np.max(np.abs(gd + pair.f_even_vec(dn))))
-                    worst["deriv"] = max(worst["deriv"], dd)
-                    if dd > 1e-4:
-                        failures.append(f"deriv {tag}: {dd:.2e}")
-                    xis = np.array([0.3, 0.7]) * delta
+                    c.band("deriv", tag, float(np.max(np.abs(
+                        gd + pair.f_even_vec(dn)))), 1e-4)
+                    # ft_g is exactly 0 beyond the support (ft_out)
+                    xis = np.array([0.3, 0.7, 1.2]) * delta
                     for xi, ft in zip(xis, pair.ft_g(sign, xis)):
                         cv = np.cos(2 * math.pi * xi * W.nodes)
-                        dft = abs(W.integral(gv * cv) - ft)
-                        worst["ft"] = max(worst["ft"], dft)
-                        if dft > 1e-6:
-                            failures.append(
-                                f"ft {tag} xi={xi}: {dft:.2e}")
-                    xi = 1.2 * delta
-                    cv = np.cos(2 * math.pi * xi * W.nodes)
-                    dout = abs(W.integral(gv * cv))
-                    worst["ft_out"] = max(worst["ft_out"], dout)
-                    if dout > 1e-6:
-                        failures.append(f"ft beyond support {tag}: "
-                                        f"{dout:.2e}")
-                    dl1 = abs(W.integral(np.abs(gv - fv))
-                              - pair.l1_gap_odd(sign))
-                    worst["l1"] = max(worst["l1"], dl1)
-                    if dl1 > 1e-7:
-                        failures.append(f"l1 {tag}: {dl1:.2e}")
+                        c.band("ft" if xi < delta else "ft_out",
+                               f"{tag} xi={xi}",
+                               abs(W.integral(gv * cv) - ft), 1e-6)
+                    c.band("l1", tag, abs(W.integral(np.abs(gv - fv))
+                                          - pair.l1_gap_odd(sign)), 1e-7)
     # the served mixture against the interpolation series, an independent
     # construction of the same pair, within the series' own tolerance,
     # on one pair per delta whose sigma grid is short (32 nodes), since
@@ -312,13 +313,11 @@ def check_odd_suite() -> CheckResult:
     for delta, W in windows.items():
         pair = OddExtremalPair(m=0, alpha=0.75, delta=delta)
         for sign in "+-":
-            ds = float(np.max(np.abs(pair.real(sign, W.nodes)
-                                     - pair.g_real(sign, W.nodes))))
-            worst["series"] = max(worst["series"], ds)
-            if ds > _SERIES_TOL:
-                failures.append(f"series delta={delta} sign={sign}: "
-                                f"{ds:.2e}")
-    return _result("odd_suite", t0, failures, worst=worst)
+            c.band("series", f"delta={delta} sign={sign}",
+                   float(np.max(np.abs(pair.real(sign, W.nodes)
+                                       - pair.g_real(sign, W.nodes)))),
+                   _SERIES_TOL)
+    return c.result(worst=c.worst)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +327,9 @@ def check_odd_suite() -> CheckResult:
 def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
         -> CheckResult:
     """Explicit-formula residuals within their tails; odd arch vs g_eval."""
-    t0 = time.perf_counter()
+    c = _Check("explicit_formula")
     if zeros is None:
         zeros = zc.bundled_zeros()
-    failures = []
     reports = []
     table = sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)
     arch_band = 2 * _SERIES_TOL  # 2 Re of one g_eval value
@@ -346,17 +344,14 @@ def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
                 row = {"kernel": kname, "sign": sign, "t": t,
                        "delta": delta, "residual": rep.residual, "band": band}
                 reports.append(row)
-                if abs(rep.residual) > band:
-                    failures.append(
-                        f"{kname} {sign} t={t} delta={delta}: "
-                        f"|{rep.residual:.2e}| > {band:.2e}")
+                tag = f"{kname} {sign} t={t} delta={delta}"
+                c.band("residual", tag, abs(rep.residual), band)
                 if kname == "odd":
                     g = kernel.g_eval(sign, complex(t, 0.5)).real
                     row.update(arch_diff=rep.arch_terms - 2.0 * g,
                                arch_band=arch_band)
-                    if abs(row["arch_diff"]) > arch_band:
-                        failures.append(f"arch: {row}")
-    return _result("explicit_formula", t0, failures, reports=reports)
+                    c.band("arch", tag, abs(row["arch_diff"]), arch_band)
+    return c.result(reports=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +360,7 @@ def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
 
 def check_theorem1_limits() -> CheckResult:
     """c_n at alpha just above 1/2 vs. the exact half-line constants."""
-    t0 = time.perf_counter()
-    failures = []
+    c = _Check("theorem1_limits")
     t = math.exp(math.exp(4.0))
     alpha = 0.5 + 1e-9
     rels = {}
@@ -374,11 +368,9 @@ def check_theorem1_limits() -> CheckResult:
         for sign in ("+", "-"):
             lim = bd.c_n(n, alpha, t, sign)
             ref = bd.theorem1_constant(n, sign)
-            rel = abs(lim - ref) / abs(ref)
-            rels[f"n={n}{sign}"] = rel
-            if rel > 1e-6:
-                failures.append(f"n={n} sign={sign}: rel {rel:.2e}")
-    return _result("theorem1_limits", t0, failures, rel_errors=rels)
+            rels[f"n={n}{sign}"] = c.band("rel", f"n={n} sign={sign}",
+                                          abs(lim - ref) / abs(ref), 1e-6)
+    return c.result(rel_errors=rels)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +379,7 @@ def check_theorem1_limits() -> CheckResult:
 
 def check_corollary_integral() -> CheckResult:
     """Quadrature of the sigma-integral vs. its closed form."""
-    t0 = time.perf_counter()
-    failures = []
+    c = _Check("corollary_integral")
     diffs = {}
     for t in (1e6, 1e12):
         L = math.log(t)
@@ -399,10 +390,9 @@ def check_corollary_integral() -> CheckResult:
         num = quad_adaptive(integrand, 0.5, 1.0, 1e-13)
         closed = (math.log(2.0) / 2.0 * L / math.log(L)
                   - L * math.log1p(1.0 / L) / (2.0 * math.log(L)))
-        diffs[f"t={t:g}"] = abs(num - closed)
-        if abs(num - closed) > 1e-10:
-            failures.append(f"t={t:g}: {abs(num - closed):.2e}")
-    return _result("corollary_integral", t0, failures, diffs=diffs)
+        diffs[f"t={t:g}"] = c.band("diff", f"t={t:g}", abs(num - closed),
+                                   1e-10)
+    return c.result(diffs=diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -411,58 +401,53 @@ def check_corollary_integral() -> CheckResult:
 
 def check_appendix() -> CheckResult:
     """Integral/sieve displays against their main terms and bounds."""
-    t0 = time.perf_counter()
-    failures = []
+    c = _Check("appendix")
     summary = {}
-
-    def record(key, chk, band):
-        dev = chk.deviation_multiple
-        summary[key] = dev
-        if dev > band:
-            failures.append(f"{key}: deviation {dev:.1f} > band {band}")
-
     for x in (1e5, 1e6):
         for alpha in (0.7, 0.8):
             for m in (0, 1):
                 for aid in ("A1", "A2", "A3"):
-                    params = {"x": x, "alpha": alpha, "m": m}
-                    if aid in ("A2", "A3"):
-                        params["k"] = 1
-                    chk = ef.appendix_asymptotic(aid, params)
-                    record(f"{aid} x={x:g} a={alpha} m={m}", chk,
-                           ef.APPENDIX_BANDS[(aid, m)])
+                    chk = ef.appendix_asymptotic(
+                        aid, {"x": x, "alpha": alpha, "m": m, "k": 1})
+                    tag = f"x={x:g} a={alpha} m={m}"
+                    summary[f"{aid} {tag}"] = c.band(
+                        aid, tag, chk.deviation_multiple,
+                        ef.appendix_band(aid, m))
+            tag = f"x={x:g} a={alpha}"
             # A4: exact inequality (alpha > 1/2 branch)
             chk = ef.appendix_asymptotic("A4", {"x": x, "alpha": alpha})
-            summary[f"A4 x={x:g} a={alpha}"] = chk.direct - chk.main_term
-            if chk.direct > chk.main_term * (1 + 1e-12):
-                failures.append(f"A4 x={x:g} a={alpha}: "
-                                f"{chk.direct} > {chk.main_term}")
-            # A5: sum below 10x its displayed bound
+            summary[f"A4 {tag}"] = chk.direct - chk.main_term
+            c.band("A4", tag, chk.direct, chk.main_term * (1 + 1e-12))
+            # A5: sum below its displayed bound times the default band
             chk = ef.appendix_asymptotic("A5", {"x": x, "alpha": alpha,
                                                 "m": 0})
-            record(f"A5 x={x:g} a={alpha}", chk, 10.0)
+            summary[f"A5 {tag}"] = c.band("A5", tag, chk.deviation_multiple,
+                                          ef.appendix_band("A5"))
     # B-family: sieve sums, improvement tracked through growing x
     ratio_track = {"B1": [], "B2": [], "B4": []}
     for x in (1e4, 1e5, 1e6):
         for aid, m in (("B1", 0), ("B1", 1), ("B2", 0)):
             chk = ef.appendix_asymptotic(aid, {"x": x, "alpha": 0.7,
                                                "m": m, "k": 1})
-            record(f"{aid} x={x:g} m={m}", chk,
-                   ef.APPENDIX_BANDS[(aid, m)])
+            tag = f"x={x:g} m={m}"
+            summary[f"{aid} {tag}"] = c.band(
+                aid, tag, chk.deviation_multiple, ef.appendix_band(aid, m))
             if m == 0:
                 ratio_track[aid].append(
                     abs(chk.direct / chk.main_term - 1.0))
-        chk = ef.appendix_asymptotic("B3", {"x": x, "alpha": 0.7, "m": 0})
-        record(f"B3 x={x:g}", chk, 10.0)
-        chk = ef.appendix_asymptotic("B4", {"x": x, "beta": 0.25})
-        record(f"B4 x={x:g}", chk, 10.0)
+        for aid, params in (("B3", {"alpha": 0.7, "m": 0}),
+                            ("B4", {"beta": 0.25})):
+            chk = ef.appendix_asymptotic(aid, {"x": x, **params})
+            summary[f"{aid} x={x:g}"] = c.band(
+                aid, f"x={x:g}", chk.deviation_multiple,
+                ef.appendix_band(aid))
         ratio_track["B4"].append(abs(chk.direct / chk.main_term - 1.0))
     for aid, seq in ratio_track.items():
         summary[f"{aid} ratio path"] = seq
         if not seq[-1] < seq[0]:
-            failures.append(f"{aid}: main-term ratio not improving "
-                            f"{seq}")
-    return _result("appendix", t0, failures, summary=summary)
+            c.failures.append(f"{aid}: main-term ratio not improving "
+                              f"{seq}")
+    return c.result(summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +457,9 @@ def check_appendix() -> CheckResult:
 def check_representation(zeros: Optional[zc.ZeroTable] = None) \
         -> CheckResult:
     """Zero-sum representation vs. the direct route, within bands."""
-    t0 = time.perf_counter()
+    c = _Check("representation")
     if zeros is None:
         zeros = zc.bundled_zeros()
-    failures = []
     rows = []
     for n, alpha, t in ((-1, 0.75, 100.0), (1, 0.6, 100.0),
                         (0, 0.6, 100.0)):
@@ -485,10 +469,8 @@ def check_representation(zeros: Optional[zc.ZeroTable] = None) \
         band = ef.rep_band(rep)
         rows.append({"n": n, "alpha": alpha, "t": t, "diff": diff,
                      "band": band})
-        if abs(diff) > band:
-            failures.append(f"n={n} alpha={alpha} t={t}: "
-                            f"|{diff:.3e}| > {band:.3e}")
-    return _result("representation", t0, failures, rows=rows)
+        c.band("diff", f"n={n} alpha={alpha} t={t}", abs(diff), band)
+    return c.result(rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -497,38 +479,33 @@ def check_representation(zeros: Optional[zc.ZeroTable] = None) \
 
 def check_interpolation() -> CheckResult:
     """lambda range and exact plug-back of the optimized bracket."""
-    t0 = time.perf_counter()
-    failures = []
+    c = _Check("interpolation")
     lam_range = [math.inf, -math.inf]
     for n in (0, 2, 4):
         for alpha in (0.6, 0.75):
             for t in (math.exp(math.exp(4.0)), math.exp(math.exp(5.0))):
+                tag = f"n={n} alpha={alpha} t={t:g}"
                 ip = bd.interp_params(n, alpha, t)
                 lam_range = [min(lam_range[0], ip.lam),
                              max(lam_range[1], ip.lam)]
                 if not 0.5 <= ip.lam <= 2.0:
-                    failures.append(f"lambda out of range n={n} "
-                                    f"alpha={alpha}: {ip.lam}")
+                    c.failures.append(f"lambda out of range {tag}: "
+                                      f"{ip.lam}")
+                cp = bd.c_odd(n + 1, alpha, t, "+")
+                cm = bd.c_odd(n + 1, alpha, t, "-")
                 if n == 0:
-                    cp = bd.c_odd(1, alpha, t, "+")
-                    cm = bd.c_odd(1, alpha, t, "-")
                     ch = bd.c_odd(-1, alpha, t, "-")
-                    bracket = (cp + cm) / ip.lam + ch * ip.lam / 2.0
                 else:
-                    cp = bd.c_odd(n + 1, alpha, t, "+")
-                    cm = bd.c_odd(n + 1, alpha, t, "-")
                     lowp = bd.c_odd(n - 1, alpha, t, "+")
                     lowm = bd.c_odd(n - 1, alpha, t, "-")
                     ch = ip.a * lowm  # == ip.b * lowp at the optimum
-                    if abs(ip.a * lowm - ip.b * lowp) > 1e-12 * lowp:
-                        failures.append(f"equalized split broken n={n} "
-                                        f"alpha={alpha} t={t:g}")
-                    bracket = (cp + cm) / ip.lam + ch * ip.lam / 2.0
+                    c.band("split", tag, abs(ip.a * lowm - ip.b * lowp),
+                           1e-12 * lowp)
+                bracket = (cp + cm) / ip.lam + ch * ip.lam / 2.0
                 target = bd.c_even(n, alpha, t)
-                if abs(bracket - target) > 1e-12 * abs(target):
-                    failures.append(f"plug-back n={n} alpha={alpha} "
-                                    f"t={t:g}: {bracket - target:.2e}")
-    return _result("interpolation", t0, failures, lam_range=lam_range)
+                c.band("plug-back", tag, abs(bracket - target),
+                       1e-12 * abs(target))
+    return c.result(lam_range=lam_range)
 
 
 # ---------------------------------------------------------------------------
@@ -538,25 +515,22 @@ def check_interpolation() -> CheckResult:
 def check_count_cross_route(zeros: Optional[zc.ZeroTable] = None) \
         -> CheckResult:
     """Counting-function route vs. direct argument, plus the size cap."""
-    t0 = time.perf_counter()
+    c = _Check("count_cross_route")
     if zeros is None:
         zeros = zc.bundled_zeros()
-    failures = []
     rows = []
     for t in (25.3, 40.2, 55.7, 70.4, 95.1):
         _, s_count = zc.count_zeros(t, zeros)
         s_direct = zc.s_n_direct(0, 0.5, t).value
-        diff = s_count - s_direct
         cap = (0.25 * math.log(t) / math.log(math.log(t))
                + 5.0 * math.log(t) / math.log(math.log(t)) ** 2)
         rows.append({"t": t, "s_count": s_count, "s_direct": s_direct,
                      "cap": cap})
-        if abs(diff) > 1e-6:
-            failures.append(f"t={t}: routes differ by {diff:.3e}")
+        c.band("routes", f"t={t}", abs(s_count - s_direct), 1e-6)
         if abs(s_count) >= cap:
-            failures.append(f"t={t}: |S|={abs(s_count):.3f} >= "
-                            f"cap {cap:.3f}")
-    return _result("count_cross_route", t0, failures, rows=rows)
+            c.failures.append(f"t={t}: |S|={abs(s_count):.3f} >= "
+                              f"cap {cap:.3f}")
+    return c.result(rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Acceptance suite: one test per criterion, driven through selftest."""
 
+import math
+
 import pytest
 
+from szeta import explicit_formula as ef
 from szeta import selftest as st
+from szeta.odd_extremal import OddExtremalPair
+from szeta.poisson_extremal import PoissonExtremalPair
 
 
 def _assert_ok(result, max_runtime=None):
@@ -47,3 +52,36 @@ def test_criterion_8_interpolation():
 
 def test_criterion_9_count_cross_route(zeros):
     _assert_ok(st.check_count_cross_route(zeros))
+
+
+def _shifted(owner, name, by):
+    orig = getattr(owner, name)
+    return lambda *args: orig(*args) + by
+
+
+# (sub-check, check, owner, name, replacement): each pushes one value past
+# its band; l1_gap + 1e-10 is inside the poisson suite's former 1e-8 band
+FAULTS = [
+    pytest.param("l1", st.check_poisson_suite, PoissonExtremalPair,
+                 "l1_gap", _shifted(PoissonExtremalPair, "l1_gap", 1e-10),
+                 id="l1"),
+    pytest.param("l1", st.check_poisson_suite, PoissonExtremalPair,
+                 "l1_gap", lambda self, sign: math.nan, id="l1-nan"),
+    pytest.param("series", st.check_odd_suite, OddExtremalPair, "g_real",
+                 _shifted(OddExtremalPair, "g_real", 1e-11), id="series"),
+    pytest.param("arch", st.check_explicit_formula, OddExtremalPair,
+                 "g_eval", _shifted(OddExtremalPair, "g_eval", 1e-11),
+                 id="arch"),
+    pytest.param("diff", st.check_representation, ef, "rep_band",
+                 lambda rep: 0.0, id="diff"),
+]
+
+
+@pytest.mark.parametrize("sub, check, owner, name, replacement", FAULTS)
+def test_a_value_past_its_band_fails_its_sub_check(
+        sub, check, owner, name, replacement, monkeypatch):
+    monkeypatch.setattr(owner, name, replacement)
+    result = check()
+    assert not result.passed
+    assert result.details["failures"]
+    assert all(f.startswith(f"{sub} ") for f in result.details["failures"])

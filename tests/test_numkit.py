@@ -408,14 +408,3 @@ class TestSumTail:
         val = sum_tail_bounded(lambda k: 0.5 ** k,
                               lambda K: 0.5 ** K, 1e-14)
         assert val.value == pytest.approx(2.0, abs=1e-12)
-
-    def test_array_elements_stop_at_their_own_tail(self):
-        x = np.array([0.5, 0.1, 0.0])
-        res = sum_tail_bounded(lambda k: x ** k,
-                               lambda K: x ** K / (1.0 - x), 1e-14)
-        for xv, v in zip(x, res.value):
-            one = sum_tail_bounded(lambda k: xv ** k,
-                                   lambda K: xv ** K / (1.0 - xv), 1e-14)
-            assert v == one.value
-        assert res.terms_used == 48  # x = 0.5; x = 0.1 stops after 15
-        assert res.tail_bound == pytest.approx(0.5 ** 48 / 0.5)
