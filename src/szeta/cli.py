@@ -9,8 +9,9 @@ selftest  the full acceptance suite
 
 Exit codes: 0 success (verify: within band), 1 verification outside its
 band or selftest failure, 2 usage error (including an unknown config key,
-a config line that is not key=value, an unreadable --config file, or a
-malformed --sweep), 3 parameter-region violation, t beyond the zero
+a config line that is not key=value, an unreadable --config file, a
+malformed --sweep, or a --slack for an appendix item with a calibrated
+band), 3 parameter-region violation, t beyond the zero
 table, or a resource limit (DomainError, ZeroTableError and ResourceError,
 mapped in ``main``), 4 missing or malformed zeros file.
 
@@ -271,8 +272,11 @@ def _verify_appendix(args) -> int:
         v = getattr(args, key, None)
         if v is not None:
             params[key] = v
+    try:
+        band = ef.appendix_band(args.id, args.m, args.slack)
+    except ValueError as exc:
+        _usage_error(f"--slack: {exc}")
     chk = ef.appendix_asymptotic(args.id, params)
-    band = ef.appendix_band(args.id, args.m, args.slack)
     out = asdict(chk)
     out["deviation_multiple"] = chk.deviation_multiple
     out["band"] = band
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--m", type=int)
     a.add_argument("--k", type=int)
     a.add_argument("--beta", type=float)
-    a.add_argument("--slack", type=float, default=ef.APPENDIX_SLACK)
+    a.add_argument("--slack", type=float)
     _output_flag(a)
     e = vsub.add_parser("envelope")
     e.add_argument("--n", type=int, required=True)

@@ -27,6 +27,19 @@ than 5e-20 sum |b| for delta >= 1 and u <= 1:
                sum_{k>=0} e^{-2 pi delta y_k} h_u(t - i y_k)],
   K(t+i/2) + K(t-i/2) = 2 Re sum h_u(z) (a + b cos(2 pi delta z)), z = t+i/2.
 
+As u -> 1/2 and t -> 0, psi(1/4 - u/2 + it/2) = psi(w + 1) - 1/w and the
+k = 0 term, h_u(t - i/2) = -u/(2w (u + 1/2 + it)), near the pole w = 0;
+with s = -2w, the -1/w in e^{-2 pi delta u} psi/2 and the k = 0 term join
+to -e^{-pi delta} e^{-2 pi i delta t} [1/(u + 1/2 + it) - expm1(-2 pi
+delta s)/s], which does not cancel.  The arch term sums the entire W u F+
+F- per member (poisson_extremal.mixture_at), F+- = sin(pi delta (z +-
+iu))/(z +- iu), W = -2b = w/sinh^2 or w/cosh^2 of pi u delta: on the
+real axis W h_u (sinh^2(pi u delta) + sin^2(pi delta x)), the member's
+g, with no pole to cancel at z = +-iu.  Each F is within (6 + 4|p|) eps,
+p its reduced argument (the rounding of p magnified by |p cot p|), so the
+arch term is within 2 (n + 12 + 8 max |p|) eps sum |W u F+ F-| over the n
+members, plus the rounded phase delta t's ulp/2, as in real.
+
 The zero side sum_gamma K(t - gamma) + K(t + gamma) reads the kernel
 through Kernel.real_parts: K = f + A sin^2(pi delta x) ('+') or f - A
 cos^2(pi delta x) ('-'), so with A-+ = A(t -+ gamma), c = cos(2 pi delta
@@ -59,7 +72,7 @@ from .numkit import (DomainError, MangoldtTable, Sign, _check_sign,
                      digamma, frac_product, quad_adaptive, sieve_mangoldt,
                      sum_tail_bounded, trig_sq)
 from .odd_extremal import OddExtremalPair
-from .poisson_extremal import PoissonExtremalPair
+from .poisson_extremal import PoissonExtremalPair, mixture_at
 from .zeta_core import SnValue, ZeroTable, ZeroTableError
 
 
@@ -205,10 +218,11 @@ class AsymptoticCheck:
 # digamma integral and archimedean term of a Poisson mixture
 # ---------------------------------------------------------------------------
 
-# i y_k at the poles y_k = 2k + 1/2, k < 3, of the residue series (the rest
-# adds < 5e-20 sum |b|), and the +-u/2 of psi's arguments 1/4 +- u/2 + it/2
-_POLES = 1j * np.array([[0.5], [2.5], [4.5]])
-_HALVES = np.array([[0.5], [-0.5]])
+# -i y_k at the poles y_k = 2k + 1/2, k = 1, 2, of the residue series (k =
+# 0 is joined to psi, k >= 3 adds < 5e-20 sum |b|), and psi's arguments
+# 1/4 + u/2 + it/2 and w + 1 = 5/4 - u/2 + it/2
+_POLES = -1j * np.array([[2.5], [4.5]])
+_HALVES, _QUARTERS = np.array([[0.5], [-0.5]]), np.array([[0.25], [1.25]])
 
 
 def _gamma_integral(kernel: Kernel, sign: Sign,
@@ -216,22 +230,23 @@ def _gamma_integral(kernel: Kernel, sign: Sign,
     """(1/2pi) int K(t-x) Re psi(1/4+ix/2) dx and 2 Re K(t+i/2) for K =
     real(sign, .), the module docstring's closed forms summed over the
     members, each member's digamma part first: a psi+ and b e (psi+ +
-    psi-)/2 nearly cancel where b is large (the odd pair as u -> 0).  The
-    phase is taken from delta t less its nearest integer; an error e in it
-    moves the arch term by up to 2 e sinh(pi delta) |sum b h_u(t+i/2)|."""
+    psi-)/2 nearly cancel where b is large (the odd pair as u -> 0)."""
     u, a, b = kernel.poisson_mixture(sign)
     d = kernel.delta
-    pp, pm = digamma(_HALVES * u + (0.25 + 0.5j * t)).real
-    e = np.exp(-2.0 * math.pi * d * u)
-    h = u / (u * u + (t + _POLES) ** 2)
-    H = h @ b
     r = d * t - round(d * t)
+    ph = cmath.exp(-2j * math.pi * r)  # e^{-2 pi i delta t}
+    pp, pw = digamma(_HALVES * u + (_QUARTERS + 0.5j * t)).real
+    e = np.exp(-2.0 * math.pi * d * u)
+    # J per member: the residues, psi(w)'s -1/w joined to the first one
     q = math.exp(-4.0 * math.pi * d)  # e^{-2 pi delta y_k} = e^{-pi delta} q^k
-    res = math.exp(-math.pi * d) * complex(H[0] + q * (H[1] + q * H[2]))
-    gamma = (0.5 * float(np.sum(a * pp + 0.5 * b * e * (pp + pm)))
-             - (cmath.exp(-2j * math.pi * r) * res.conjugate()).real)
-    cos_z = cmath.cos(complex(2.0 * math.pi * r, math.pi * d))
-    return gamma, float(2.0 * (np.dot(h[0], a) + cos_z * H[0]).real)
+    h = u / (u * u + (t + _POLES) ** 2)
+    v = u - 0.5
+    J = np.expm1(v * (-2.0 * math.pi * d) + 2j * math.pi * r)
+    J /= v - 1j * t
+    J -= 1.0 / (u + (0.5 + 1j * t)) + 2.0 * q * (h[0] + q * h[1])
+    J *= math.exp(-math.pi * d) * ph
+    gamma = 0.5 * float(np.sum(a * pp + b * (0.5 * e * (pp + pw) + J.real)))
+    return gamma, 2.0 * mixture_at(u, b, d, complex(t, 0.5)).real
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +548,15 @@ APPENDIX_SLACK = 10.0  # the band of every other (id, m)
 
 
 def appendix_band(id: str, m: Optional[int] = None,
-                  slack: float = APPENDIX_SLACK) -> float:
-    """The band of item ``id`` at ``m`` (None reads as 0), or ``slack``."""
-    return _APPENDIX_BANDS.get((id, m or 0), slack)
+                  slack: Optional[float] = None) -> float:
+    """The band of item ``id`` at ``m`` (None reads as 0), or ``slack``
+    (APPENDIX_SLACK when None) where none is calibrated; a slack for a
+    calibrated (id, m) raises ValueError naming its band."""
+    band = _APPENDIX_BANDS.get((id, m or 0))
+    if band is not None and slack is not None:
+        raise ValueError(f"{id} at m={m or 0} has the calibrated band "
+                         f"{band:g}, which a slack does not replace")
+    return band or (APPENDIX_SLACK if slack is None else slack)
 
 
 def _appendix_tol(main: float) -> float:

@@ -25,11 +25,10 @@ f_odd_vec and f_even_vec sum the log form above on the same grid.
 
 The interpolation series
 ------------------------
-g_real, g_eval and the node caches below evaluate the same pair as the
-interpolation series of F(x) = f(x/delta); they stay as the reference
-that tests, the selftest and perfbench's odd_grid workload read, and as
-the arch term's oracle off the real axis.
-On the real axis the series over the 2N+1 lattice nodes nu,
+g_real and the node caches below evaluate the same pair as the
+interpolation series of F(x) = f(x/delta): the real-axis reference that
+perfbench's odd_grid workload, the selftest's check 2 and the tests read.
+The series over the 2N+1 lattice nodes nu,
 
     g(w) = sin^2(pi w)/pi^2 * sum_nu [F(nu)/(w-nu)^2 + F'(nu)/(w-nu)],
 
@@ -64,7 +63,6 @@ data would exceed _NODE_MEMORY bytes raises ResourceError.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -73,7 +71,7 @@ import numpy as np
 
 from .numkit import (DomainError, ResourceError, Sign, _check_sign,
                      gauss_panels)
-from .poisson_extremal import PoissonMixture
+from .poisson_extremal import PoissonMixture, mixture_at
 
 # absolute tolerance of the truncated interpolation series
 _SERIES_TOL = 1e-12
@@ -193,22 +191,20 @@ class OddExtremalPair(PoissonMixture):
         lo = built[0] - N
         return tuple(a[lo:lo + 2 * N + 1] for a in built[1:])
 
-    def _budget(self, sign: Sign, R: float, Y: float = 0.0) -> int:
-        """Node budget meeting _SERIES_TOL for |Re w| <= R and |Im w| <= Y
-        (w = delta*z).
+    def _budget(self, sign: Sign, R: float) -> int:
+        """Node budget meeting _SERIES_TOL for |w| <= R (w = delta*x).
 
         At least 10*delta nodes.  The dense floor ~20 nodes per unit x
         serves small arguments; for large R it is capped at 2R + 2000
         (nodes must only outrun the evaluation window, the tail test
-        below does the rest).  Off the real axis the tail grows with
-        |sin pi w|^2 <= cosh^2(pi Y), a factor 1 on the axis.  The
-        first candidate N is rounded up to a 2^a 3^b number (_fft_len),
-        and the search then tries each larger 2^a 3^b number in turn, so
-        the budget is the smallest fast transform length from there that
-        passes the tail test.  The tail test reads only the slice |nu| <=
-        N, so the budget depends on (R, Y) alone; since the first
-        candidate grows with R and a budget passing for a window passes
-        for every smaller one, it never decreases as R grows.  Raises
+        below does the rest).  The first candidate N is rounded up to a
+        2^a 3^b number (_fft_len), and the search then tries each larger
+        2^a 3^b number in turn, so the budget is the smallest fast
+        transform length from there that passes the tail test.  The tail
+        test reads only the slice |nu| <= N, so the budget depends on R
+        alone; since the first candidate grows with R and a budget
+        passing for a window passes for every smaller one, it never
+        decreases as R grows.  Raises
         ResourceError, before any node is built, when the node data of a
         budget would exceed _NODE_MEMORY bytes: for R > 707 588 at delta
         <= 9.98, and from at most R > 708 578 at larger delta (windows
@@ -243,38 +239,14 @@ class OddExtremalPair(PoissonMixture):
             done = N
             tail = (2 * CF * d * d / ((N - R) ** 2 * N)
                     + CFp * d ** 3 / N ** 3) / math.pi ** 2
-            if tail * math.cosh(math.pi * Y) ** 2 <= _SERIES_TOL:
+            if tail <= _SERIES_TOL:
                 return N
             N = _fft_len(N + 1)
 
     def g_eval(self, sign: Sign, z: complex) -> complex:
-        """g+ ('+') or g- ('-') at complex z; the selftest's arch oracle."""
-        _check_sign(sign)
-        z = complex(z)
-        w = self.delta * z
-        N = self._budget(sign, abs(w.real), abs(w.imag))
-        nu, F, Fp = self._nodes(sign, N)
-        # sin^2(pi w) (resp. cos^2) computed from the argument reduced by
-        # the nearest node, which is exact and avoids cancellation there
-        near = round(w.real) if sign == "+" else math.floor(w.real) + 0.5
-        r = w - near
-        s = cmath.sin(math.pi * r)
-        S2 = (s / math.pi) ** 2
-        # 1/(w - nu) = (a - ib) q with a = Re w - nu, b = Im w and
-        # q = 1/(a^2 + b^2), in real arrays; q = 0 at the nearest node
-        inear = int(near - nu[0])
-        a, b = w.real - nu, w.imag
-        a[inear] = 1.0
-        q = 1.0 / (a * a + b * b)
-        q[inear] = 0.0
-        Fq2, Fpq = F * q * q, Fp * q
-        total = S2 * complex(np.sum(Fq2 * (a * a - b * b) + Fpq * a),
-                             -b * np.sum(2.0 * Fq2 * a + Fpq))
-        # nearest node handled with the guarded sinc kernel
-        r0 = w - nu[inear]
-        sc2 = complex(_sinc2(r0))
-        total += F[inear] * sc2 + Fp[inear] * r0 * sc2
-        return total
+        """g+ ('+') or g- ('-') at complex z (poisson_extremal.mixture_at)."""
+        u, _, b = self.poisson_mixture(sign)
+        return mixture_at(u, b, self.delta, z)
 
     def _far_field(self, sign: Sign, N: int) -> np.ndarray:
         """Far-field coefficients c_p[i], shape (_FAR_TERMS, 2M+1), on the
@@ -421,7 +393,7 @@ def _even_integrand(u, x):
 
 def _sinc2(r):
     """(sin(pi r)/(pi r))^2 with Taylor fallback near r = 0; elementwise
-    on arrays, real or complex."""
+    on arrays."""
     small = np.abs(r) < 1e-6
     p2 = (math.pi * r) ** 2
     pr = math.pi * np.where(small, 1.0, r)

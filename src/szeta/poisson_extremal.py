@@ -272,3 +272,24 @@ def _poisson(u, x):
     """h_u(x) = u/(u^2 + x^2), the member term of f and A+-."""
     d = u * u + np.square(x)
     return np.divide(u, d, out=d)
+
+
+def mixture_at(u, b, delta: float, z: complex) -> complex:
+    """sum h_u (a + b cos(2 pi delta .)) at complex z over the members (u,
+    a, b) of poisson_mixture, from (u, b): the entire W u F+ F-, F+- =
+    sin(pi delta (z +- iu))/(z +- iu), W = -2b (explicit_formula's module
+    docstring).  delta Re z, rounded as in real, is reduced to its nearest
+    integer, whose signs cancel in F+ F-; F = pi delta at z +- iu = 0."""
+    z, n = complex(z), len(u)
+    dx = delta * z.real
+    s = np.concatenate([u, -u])
+    s += z.imag  # Im(z +- iu)
+    w = s * 1j
+    w += z.real  # z +- iu
+    F = s * (1j * math.pi * delta)
+    F += math.pi * (dx - round(dx))
+    np.sin(F, out=F)
+    if z.real == 0.0 and not s.all():
+        F[s == 0.0], w[s == 0.0] = math.pi * delta, 1.0
+    F /= w
+    return -2.0 * complex(np.dot(b * u, F[:n] * F[n:]))

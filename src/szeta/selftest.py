@@ -12,7 +12,8 @@ it, or NaN.  The bands, by check:
    the oracles' quadrature tolerances (``_cos_integral``) over D.
 2. majorization 0; nodes 3e-14; derivative 1e-4; ``ft`` and ``ft_out``
    1e-6, ``l1`` 1e-7 (window quadrature); ``series`` _SERIES_TOL.
-3. residual: the zero and prime tail bounds plus 1e-5; arch 2 _SERIES_TOL.
+3. residual: the zero and prime tail bounds plus 1e-5; arch 2 _ARCH_TOL =
+   2e-14, the quadrature oracle's tolerance carried (odd_arch_oracle).
 4. 1e-6 relative.  5. 1e-10.  6. ``ef.appendix_band``; A4 its bound times
    1 + 1e-12; the B1, B2 and B4 main-term ratios improve with x.
 7. ``ef.rep_band``.  8. lambda in [1/2, 2]; split and plug-back 1e-12
@@ -39,6 +40,7 @@ hopeless):
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -324,15 +326,38 @@ def check_odd_suite() -> CheckResult:
 # 3. explicit-formula identity
 # ---------------------------------------------------------------------------
 
+# check 3's arch oracle tolerance; its band is twice it, the rest for the
+# served sum's rounding (explicit_formula's docstring), < 1e-17 there
+_ARCH_TOL = 1e-14
+
+
+def odd_arch_oracle(pair: OddExtremalPair, sign: str,
+                    t: float) -> tuple[float, float]:
+    """2 Re K(t + i/2) for the odd pair, and its tolerance: quad_adaptive
+    over u in [a0, 1] of rho(u) 2 Re h_u(z) (a + b cos(2 pi delta z)), z =
+    t + i/2, a = 1 -+ b and b = -1/(2 {sinh^2, cosh^2}(pi u delta)) as in
+    poisson_mixture per unit weight: no sigma grid, no product form."""
+    a0, n, d = pair.alpha - 0.5, 2 * pair.m + 1, pair.delta
+    z, s = complex(t, 0.5), -1.0 if sign == "+" else 1.0
+    c = cmath.cos(2.0 * math.pi * (d * z - round(d * t))) + s
+    trig = math.sinh if sign == "+" else math.cosh
+
+    def f(u):  # rho(u) 2 Re h_u(z) (1 + b (cos + s)), a = 1 + b s
+        b = -0.5 / trig(math.pi * u * d) ** 2
+        return (u - a0) ** n / n * 2.0 * (u / (u * u + z * z)
+                                          * (1.0 + b * c)).real
+    return quad_adaptive(f, a0, 1.0, _ARCH_TOL), _ARCH_TOL
+
+
 def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
         -> CheckResult:
-    """Explicit-formula residuals within their tails; odd arch vs g_eval."""
+    """Explicit-formula residuals within their tails; the odd pair's arch
+    term against quadrature in u (odd_arch_oracle)."""
     c = _Check("explicit_formula")
     if zeros is None:
         zeros = zc.bundled_zeros()
     reports = []
     table = sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)
-    arch_band = 2 * _SERIES_TOL  # 2 Re of one g_eval value
     for t, delta in ((50.0, 1.5), (100.0, 2.0)):
         kernels = (("poisson", PoissonExtremalPair(beta=0.25, delta=delta)),
                    ("odd", OddExtremalPair(m=0, alpha=0.75, delta=delta)))
@@ -347,10 +372,10 @@ def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
                 tag = f"{kname} {sign} t={t} delta={delta}"
                 c.band("residual", tag, abs(rep.residual), band)
                 if kname == "odd":
-                    g = kernel.g_eval(sign, complex(t, 0.5)).real
-                    row.update(arch_diff=rep.arch_terms - 2.0 * g,
-                               arch_band=arch_band)
-                    c.band("arch", tag, abs(row["arch_diff"]), arch_band)
+                    ref, tol = odd_arch_oracle(kernel, sign, t)
+                    row.update(arch_diff=rep.arch_terms - ref,
+                               arch_band=2 * tol)
+                    c.band("arch", tag, abs(row["arch_diff"]), 2 * tol)
     return c.result(reports=reports)
 
 

@@ -30,6 +30,14 @@ def test_criterion_3_explicit_formula(zeros):
     _assert_ok(st.check_explicit_formula(zeros), max_runtime=60.0)
 
 
+def test_criterion_3_builds_no_interpolation_nodes(zeros, monkeypatch):
+    # the arch oracle is quadrature in u, so the check reads no node set
+    def no_nodes(*args):
+        raise AssertionError("interpolation nodes built")
+    monkeypatch.setattr(OddExtremalPair, "_nodes", no_nodes)
+    _assert_ok(st.check_explicit_formula(zeros))
+
+
 def test_criterion_4_theorem1_limits():
     _assert_ok(st.check_theorem1_limits())
 
@@ -69,9 +77,8 @@ FAULTS = [
                  "l1_gap", lambda self, sign: math.nan, id="l1-nan"),
     pytest.param("series", st.check_odd_suite, OddExtremalPair, "g_real",
                  _shifted(OddExtremalPair, "g_real", 1e-11), id="series"),
-    pytest.param("arch", st.check_explicit_formula, OddExtremalPair,
-                 "g_eval", _shifted(OddExtremalPair, "g_eval", 1e-11),
-                 id="arch"),
+    pytest.param("arch", st.check_explicit_formula, ef, "mixture_at",
+                 _shifted(ef, "mixture_at", 1e-11), id="arch"),
     pytest.param("diff", st.check_representation, ef, "rep_band",
                  lambda rep: 0.0, id="diff"),
 ]

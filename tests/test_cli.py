@@ -110,6 +110,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "/no/such/file" in err
 
+    @pytest.mark.parametrize("argv,band", [
+        (["--id", "A1", "--alpha", "0.7", "--m", "0"], 20.0),
+        (["--id", "B1", "--alpha", "0.7", "--m", "1"], 4000.0),
+        (["--id", "B4", "--beta", "0.25"], None)])
+    def test_appendix_slack_only_without_a_calibrated_band(self, argv,
+                                                           band, capsys):
+        # a --slack on a calibrated (id, m) was silently ignored
+        argv = ["verify", "appendix", "--x", "1e5", *argv, "--slack",
+                "1e-12"]
+        if band is None:
+            assert main(argv) == 1
+            assert json.loads(capsys.readouterr().out)["band"] == 1e-12
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"calibrated band {band:g}" in err
+        assert main(argv[:-2]) == 0
+        assert json.loads(capsys.readouterr().out)["band"] == band
+
     def test_envelope_report_only_exit0(self):
         r = run_cli("verify", "envelope", "--n", "0", "--alpha",
                     "0.75", "--t", "500")

@@ -16,7 +16,8 @@ from szeta import zeta_core as zc
 from szeta.cli import _GW_KEYS
 from szeta.numkit import DomainError, sieve_mangoldt, trig_sq
 from szeta.odd_extremal import OddExtremalPair
-from szeta.poisson_extremal import PoissonExtremalPair, PoissonMixture
+from szeta.poisson_extremal import (PoissonExtremalPair, PoissonMixture,
+                                    mixture_at)
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,32 @@ def report_items(rep):
     out = {key: getattr(rep, key) for key in _GW_KEYS}
     out["kernel"] = rep.kernel.describe()
     return out
+
+
+def mp_mixture_at(u, b, delta, z):
+    """mixture_at's member sum -2b u sin(pi delta (z + iu)) sin(pi delta (z
+    - iu))/((z + iu)(z - iu)) in 30-digit mpmath, with the phase at the
+    rounded delta Re z, as mixture_at and real take it."""
+    import mpmath
+    with mpmath.workdps(30):
+        d, pi = mpmath.mpf(delta), mpmath.pi
+        z = complex(z)
+        X, Z = mpmath.mpf(delta * z.real), mpmath.mpc(z.real, z.imag)
+        total = mpmath.mpc(0)
+        for uu, bb in zip(u.tolist(), b.tolist()):
+            U = mpmath.mpf(uu)
+            f = [pi * d if Z + s * 1j * U == 0 else
+                 mpmath.sin(pi * (X + 1j * d * (z.imag + s * U)))
+                 / (Z + s * 1j * U) for s in (1, -1)]
+            total += -2 * mpmath.mpf(bb) * U * f[0] * f[1]
+        return complex(total)
+
+
+MIXTURE_AT_KERNELS = [
+    pytest.param(PoissonExtremalPair(beta=0.25, delta=1.5), id="poisson"),
+    pytest.param(OddExtremalPair(m=0, alpha=0.5, delta=1.0),
+                 id="odd-alpha-half"),
+    pytest.param(OddExtremalPair(m=1, alpha=0.75, delta=2.0), id="odd")]
 
 
 class TestGammaIntegral:
@@ -104,8 +131,8 @@ class TestArchTerm:
                                                (2, 0.9, 2.0)])
     def test_odd_against_dense_series(self, m, alpha, delta):
         # the interpolation series at w = delta (t + i/2), summed over
-        # all 2^18 + 1 nodes |k| <= 2^17; the series' own budget at
-        # this point (g_eval) is off by up to 7e-13
+        # all 2^18 + 1 nodes |k| <= 2^17: a budget sized for the real
+        # axis is off by up to 7e-13 here
         pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
         for sign in "+-":
             nu, F, Fp = pair._nodes(sign, 1 << 17)
@@ -117,6 +144,53 @@ class TestArchTerm:
                 ref = 2 * (S2 * complex(np.sum(F / dw ** 2 + Fp / dw))).real
                 _, arch = ef._gamma_integral(pair, sign, t)
                 assert abs(arch - ref) <= 2e-13
+
+    @pytest.mark.parametrize("kernel", MIXTURE_AT_KERNELS)
+    def test_mixture_at_matches_mpmath(self, kernel):
+        # within 1e-14 max(1, |g|) of the same member sum in 30-digit
+        # mpmath off the real axis (measured 9.0e-16), also 1e-10 off
+        # a member's zero z = i u, where a factor is 0/0 unreduced
+        for sign in "+-":
+            u, _, b = kernel.poisson_mixture(sign)
+            zs = [complex(t, y) for y in (0.25, 0.5, 1.5)
+                  for t in (0.0, 1e-9, 14.1, 2400.0)]
+            for z in zs + [complex(3e-10, u[-1] + 5e-10), 1j * u[-1]]:
+                got = mixture_at(u, b, kernel.delta, z)
+                want = mp_mixture_at(u, b, kernel.delta, z)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (
+                    sign, z)
+            if isinstance(kernel, OddExtremalPair):
+                assert kernel.g_eval(sign, 14.1 + 0.5j) == mixture_at(
+                    u, b, kernel.delta, 14.1 + 0.5j)
+
+    @pytest.mark.parametrize("kernel", MIXTURE_AT_KERNELS)
+    def test_mixture_at_on_the_real_axis(self, kernel):
+        # within 4 eps of the real-axis mixture sum h_u w (1 + sin^2/sinh^2
+        # or 1 - cos^2/cosh^2) in 30-digit mpmath (measured 2.6 eps), and
+        # so within 4 eps of real beyond real's own distance from that sum
+        # (which reaches 5.9 eps for the odd pair at alpha = 1/2, whose
+        # ~1000 members real sums through its moment series)
+        import mpmath
+        eps = np.finfo(float).eps
+        x = np.array([0.0, 0.3, 1.7, 4.0, 14.1, -55.5, 2400.25])
+        with mpmath.workdps(30):
+            d, pi = mpmath.mpf(kernel.delta), mpmath.pi
+            U, w = ([mpmath.mpf(v) for v in a.tolist()]
+                    for a in kernel._members())
+            for sign in "+-":
+                u, _, b = kernel.poisson_mixture(sign)
+                den = [(mpmath.sinh if sign == "+" else mpmath.cosh)(
+                    pi * v * d) ** 2 for v in U]
+                for v, r in zip(x, kernel.real(sign, x)):
+                    X, c = mpmath.mpf(v), pi * mpmath.mpf(kernel.delta * v)
+                    trig = mpmath.sin(c) ** 2 if sign == "+" else -mpmath.cos(
+                        c) ** 2
+                    want = float(sum(wi * ui / (ui * ui + X * X)
+                                     * (1 + trig / di)
+                                     for ui, wi, di in zip(U, w, den)))
+                    got = mixture_at(u, b, kernel.delta, v)
+                    assert abs(got - want) <= 4 * eps * want, (sign, v)
+                    assert abs(got.real - r) <= 4 * eps * r + abs(r - want)
 
     def test_odd_node_cache_sized_by_the_zero_side(self, zeros, mangoldt):
         # gw_sweep's pair at t = 150: the zero side reads the pair's
@@ -293,6 +367,24 @@ class TestClosedForms:
                 for v, want in zip(got, ref[sign]):
                     assert abs(v - want) <= 1e-14 * max(1.0, abs(want)), (
                         sign, t)
+
+    @pytest.mark.parametrize("beta", [0.49, 0.499, 0.4999, 0.49999])
+    def test_poisson_as_beta_nears_half(self, beta):
+        # psi(1/4 - beta/2 + it/2) nears its pole as t -> 0 and cancels
+        # against the first residue, and h_beta(t + i/2) nears its pole;
+        # within 1e-14 max(1, |term|) of 30-digit mpmath (the digamma term
+        # against mp_closed_forms, the arch term against the product
+        # form: the inline form's rounded (a, b) are 2.5e-12 off there)
+        kernel = PoissonExtremalPair(beta=beta, delta=1.0)
+        for t in (0.0, 0.01):
+            ref = mp_closed_forms(kernel, t)
+            for sign in "+-":
+                gamma, arch = ef._gamma_integral(kernel, sign, t)
+                u, _, b = kernel.poisson_mixture(sign)
+                want = 2 * mp_mixture_at(u, b, 1.0, complex(t, 0.5)).real
+                assert abs(gamma - ref[sign][0]) <= 1e-14 * max(
+                    1.0, abs(ref[sign][0])), (sign, t)
+                assert abs(arch - want) <= 1e-14 * max(1.0, abs(want))
 
 
 class TestPrimeSum:

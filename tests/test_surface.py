@@ -1,7 +1,8 @@
 """Every function and class that the library defines is used by the
 library or its scripts: referenced in ``src/szeta`` or ``scripts/``
 somewhere outside its own definition, as a name, an attribute or an
-import.  Code that only tests call fails here.  Dunder methods are
+import, or wrapped by perfbench's tracer, which looks its targets up by
+name.  Code that only tests call fails here.  Dunder methods are
 exempt.  Every name that perfbench's tracer wraps is where it looks
 it up."""
 
@@ -29,11 +30,20 @@ def _references(tree: ast.AST) -> Counter:
     return refs
 
 
+def _tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def unused_definitions() -> list[str]:
     """'module.name' of each library definition without a reference."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in LIBRARY + SCRIPTS}
     total = sum((_references(tree) for tree in trees.values()), Counter())
+    total.update(attr for _, _, attr, _ in _tracer().TARGETS)
     unused = []
     for path in LIBRARY:
         for node in ast.walk(trees[path]):
@@ -56,12 +66,8 @@ def test_every_traced_name_resolves():
     # Tracer.install reads a method in its class's own __dict__ (an
     # inherited one raises KeyError there) and a function as a module
     # attribute; a moved name fails here, not in a traced benchmark run
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
     missing = []
-    for modname, clsname, attr, _ in tracer.TARGETS:
+    for modname, clsname, attr, _ in _tracer().TARGETS:
         mod = importlib.import_module(f"szeta.{modname}")
         owner = vars(getattr(mod, clsname)) if clsname else vars(mod)
         if not callable(owner.get(attr)):
