@@ -38,7 +38,7 @@ real axis W h_u (sinh^2(pi u delta) + sin^2(pi delta x)), the member's
 g, with no pole to cancel at z = +-iu.  Each F is within (6 + 4|p|) eps,
 p its reduced argument (the rounding of p magnified by |p cot p|), so the
 arch term is within 2 (n + 12 + 8 max |p|) eps sum |W u F+ F-| over the n
-members, plus the rounded phase delta t's ulp/2, as in real.
+members, at the phase delta t reduced exactly (numkit.frac_product).
 
 The zero side sum_gamma K(t - gamma) + K(t + gamma) reads the kernel
 through Kernel.real_parts: K = f + A sin^2(pi delta x) ('+') or f - A
@@ -49,13 +49,12 @@ gamma), s = sin(2 pi delta gamma) and theta = 2 pi delta t,
                + sin theta sum s (A- - A+))]
 
 (trig = sin^2 or cos^2), two dot products and no trigonometric call per
-zero (_zero_side).  The table keeps c and s per delta (_zero_phases),
-from delta gamma less its nearest integer, reduced exactly
-(numkit.frac_product), and each call reduces delta t the same way.  The
-zeros within _NEAR = 4 of |t| (the sum is even in t) stay out of the
-phases: they take A sin^2(pi r) with r reduced to the nearest node as
-real reduces it, since A may grow like 1/|t - gamma| there (the odd
-pair at alpha = 1/2) and (1 -+ cos)/2 would lose its digits.
+zero (_zero_side).  The table keeps, per delta, r = delta gamma less its
+nearest integer (numkit.frac_product) with c and s from it (_zero_phases),
+and each call reduces delta |t| the same way.  The zeros within _NEAR = 4
+of |t| (the sum is even in t) stay out of c and s: they take A trig from
+frac(delta |t|) - r (numkit.trig_sq), since A may grow like 1/|t - gamma|
+there (the odd pair at alpha = 1/2) and (1 -+ cos)/2 would lose its digits.
 """
 
 from __future__ import annotations
@@ -233,8 +232,7 @@ def _gamma_integral(kernel: Kernel, sign: Sign,
     psi-)/2 nearly cancel where b is large (the odd pair as u -> 0)."""
     u, a, b = kernel.poisson_mixture(sign)
     d = kernel.delta
-    r = d * t - round(d * t)
-    ph = cmath.exp(-2j * math.pi * r)  # e^{-2 pi i delta t}
+    r = float(frac_product(d, t))  # e^{-2 pi i delta t} = e^{-2 pi i r}
     pp, pw = digamma(_HALVES * u + (_QUARTERS + 0.5j * t)).real
     e = np.exp(-2.0 * math.pi * d * u)
     # J per member: the residues, psi(w)'s -1/w joined to the first one
@@ -244,7 +242,7 @@ def _gamma_integral(kernel: Kernel, sign: Sign,
     J = np.expm1(v * (-2.0 * math.pi * d) + 2j * math.pi * r)
     J /= v - 1j * t
     J -= 1.0 / (u + (0.5 + 1j * t)) + 2.0 * q * (h[0] + q * h[1])
-    J *= math.exp(-math.pi * d) * ph
+    J *= math.exp(-math.pi * d) * cmath.exp(-2j * math.pi * r)
     gamma = 0.5 * float(np.sum(a * pp + b * (0.5 * e * (pp + pw) + J.real)))
     return gamma, 2.0 * mixture_at(u, b, d, complex(t, 0.5)).real
 
@@ -293,14 +291,15 @@ _NEAR = 4.0
 
 
 def _zero_phases(zeros: ZeroTable, delta: float) -> tuple:
-    """cos and sin of 2 pi delta gamma over the ordinates, from delta
-    gamma less its nearest integer (frac_product); kept in
-    ``zeros._cache`` per delta, 16 B per ordinate."""
+    """r = delta gamma less its nearest integer (frac_product) over the
+    ordinates, and cos and sin of 2 pi r; kept in ``zeros._cache`` per
+    delta, 24 B per ordinate."""
     key = ("phases", delta)
     hit = zeros._cache.get(key)
     if hit is None:
-        r = 2.0 * math.pi * frac_product(delta, np.asarray(zeros.ordinates))
-        hit = zeros._cache[key] = (np.cos(r), np.sin(r))
+        r = frac_product(delta, np.asarray(zeros.ordinates))
+        w = 2.0 * math.pi * r
+        hit = zeros._cache[key] = (r, np.cos(w), np.sin(w))
     return hit
 
 
@@ -319,12 +318,13 @@ def _zero_side(kernel: Kernel, sign: Sign, t: float,
     f, a = kernel.real_parts(sign, x)
     am, ap = a[:n], a[n:]
     lo, hi = gam.searchsorted((s - _NEAR, s + _NEAR))
-    near = float(am[lo:hi] @ trig_sq(sign, d * x[lo:hi]))
+    r, c, sn = _zero_phases(zeros, d)
+    rs = float(frac_product(d, s))
+    near = float(am[lo:hi] @ trig_sq(sign, rs - r[lo:hi]))
     both, diff = am + ap, am - ap
     both[lo:hi] = ap[lo:hi]
     np.negative(ap[lo:hi], out=diff[lo:hi])
-    c, sn = _zero_phases(zeros, d)
-    theta = 2.0 * math.pi * float(frac_product(d, s))
+    theta = 2.0 * math.pi * rs
     osc = (math.cos(theta) * float(c @ both)
            + math.sin(theta) * float(sn @ diff))
     total = float(both.sum())
@@ -391,15 +391,12 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     ``delta`` must match kernel.delta, which every stage reads; a
     prebuilt Mangoldt table may be supplied to amortize sieving across
     calls (prime_sum rejects one shorter than e^{2 pi delta}).  Such a
-    table also keeps, per (kernel, sign), the prime side's weighted
-    transform Lambda(n) n^{-1/2} ft(log n / 2pi) and the GwConstants
-    that its reports share, so a later call computes only the cosines:
-    8 B per prime power n <= e^{2 pi delta} (12 KB at delta = 1.5, 36
-    MiB at delta = 2.9), freed with the table.  The zero table keeps,
-    per delta, the phases of its ordinates (_zero_phases).  The digamma
-    integral and the archimedean term are closed forms in the kernel's
-    Poisson mixture (_gamma_integral), the same cost at any t, and keep
-    nothing.
+    table also keeps what the reports of a (kernel, sign) share
+    (_prime_side), so a later call computes only the cosines.  The zero
+    table keeps, per delta, the reduced phases of its ordinates, 24 B
+    each (_zero_phases).  The digamma integral and the archimedean term
+    are closed forms in the kernel's Poisson mixture (_gamma_integral),
+    the same cost at any t, and keep nothing.
     """
     _check_sign(sign)
     if abs(delta - kernel.delta) > 1e-12:
@@ -495,9 +492,17 @@ def rep_sum(n: int, alpha: float, t: float, zeros: ZeroTable) -> SnValue:
 
 
 def rep_band(rep: SnValue) -> float:
-    """Allowed |zero sum - direct| for a rep_sum value: truncation bound
-    + 0.05 for n = -1, 5.0 (unquantified O(1) offset) for n >= 0."""
-    return (0.05 + rep.est_error) if rep.n == -1 else 5.0
+    """Allowed |zero sum - direct| for a rep_sum value: 5.0 (unquantified
+    O(1) offset) for n >= 0; for n = -1 the truncation bound plus the lead
+    term's error |-(1/2pi) log(t/2pi) - E/pi| = |log(t/2)/2 - Re 1/(s - 1)
+    - Re psi(s/2 + 1)/2|/pi, s = alpha + it, with E = Re zeta'/zeta(s) -
+    sum_rho Re 1/(s - rho) by Hadamard's product."""
+    if rep.n != -1:
+        return 5.0
+    s = complex(rep.alpha, rep.t)
+    e = (0.5 * math.log(0.5 * rep.t) - (1.0 / (s - 1.0)).real
+         - 0.5 * float(digamma(0.5 * s + 1.0).real))
+    return rep.est_error + abs(e) / math.pi
 
 
 # ---------------------------------------------------------------------------

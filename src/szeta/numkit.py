@@ -7,8 +7,7 @@ envelopes) is built on the handful of primitives in this module:
 * ``hurwitz_zeta``   -- zeta(s, q) at integer s >= 2, elementwise in q
 * ``digamma``        -- psi(z) at complex z, elementwise
 * ``frac_product``   -- a x less its nearest integer, from the exact product
-* ``trig_sq``        -- sin^2 or cos^2 of pi w, reduced exactly to a node,
-  and ``from_parts``, an extremal pair's value from its two parts
+* ``trig_sq``        -- sin^2 or cos^2 of pi w, reduced exactly to a node
 * ``sieve_mangoldt`` -- the prime powers n <= X with their exact von Mangoldt
   values, by the sieve of Eratosthenes
 * ``quad_adaptive``  -- adaptive Gauss-Kronrod quadrature on finite ranges
@@ -287,16 +286,17 @@ def _split(v):
 
 
 def frac_product(a: float, x):
-    """a x less its nearest integer, in [-1/2, 1/2] up to one rounding,
-    elementwise in x.  Dekker's two-product writes a x = p + e exactly
-    (Veltkamp's split; no overflow for |a x| < 1e300), p - round(p) is
-    exact, and adding e rounds once; fl(a x) alone would lose up to
-    ulp(a x)/2, 2.3e-13 at a x = 2^41."""
+    """a x less its nearest integer, in [-1/2, 1/2] within one rounding,
+    elementwise in x, for |a x| < 1e300: Dekker's two-product writes a x
+    = p + e exactly (Veltkamp's split), and (p - round(p)) + e, which e
+    carries past 1/2 once |p| >= 2^52, is reduced once more, exactly;
+    fl(a x) alone would lose up to ulp(a x)/2, 2.3e-13 at a x = 2^41."""
     a_hi, a_lo = _split(a)
     x_hi, x_lo = _split(x)
     p = a * x
     e = ((a_hi * x_hi - p) + a_hi * x_lo + a_lo * x_hi) + a_lo * x_lo
-    return (p - np.rint(p)) + e
+    r = (p - np.rint(p)) + e
+    return r - np.rint(r)
 
 
 def trig_sq(sign: Sign, w: np.ndarray) -> np.ndarray:
@@ -307,14 +307,6 @@ def trig_sq(sign: Sign, w: np.ndarray) -> np.ndarray:
     r *= math.pi
     np.sin(r, out=r)
     return np.square(r, out=r)
-
-
-def from_parts(sign: Sign, w: np.ndarray, f: np.ndarray,
-               a: np.ndarray) -> np.ndarray:
-    """f + a sin^2(pi w) ('+') or f - a cos^2(pi w) ('-'), by trig_sq:
-    an extremal pair's value at w = delta x from Kernel.real_parts."""
-    a = a * trig_sq(sign, w)
-    return f + a if sign == "+" else f - a
 
 
 # ---------------------------------------------------------------------------

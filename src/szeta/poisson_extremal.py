@@ -33,8 +33,8 @@ u/sinh^2(pi u delta).  All of them go through exp and expm1, so they
 neither overflow nor cancel as u delta -> 0, down to the members u ~
 1e-19 of the odd pair at alpha = 1/2; for the Poisson pair ft, l1_gap
 and tail_envelope are within 1e-15 relative of 40-digit mpmath on beta
-in [1e-4, 0.499], and real within 4e-15 max(|real|, target) at its
-phase, which it takes from the rounded product delta x.
+in [1e-4, 0.499], and real within 1e-15 max(|real|, target) at the
+exact product delta x (numkit.frac_product).
 
 real and target evaluate f and A+- by one routine (_mixture): a sum over
 the members along one row per point.  A mixture of more than _MOMENTS
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import DomainError, Sign, _check_sign, from_parts
+from .numkit import DomainError, Sign, _check_sign, frac_product, trig_sq
 
 # the member sums run over blocks of about this many (member x point)
 # elements: 128 kB temporaries, under glibc's default 128 KiB mmap
@@ -153,10 +153,12 @@ class PoissonMixture:
 
     def real(self, sign: Sign, x: np.ndarray) -> np.ndarray:
         """g+ ('+') or g- ('-') at real points x: f +- sin^2(pi r) A+-,
-        with r = delta x minus its nearest node, reduced exactly
-        (numkit.trig_sq)."""
+        with r = delta x minus its nearest node, from the exact product
+        (numkit.frac_product, then numkit.trig_sq)."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return from_parts(sign, self.delta * x, *self.real_parts(sign, x))
+        f, a = self.real_parts(sign, x)
+        a = a * trig_sq(sign, frac_product(self.delta, x))
+        return f + a if sign == "+" else f - a
 
     def real_parts(self, sign: Sign, x: np.ndarray) -> tuple:
         """(f, A+-) at real points x, the rows of _mixture: real = f +
@@ -278,16 +280,15 @@ def mixture_at(u, b, delta: float, z: complex) -> complex:
     """sum h_u (a + b cos(2 pi delta .)) at complex z over the members (u,
     a, b) of poisson_mixture, from (u, b): the entire W u F+ F-, F+- =
     sin(pi delta (z +- iu))/(z +- iu), W = -2b (explicit_formula's module
-    docstring).  delta Re z, rounded as in real, is reduced to its nearest
-    integer, whose signs cancel in F+ F-; F = pi delta at z +- iu = 0."""
+    docstring).  delta Re z is reduced to its nearest integer, whose signs
+    cancel in F+ F-, by frac_product; F = pi delta at z +- iu = 0."""
     z, n = complex(z), len(u)
-    dx = delta * z.real
     s = np.concatenate([u, -u])
     s += z.imag  # Im(z +- iu)
     w = s * 1j
     w += z.real  # z +- iu
     F = s * (1j * math.pi * delta)
-    F += math.pi * (dx - round(dx))
+    F += math.pi * float(frac_product(delta, z.real))
     np.sin(F, out=F)
     if z.real == 0.0 and not s.all():
         F[s == 0.0], w[s == 0.0] = math.pi * delta, 1.0

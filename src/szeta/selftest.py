@@ -51,7 +51,7 @@ import numpy as np
 from . import bounds as bd
 from . import explicit_formula as ef
 from . import zeta_core as zc
-from .numkit import quad_adaptive, sieve_mangoldt
+from .numkit import frac_product, quad_adaptive, sieve_mangoldt
 from .odd_extremal import _SERIES_TOL, OddExtremalPair
 from .poisson_extremal import PoissonExtremalPair
 
@@ -336,10 +336,11 @@ def odd_arch_oracle(pair: OddExtremalPair, sign: str,
     """2 Re K(t + i/2) for the odd pair, and its tolerance: quad_adaptive
     over u in [a0, 1] of rho(u) 2 Re h_u(z) (a + b cos(2 pi delta z)), z =
     t + i/2, a = 1 -+ b and b = -1/(2 {sinh^2, cosh^2}(pi u delta)) as in
-    poisson_mixture per unit weight: no sigma grid, no product form."""
+    poisson_mixture per unit weight, with delta t reduced exactly
+    (frac_product): no sigma grid, no product form."""
     a0, n, d = pair.alpha - 0.5, 2 * pair.m + 1, pair.delta
     z, s = complex(t, 0.5), -1.0 if sign == "+" else 1.0
-    c = cmath.cos(2.0 * math.pi * (d * z - round(d * t))) + s
+    c = cmath.cos(2.0 * math.pi * (frac_product(d, t) + 0.5j * d)) + s
     trig = math.sinh if sign == "+" else math.cosh
 
     def f(u):  # rho(u) 2 Re h_u(z) (1 + b (cos + s)), a = 1 + b s

@@ -37,9 +37,9 @@ class ZeroTable:
     """Ascending positive ordinates of zeros on the critical line.
 
     ``_cache`` holds what explicit_formula derives per table, so it lives
-    exactly as long as the table: per delta (_zero_phases) the cosine
-    and sine of 2 pi delta gamma, 16 B per ordinate (32 KB for the
-    bundled 2000), and nothing else."""
+    exactly as long as the table: per delta (_zero_phases) delta gamma
+    less its nearest integer and the cosine and sine of 2 pi times it,
+    24 B per ordinate (48 KB for the bundled 2000), and nothing else."""
 
     ordinates: np.ndarray
     precision: float

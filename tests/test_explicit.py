@@ -14,7 +14,7 @@ from scalar_ft import scalar_ft_g, scalar_ft_m
 from szeta import explicit_formula as ef
 from szeta import zeta_core as zc
 from szeta.cli import _GW_KEYS
-from szeta.numkit import DomainError, sieve_mangoldt, trig_sq
+from szeta.numkit import DomainError, frac_product, sieve_mangoldt, trig_sq
 from szeta.odd_extremal import OddExtremalPair
 from szeta.poisson_extremal import (PoissonExtremalPair, PoissonMixture,
                                     mixture_at)
@@ -35,13 +35,12 @@ def report_items(rep):
 
 def mp_mixture_at(u, b, delta, z):
     """mixture_at's member sum -2b u sin(pi delta (z + iu)) sin(pi delta (z
-    - iu))/((z + iu)(z - iu)) in 30-digit mpmath, with the phase at the
-    rounded delta Re z, as mixture_at and real take it."""
+    - iu))/((z + iu)(z - iu)) in 30-digit mpmath, at the exact delta z."""
     import mpmath
     with mpmath.workdps(30):
         d, pi = mpmath.mpf(delta), mpmath.pi
         z = complex(z)
-        X, Z = mpmath.mpf(delta * z.real), mpmath.mpc(z.real, z.imag)
+        X, Z = d * mpmath.mpf(z.real), mpmath.mpc(z.real, z.imag)
         total = mpmath.mpc(0)
         for uu, bb in zip(u.tolist(), b.tolist()):
             U = mpmath.mpf(uu)
@@ -182,7 +181,8 @@ class TestArchTerm:
                 den = [(mpmath.sinh if sign == "+" else mpmath.cosh)(
                     pi * v * d) ** 2 for v in U]
                 for v, r in zip(x, kernel.real(sign, x)):
-                    X, c = mpmath.mpf(v), pi * mpmath.mpf(kernel.delta * v)
+                    X = mpmath.mpf(v)
+                    c = pi * d * X
                     trig = mpmath.sin(c) ** 2 if sign == "+" else -mpmath.cos(
                         c) ** 2
                     want = float(sum(wi * ui / (ui * ui + X * X)
@@ -367,6 +367,28 @@ class TestClosedForms:
                 for v, want in zip(got, ref[sign]):
                     assert abs(v - want) <= 1e-14 * max(1.0, abs(want)), (
                         sign, t)
+
+    @pytest.mark.parametrize("delta", [1.3, 2.9])
+    def test_at_the_exact_phase(self, delta):
+        # delta t has no double here; at its exact value the arch term and
+        # mixture_at on and off the axis are within 1e-14 relative of
+        # 30-digit mpmath (measured 1.2e-15; 5.4e-4 with the phase of the
+        # rounded delta t), the digamma term within 1e-14 max(1, |term|),
+        # where the phase weighs less than its rounding
+        for kernel in (PoissonExtremalPair(beta=0.25, delta=delta),
+                       OddExtremalPair(m=0, alpha=0.75, delta=delta)):
+            for t in (2400.123, 1e6 + 0.1, 1e12 + 0.3):
+                ref = mp_closed_forms(kernel, t)
+                for sign in "+-":
+                    gamma, arch = ef._gamma_integral(kernel, sign, t)
+                    want_g, want_a = ref[sign]
+                    assert abs(gamma - want_g) <= 1e-14 * max(1.0, abs(want_g))
+                    assert abs(arch - want_a) <= 1e-14 * abs(want_a), (sign, t)
+                    u, _, b = kernel.poisson_mixture(sign)
+                    for z in (complex(t, 0.0), complex(-t, 1.5)):
+                        want = mp_mixture_at(u, b, delta, z)
+                        assert abs(mixture_at(u, b, delta, z) - want) <= (
+                            1e-14 * abs(want)), (sign, z)
 
     @pytest.mark.parametrize("beta", [0.49, 0.499, 0.4999, 0.49999])
     def test_poisson_as_beta_nears_half(self, beta):
@@ -599,14 +621,15 @@ class TestZeroSide:
              "odd-1-0.75-2.9"])
     def test_real_parts_rebuild_real(self, pair):
         # real = f + A sin^2(pi delta x) ('+') or f - A cos^2(pi delta x)
-        # ('-'), 0 to the bit at the nodes; the Poisson pair's m_real
-        # agrees within its rounding, up to ulp(delta x) in its phase
+        # ('-') at the exact delta x, 0 to the bit at the nodes; the
+        # Poisson pair's m_real agrees within its rounding, up to ulp(delta
+        # x) in its phase
         x = np.concatenate([np.linspace(-7.0, 7.0, 1401),
                             [100.3, 2514.9, 5030.1]])
         nodes = np.arange(-3, 4) / pair.delta
         for sign in "+-":
             f, a = pair.real_parts(sign, x)
-            trig = trig_sq(sign, pair.delta * x)
+            trig = trig_sq(sign, frac_product(pair.delta, x))
             rebuilt = f + a * trig if sign == "+" else f - a * trig
             assert np.array_equal(pair.real(sign, x), rebuilt)
             assert np.all(trig <= 1.0)
@@ -881,6 +904,29 @@ class TestRepSum:
             want = 2.0 * coeff * 2.0 * nu0 / (2.0 * math.pi) * dens
         got = ef.rep_sum(n, alpha, t, zeros).est_error
         assert got == pytest.approx(want, rel=1e-13)
+
+    def test_n_minus1_band_carries_the_lead_terms_error(self, zeros):
+        # the zero sum misses E(s) = -Re 1/(s-1) - Re psi(s/2+1)/2 +
+        # log(pi)/2 of Re zeta'/zeta, which its lead -(1/2pi) log(t/2pi)
+        # only approximates: |diff| sits at 0.35-0.74 of the band, and
+        # above the truncation bound alone at (0.99, 20) and (0.75, 14.2)
+        import mpmath
+        points = [(0.75, 95.0), (0.75, 100.0), (0.75, 104.9), (0.6, 1000.0),
+                  (0.9, 2000.0), (0.55, 500.0), (0.51, 50.0), (0.99, 20.0),
+                  (0.6, 2400.0), (0.75, 14.2)]
+        over = []
+        for alpha, t in points:
+            rep = ef.rep_sum(-1, alpha, t, zeros)
+            diff = abs(rep.value - zc.s_n_direct(-1, alpha, t, zeros).value)
+            s = mpmath.mpc(alpha, t)
+            e = (-mpmath.re(1 / (s - 1)) - mpmath.re(mpmath.digamma(s / 2 + 1))
+                 / 2 + mpmath.log(mpmath.pi) / 2)
+            lead = -mpmath.log(t / (2 * mpmath.pi)) / (2 * mpmath.pi)
+            want = rep.est_error + float(abs(lead - e / mpmath.pi))
+            assert ef.rep_band(rep) == pytest.approx(want, rel=1e-12)
+            assert diff <= ef.rep_band(rep), (alpha, t)
+            over.append(diff > rep.est_error)
+        assert over.count(True) == 2
 
 
 class TestAppendix:

@@ -392,6 +392,27 @@ class TestPhases:
         assert float(frac_product(a, 2514.5)) == float(
             frac_product(a, np.array([2514.5]))[0])
 
+    def test_frac_product_stays_within_half_past_2_53(self):
+        # once |a x| >= 2^53, fl(a x) is an integer and the two-product's
+        # error term carries the whole fraction, up to ulp(a x)/2 (7e13 at
+        # 1.35e30): the sum is reduced once more, to the exact fraction
+        # within one rounding; log-uniform |a x| up to 1e300
+        from fractions import Fraction
+        rng = np.random.default_rng(30)
+        a = [1.35, 1.0000001] + [1.3, 2.9, 1.0000001] * 4
+        x = [1e30, 3e16] + [2.0 ** 53 / v * (1.0 + k * 2.0 ** -50)
+                            for k in (1, 2, 3, 5)
+                            for v in (1.3, 2.9, 1.0000001)]
+        a += rng.uniform(1.0, 3.0, 300).tolist()
+        x += (2.0 ** rng.uniform(0.0, 995.0, 300)
+              * rng.choice([-1.0, 1.0], 300)).tolist()
+        for ai, xi in zip(a, x):
+            got = float(frac_product(ai, xi))
+            p = Fraction(ai) * Fraction(xi)
+            want = p - round(p)
+            assert abs(got) <= 0.5 and abs(Fraction(got) - want) <= Fraction(
+                1, 2 ** 54), (ai, xi)
+
     def test_trig_sq_vanishes_at_the_nodes(self):
         k = np.arange(-10 ** 6, 10 ** 6, 997, dtype=np.float64)
         assert np.all(trig_sq("+", k) == 0.0)

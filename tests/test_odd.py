@@ -590,6 +590,31 @@ def test_real_and_target_match_mpmath(m, alpha):
             assert np.all(np.abs(got - want) <= 1e-13), (delta, sign)
 
 
+@pytest.mark.parametrize("m,alpha", [(0, 0.5), (1, 0.75), (2, 0.9)])
+def test_real_at_the_exact_phase(m, alpha):
+    # f +- A trig with trig from 60-digit mpmath at the exact delta x,
+    # within 4 ulp of max(|real|, f), also where delta x has no double
+    # (ulp(delta x) is 1 from 4.5e15)
+    import mpmath
+    eps = np.finfo(float).eps
+    x = np.array([0.3, 17.3, 1234.5, 98765.4321, 1e6 + 0.3, 1e10 + 0.3,
+                  -1e15 - 0.2, 3.3e15 + 0.5])
+    with mpmath.workdps(60):
+        for delta in (1.0, 1.3, 1.5, 2.9):
+            pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+            for sign in "+-":
+                f, a = pair.real_parts(sign, x)
+                trig = mpmath.sin if sign == "+" else mpmath.cos
+                want = np.array([float(trig(mpmath.pi * mpmath.mpf(delta)
+                                            * mpmath.mpf(v)) ** 2)
+                                 for v in x.tolist()])
+                want = f + a * want if sign == "+" else f - a * want
+                got = pair.real(sign, x)
+                assert np.all(np.abs(got - want)
+                              <= 4 * eps * np.maximum(np.abs(got), f)), (
+                    delta, sign)
+
+
 @pytest.mark.parametrize("m,alpha,delta", SMALL_GRID + [(3, 0.5001, 2.9)])
 def test_real_within_series_tol_of_g_real(m, alpha, delta, zeros):
     # the interpolation series as the oracle, on [-60, 60] and on the

@@ -103,8 +103,8 @@ def test_served_forms_match_mpmath(beta, delta):
     # the one-member mixture's exp/expm1 forms keep their digits as
     # beta delta -> 0, where the former closed forms lost up to 7e-11 (ft
     # near xi = delta) and 3.5e-13 (real and K+) at beta = 1e-4; measured
-    # within 6.1e-16 (ft, l1_gap, K) and 4.9e-16 (real).  real reads its
-    # phase from the rounded w = delta x, so the oracle does too
+    # within 6.1e-16 (ft, l1_gap, K) and 4.9e-16 (real), real at the
+    # exact delta x
     import mpmath
     p = PoissonExtremalPair(beta=beta, delta=delta)
     x = np.array([0.0, 1e-3, 0.3, 0.5, 1.7, 2.5, 3.999, 4.0, 17.3, -40.1,
@@ -127,10 +127,41 @@ def test_served_forms_match_mpmath(beta, delta):
                 assert abs(got - want) <= 1e-15 * want if s > 0 else got == 0
             for v, got in zip(x, p.real(sign, x)):
                 h = b / (b * b + mpmath.mpf(v) ** 2)
-                c = pi * mpmath.mpf(delta * v)
+                c = pi * d * mpmath.mpf(v)
                 want = (h * (1 + mpmath.sin(c) ** 2 / den ** 2) if sign == "+"
                         else h * (1 - mpmath.cos(c) ** 2 / den ** 2))
-                assert abs(got - want) <= 4e-15 * max(abs(want), h)
+                assert abs(got - want) <= 1e-15 * max(abs(want), h)
+
+
+# real's points: delta x is a double only at delta = 1, and ulp(delta x)
+# is 1 from delta x = 2^52 = 4.5e15; a phase from the rounded product is up
+# to 1.0 max(|real|, target) off here (beta = 1e-4, delta = 1.5, '+',
+# 3.3e15 + 0.5)
+REAL_X = [0.3, 17.3, 1234.5, 98765.4321, 1e6 + 0.3, 1e10 + 0.3, 1e15 + 0.2,
+          3.3e15 + 0.5]
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.3, 1.5, 2.9])
+def test_real_at_the_exact_phase(delta):
+    # within 1e-15 max(|real|, target) of 60-digit mpmath at the exact
+    # delta x, both signs and the negated points (measured 4.3e-16)
+    import mpmath
+    x = np.array(REAL_X + [-v for v in REAL_X])
+    with mpmath.workdps(60):
+        d, pi = mpmath.mpf(delta), mpmath.pi
+        for beta in (1e-4, 0.05, 0.25, 0.45):
+            p = PoissonExtremalPair(beta=beta, delta=delta)
+            b = mpmath.mpf(beta)
+            for sign in "+-":
+                den = (mpmath.sinh if sign == "+" else mpmath.cosh)(
+                    pi * b * d) ** 2
+                for v, got in zip(x.tolist(), p.real(sign, x).tolist()):
+                    X = mpmath.mpf(v)
+                    h, c = b / (b * b + X * X), pi * d * X
+                    want = (h * (1 + mpmath.sin(c) ** 2 / den) if sign == "+"
+                            else h * (1 - mpmath.cos(c) ** 2 / den))
+                    assert abs(got - want) <= 1e-15 * max(abs(want), h), (
+                        beta, sign, v)
 
 
 def test_gap_decreases_with_delta():
