@@ -4,7 +4,7 @@ Everything downstream (kernel construction, explicit-formula checks, bound
 envelopes) is built on the handful of primitives in this module:
 
 * ``polylog_H``      -- the shifted polylogarithm H_n(x) = sum_k x^k/(k+1)^n
-* ``hurwitz_zeta``   -- zeta(s, q) at integer s >= 2, elementwise in q
+* ``hurwitz_zeta``   -- zeta(s, q) at integer s >= 2, q > 0, elementwise in q
 * ``digamma``        -- psi(z) at complex z, elementwise
 * ``frac_product``   -- a x less its nearest integer, from the exact product
 * ``trig_sq``        -- sin^2 or cos^2 of pi w, reduced exactly to a node
@@ -204,8 +204,8 @@ _HZ_DIRECT = 12
 
 
 def hurwitz_zeta(s: int, q: float | np.ndarray) -> float | np.ndarray:
-    """zeta(s, q) = sum_{k>=0} (q+k)^-s for integer s >= 2 and 0 < q <= 1,
-    elementwise (a float for a scalar q); zeta(s) = hurwitz_zeta(s, 1).
+    """zeta(s, q) = sum_{k>=0} (q+k)^-s for integer s >= 2 and finite q >
+    0, elementwise (a float for a scalar q); zeta(s) = hurwitz_zeta(s, 1).
 
     Euler-Maclaurin: the first N = _HZ_DIRECT terms are summed directly,
     and with x = q + N the rest is
@@ -215,15 +215,15 @@ def hurwitz_zeta(s: int, q: float | np.ndarray) -> float | np.ndarray:
     over the M = 8 Bernoulli numbers of _BERN, where (s)_r is the rising
     factorial.  Its remainder is at most 4 (s)_2M x^(1-s-2M) /
     ((2 pi)^2M (s+2M-1)) (Johansson, Numer. Algorithms 69 (2015),
-    Theorem 1).  That bound is largest at s = 2, q -> 0, where it is
-    6.4e-18, and zeta(s, q) >= 1, so it stays far below the rounding error.
+    Theorem 1), which only shrinks as q grows: at most 6.4e-18 (s = 2, q
+    -> 0), and times q^s >= 1/zeta(s, q) below 4.3e-18 for s <= 17.
     """
     if int(s) != s or s < 2:
         raise DomainError(f"s must be an integer >= 2, got {s}")
     s = int(s)
     q = np.asarray(q, dtype=np.float64)
-    if not np.all((q > 0.0) & (q <= 1.0)):
-        raise DomainError("q must lie in (0, 1]")
+    if not np.all((q > 0.0) & (q < np.inf)):
+        raise DomainError("q must be finite and > 0")
     x = q + _HZ_DIRECT
     xs = x ** -s
     total = 0.0

@@ -1,17 +1,19 @@
 """Acceptance self-test suite.
 
 Each ``check_*`` function exercises one pillar of the library against an
-independent oracle (closed forms vs. adaptive/oscillatory quadrature,
-zero-sum identities vs. sieve sums, limits vs. special-value constants)
-and returns a :class:`CheckResult`.  ``run_all`` executes the whole
-suite; the CLI ``selftest`` subcommand is a thin wrapper around it.
-Every value meets its band in ``_Check.band``, which fails a value above
-it, or NaN.  The bands, by check:
+independent oracle (closed forms vs. the interpolation formula or
+adaptive quadrature, zero-sum identities vs. sieve sums, limits vs.
+special-value constants) and returns a :class:`CheckResult`.  ``run_all``
+executes the whole suite; the CLI ``selftest`` subcommand is a thin
+wrapper around it.  Every value meets its band in ``_Check.band``, which
+fails a value above it, or NaN.  The bands, by check:
 
-1. majorization and nodes 0; ``m_real`` 5e-13 relative; ``l1`` and ``ft``
-   the oracles' quadrature tolerances (``_cos_integral``) over D.
-2. majorization 0; nodes 3e-14; derivative 1e-4; ``ft`` and ``ft_out``
-   1e-6, ``l1`` 1e-7 (window quadrature); ``series`` _SERIES_TOL.
+1. majorization and nodes 0; ``m_real`` 5e-13 relative; ``ft`` and
+   ``l1`` the interpolation oracle's tolerance (at most 7.2e-14);
+   ``ft_out`` 0.
+2. majorization 0; nodes 3e-14; ``ft`` and ``l1`` the interpolation
+   oracle's tolerance (at most 7.0e-15); ``ft_out`` 0; ``inverse`` 1e-12
+   relative to the target; ``series`` _SERIES_TOL.
 3. residual: the zero and prime tail bounds plus 1e-5; arch 2 _ARCH_TOL =
    2e-14, the quadrature oracle's tolerance carried (odd_arch_oracle).
 4. 1e-6 relative.  5. 1e-10.  6. ``ef.appendix_band``; A4 its bound times
@@ -19,23 +21,35 @@ it, or NaN.  The bands, by check:
 7. ``ef.rep_band``.  8. lambda in [1/2, 2]; split and plug-back 1e-12
    relative.  9. the two routes 1e-6; |S| below its cap.
 
-Numerical Fourier-side oracles
-------------------------------
-Two quadrature oracles are used for kernels whose tails decay only like
-1/x^2 (so plain adaptive quadrature of the oscillatory integrand is
-hopeless):
+The interpolation-formula oracle
+--------------------------------
+Both pairs interpolate f and f' at the nodes y/delta, y = n + c, c = 0
+('+') or 1/2 ('-'), so their transforms follow from the node values:
+Vaaler's formula (Bull. AMS 12 (1985), Theorem 9) for G(n) = g((n +
+c)/delta), of exponential type 2 pi, with f even gives at tau = |xi|/delta
+<= 1 (``interpolation_ft``)
 
-* Poisson-family integrands factor as b/(b^2+x^2) times cosines, so
-  they are split into cosine transforms of b/(b^2+x^2).  Each is adaptive
-  quadrature over a whole number of periods plus the tail beyond, which
-  repeated integration by parts gives to about 1e-17.
-* The odd family has no such factorization; :class:`WindowedLine`
-  integrates panel-by-panel to X = 120, forms *exact* averages of the
-  cumulative integral over windows of length 10/delta (one full period
-  of every oscillation present, so oscillatory parts cancel exactly),
-  and extrapolates the window averages in 1/T to T = infinity.  The
-  windows are centred at 5 stations; a cubic fit in 1/T leaves ~1e-7
-  absolute error, comfortably inside the tolerances below.
+    delta ghat(xi) = (1 - tau) sum_y F(y) cos 2 pi y tau
+                     - (1/pi) sum_{y > 0} F'(y) sin 2 pi y tau,
+
+F(y) = f(y/delta), F'(y) = f'(y/delta)/delta; ghat is exactly 0 past
+delta (``ft_out``), and the L1 gaps are +-(ghat(0) - pi mu_0).  Nodes n
+<= N = ceil(20 delta) are summed directly, with the phase y tau mod 1
+exact at rational tau; beyond, x > 20 and f(x) = sum_k (-1)^k mu_{2k+1}
+x^{-2k-2}, mu_p = int rho u^p du (beta^p, or ``odd_moment``), to the K =
+7 terms with (delta/(N+1))^2K <= 1e-16.  At tau = p/q each of the q
+residues of the tail nodes has one phase, so the tails are Hurwitz
+zetas, s <= 2K + 3 = 17, numpy-only and kept per (delta, sign, tau).
+Stated error: the truncation, from the alternating series' first
+omitted terms mu_{2K+1} x^{-2K-2} and (2K + 2) mu_{2K+1} x^{-2K-3}
+(below 1e-21 here), plus 16 eps per unit of sum |F| + |F'|/pi: the sum
+is exactly rounded (math.fsum); node values are within 9 eps (f_odd_vec
+and f_even_vec within 8.5 eps of 30-digit quadrature at check 2's nodes,
+at alpha = 1/2), cosines of the exact phase within 5 eps, products
+within eps, and the tails' zetas within 2 eps (hurwitz_zeta against
+100-digit mpmath).  ``inverse`` ties ``real`` to ``ft`` off the nodes:
+real(x) = 2 int_0^delta ghat cos 2 pi x xi dxi by 16-point Gauss panels,
+at least ceil(8 pi delta) + 64 nodes, for |x| < 4: within 2.5e-14 target.
 """
 
 from __future__ import annotations
@@ -44,6 +58,8 @@ import cmath
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -51,7 +67,8 @@ import numpy as np
 from . import bounds as bd
 from . import explicit_formula as ef
 from . import zeta_core as zc
-from .numkit import frac_product, quad_adaptive, sieve_mangoldt
+from .numkit import (_EPS, Sign, frac_product, gauss_panels, hurwitz_zeta,
+                     quad_adaptive, sieve_mangoldt)
 from .odd_extremal import _SERIES_TOL, OddExtremalPair
 from .poisson_extremal import PoissonExtremalPair
 
@@ -97,124 +114,89 @@ class _Check:
 
 
 # ---------------------------------------------------------------------------
-# quadrature oracles
+# the interpolation-formula oracle
 # ---------------------------------------------------------------------------
 
-# _cos_integral: periods of cos(w x) by quadrature, integrations by parts
-_COS_PERIODS = 8
-_COS_PARTS = 10
-_COS_TOL = 1e-13  # the tolerance of each quadrature
+# the oracle's truncation and rounding tolerances (module docstring)
+_ORACLE_TRUNC = 1e-16
+_ORACLE_ROUND = 16
 
 
-def _cos_integral(b: float, w: float) -> tuple[float, float]:
-    """int_0^inf b/(b^2+x^2) cos(w x) dx for b > 0, w >= 0, and its
-    tolerance: _COS_TOL, or 2 _COS_TOL for w = 0 (two quadratures).
-
-    quad_adaptive on [0, X], X = n = _COS_PERIODS periods of cos(w x),
-    then the tail.  With f = b/(b^2+x^2) = Im 1/(x - ib), whose k-th
-    derivative is Im (-1)^k k!/(x - ib)^(k+1), K = _COS_PARTS integrations
-    by parts over [X, inf), where cos(w X) = 1 and sin(w X) = 0, give
-
-        sum_{j=1..K} (-1)^j f^(2j-1)(X) / w^(2j),
-
-    with a remainder of at most w^(-2K) int_X^inf |f^(2K)| <=
-    (2K-1)!/(w X)^(2K) = (2K-1)!/(2 pi n)^(2K), 1.1e-17.  For w = 0 the
-    tail int_X^inf f dx becomes int_0^(1/X) b/(1 + b^2 u^2) du under
-    u = 1/x, and X = 1.
-    """
-    def f(x):
-        return b / (b * b + x * x)
-    if w == 0.0:
-        return (quad_adaptive(f, 0.0, 1.0, _COS_TOL)
-                + quad_adaptive(lambda u: b / (1.0 + b * b * u * u),
-                                0.0, 1.0, _COS_TOL)), 2 * _COS_TOL
-    X = _COS_PERIODS * 2.0 * math.pi / w
-    head = quad_adaptive(lambda x: f(x) * math.cos(w * x), 0.0, X, _COS_TOL)
-    z = complex(X, -b)
-    tail = sum((-1) ** j * (-math.factorial(2 * j - 1)
-                            / z ** (2 * j)).imag / w ** (2 * j)
-               for j in range(1, _COS_PARTS + 1))
-    return head + tail, _COS_TOL
+def _oracle_size(delta: float) -> tuple[int, int]:
+    """(N, K): nodes n <= N are summed directly, so the tail's x exceed 20,
+    and K is the fewest moment terms with (delta/(N+1))^2K <= _ORACLE_TRUNC."""
+    N = math.ceil(20 * delta)
+    return N, math.ceil(math.log(_ORACLE_TRUNC)
+                        / (2.0 * math.log(delta / (N + 1))))
 
 
-def poisson_ft_oracle(pair: PoissonExtremalPair, sign: str,
-                      xi: float) -> tuple[float, float]:
-    """Numerical full-line Fourier integral of the extremal function, and
-    its tolerance carried from the cosine integrals'.
-
-    m(x)cos(2 pi xi x) expands over cos(2 pi xi x), cos(2 pi (d+xi) x)
-    and cos(2 pi (d-xi) x) against the smooth factor b/(b^2+x^2); each
-    piece is a cosine transform, ``_cos_integral``.
-    """
-    b, d = pair.beta, pair.delta
-    D = pair._denom(sign)
-    a = 2.0 * math.pi * b * d
-    C = math.exp(a) + math.exp(-a)
-    (i0, e0), (i1, e1), (i2, e2) = (
-        _cos_integral(b, 2 * math.pi * w) for w in (xi, d + xi, abs(d - xi)))
-    return 2.0 * ((C * i0 - i1 - i2) / D), 2.0 * (C * e0 + e1 + e2) / D
+def _phase(m: np.ndarray, tau: Fraction) -> np.ndarray:
+    """2 pi (y tau mod 1) at y = m/2, exact until the last two roundings."""
+    q2 = 2 * tau.denominator
+    return 2.0 * math.pi * ((m * tau.numerator) % q2 / q2)
 
 
-def poisson_l1_oracle(pair: PoissonExtremalPair,
-                      sign: str) -> tuple[float, float]:
-    """Numerical L1 gap |m - h| via the same cosine decomposition, and its
-    tolerance."""
-    b, d = pair.beta, pair.delta
-    i0, e0 = _cos_integral(b, 0.0)
-    ic, ec = _cos_integral(b, 2 * math.pi * d)
-    s = -1.0 if sign == "+" else 1.0
-    D = pair._denom(sign)
-    return 4.0 * (i0 + s * ic) / D, 4.0 * (e0 + ec) / D
+@cache
+def _tail_sums(delta: float, sign: Sign, tau: Fraction) -> np.ndarray:
+    """Rows (C, S, A, B), k = 0..K: delta^(2k+2) sum over the nodes y > N
+    + c of y^-(2k+2) cos 2 pi y tau, y^-(2k+3) sin 2 pi y tau, y^-(2k+2)
+    and y^-(2k+3); at tau = p/q, y = N + 1 + c + r + q i, r < q, has the
+    phase of r, so a sum is q^-s sum_r phase_r zeta(s, (N + 1 + c + r)/q)."""
+    N, K = _oracle_size(delta)
+    q = tau.denominator
+    m = 2 * (N + 1 + np.arange(q)) + (sign == "-")  # 2y, one per residue
+    ph = _phase(m, tau)
+    a = np.append(m / (2.0 * q), m[0] / 2.0)  # the residues, y = N + 1 + c
+    rows = np.empty((4, K + 1))
+    for k in range(K + 1):
+        s = 2 * k + 2
+        z, z1 = hurwitz_zeta(s, a), hurwitz_zeta(s + 1, a)
+        scale = (delta / q) ** s
+        rows[:, k] = (scale * np.dot(np.cos(ph), z[:-1]),
+                      scale / q * np.dot(np.sin(ph), z1[:-1]),
+                      delta ** s * z[-1], delta ** s * z1[-1])
+    rows.flags.writeable = False  # one array for every caller
+    return rows
 
 
-class WindowedLine:
-    """Window-averaged half-line quadrature with 1/T extrapolation.
+def interpolation_ft(f, mu, delta: float, sign: Sign,
+                     taus: tuple) -> list[tuple[float, float]]:
+    """(ghat(tau delta), tolerance) for each tau in taus (Fractions in [0,
+    1]) of the pair that interpolates f and f' at the nodes (n + c)/delta
+    (module docstring): f(x) gives (f, f') at an array of x, and mu(p) is
+    int rho u^p du."""
+    N, K = _oracle_size(delta)
+    m = 2 * np.arange(N + 1) + (sign == "-")  # 2y, y >= 0
+    x = m / (2.0 * delta)
+    F, Fp = f(x)
+    F, Fp = F * np.where(m == 0, 1.0, 2.0), Fp / delta  # F at y and -y
+    mus = np.array([mu(2 * k + 1) for k in range(K + 1)])
+    k = np.arange(K)
+    cF = 2.0 * (-1.0) ** k * mus[:K]  # tails of F at y and -y
+    cFp = (-1.0) ** (k + 1) * (2 * k + 2) * mus[:K]
+    out = []
+    for tau in taus:
+        ph = _phase(m, tau)
+        C, S, A, B = _tail_sums(delta, sign, tau)
+        w = float(1 - tau)
+        terms = np.concatenate([w * F * np.cos(ph), w * cF * C[:K],
+                                Fp * np.sin(ph) / -math.pi,
+                                cFp * S[:K] / -math.pi])
+        size = (w * (np.sum(np.abs(F)) + np.abs(cF) @ A[:K])
+                + (np.sum(np.abs(Fp)) + np.abs(cFp) @ B[:K]) / math.pi)
+        trunc = mus[K] * (2.0 * w * A[K] + (2 * K + 2) * B[K] / math.pi)
+        out.append((math.fsum(terms) / delta,
+                    (trunc + _ORACLE_ROUND * _EPS * size) / delta))
+    return out
 
-    Samples a fixed Gauss-Legendre grid on [0, X] once; any integrand
-    evaluated on those nodes can then be reduced to int_0^inf via exact
-    continuous averages of the cumulative integral over period-matched
-    windows and a least-squares fit in 1/T.  Even integrands only:
-    callers double the result.
-    """
 
-    def __init__(self, delta: float, X: float = 120.0):
-        self.w = 0.25 / delta
-        self.npw = 40  # window length 10/delta = one period of all modes
-        self.n = int(math.ceil(X / self.w))
-        gx, gw = np.polynomial.legendre.leggauss(8)
-        self.edges = np.arange(self.n + 1) * self.w
-        mid = 0.5 * (self.edges[1:] + self.edges[:-1])
-        half = self.w / 2.0
-        self.nodes2d = mid[:, None] + half * gx[None, :]
-        self.nodes = self.nodes2d.ravel()
-        self.wq = half * gw
-
-    def integral(self, vals: np.ndarray) -> float:
-        """2 * int_0^inf of the even function sampled at self.nodes."""
-        v = vals.reshape(self.n, 8)
-        pan = v @ self.wq
-        # second antiderivative increments: int over panel of (edge-x)f
-        pan2 = ((self.edges[1:, None] - self.nodes2d) * v
-                * self.wq[None, :]).sum(axis=1)
-        P = np.concatenate([[0.0], np.cumsum(pan)])
-        Q = np.concatenate([[0.0], np.cumsum(P[:-1] * self.w + pan2)])
-        A, Ts = [], []
-        for frac in (0.55, 0.66, 0.77, 0.88, 1.0):
-            # window edges snapped to the common period grid so the
-            # residual oscillation has the same phase at every station
-            # and is absorbed by the smooth 1/T fit
-            j1 = min(self.npw * int(round(frac * self.n / self.npw)),
-                     self.n)
-            j0 = j1 - self.npw
-            width = self.edges[j1] - self.edges[j0]
-            A.append((Q[j1] - Q[j0]) / width)
-            Ts.append(0.5 * (self.edges[j0] + self.edges[j1]))
-        A = np.asarray(A)
-        Ts = np.asarray(Ts)
-        M = np.vstack([np.ones_like(Ts), 1 / Ts, Ts ** -2.0,
-                       Ts ** -3.0]).T
-        coef, *_ = np.linalg.lstsq(M, A, rcond=None)
-        return 2.0 * coef[0]
+def odd_moment(pair: OddExtremalPair, p: int) -> float:
+    """int rho u^p du of the odd pair, rho = (u - a0)^n/n on [a0, 1], n = 2m
+    + 1: sum_j C(p, j) a0^(p-j) L^(n+j+1)/(n (n+j+1)), L = 1 - a0."""
+    a0, n = pair.alpha - 0.5, 2 * pair.m + 1
+    L = 1.0 - a0
+    return sum(math.comb(p, j) * a0 ** (p - j) * L ** (n + j + 1)
+               / (n + j + 1) for j in range(p + 1)) / n
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +218,30 @@ def _majorization_and_nodes(c: _Check, pair, sign: str, tag: str,
     return gv
 
 
+# check 1-2 frequencies xi = tau delta: tau = 0 for the L1 gap, two inside
+# the band for ft, and 1.2 outside, where ft is exactly 0 (ft_out)
+_TAUS = (Fraction(0), Fraction(3, 10), Fraction(7, 10))
+
+
+def _fourier_side(c: _Check, pair, sign: Sign, tag: str, f, mu) -> None:
+    """The served ft and l1_gap against interpolation_ft from f and f' at
+    the nodes (ft, l1; the gap is +-(ghat(0) - pi mu(0)), whose rounding
+    is inside ghat(0)'s tolerance), and ft exactly 0 past the band."""
+    (g0, tol0), *inside = interpolation_ft(f, mu, pair.delta, sign, _TAUS)
+    s = 1.0 if sign == "+" else -1.0
+    c.band("l1", tag, abs(s * (g0 - math.pi * mu(0)) - pair.l1_gap(sign)),
+           tol0)
+    xis = np.array([float(t) for t in _TAUS[1:]] + [1.2]) * pair.delta
+    served = pair.ft(sign, xis)
+    for (v, tol), xi, ft in zip(inside, xis, served):
+        c.band("ft", f"{tag} xi={xi}", abs(v - ft), tol)
+    c.band("ft_out", f"{tag} xi={xis[-1]}", abs(served[-1]), 0.0)
+
+
 def check_poisson_suite() -> CheckResult:
     """Majorization and node interpolation of the served values
-    (``real``), ``real`` against the reference m_real, and the closed
-    forms against quadrature."""
+    (``real``), ``real`` against the reference m_real, and ``ft`` and
+    ``l1_gap`` against the interpolation formula."""
     c = _Check("poisson_suite")
     xgrid = np.linspace(-40.0, 40.0, 10001)
     k = np.arange(0, 20, dtype=np.float64)
@@ -259,65 +261,62 @@ def check_poisson_suite() -> CheckResult:
                 c.band("ref", tag,
                        float(np.max(np.abs(p.m_real(sign, xgrid) - gv)
                                     / np.maximum(np.abs(gv), h))), 5e-13)
-                l1, tol = poisson_l1_oracle(p, sign)
-                c.band("l1", tag, abs(l1 - p.l1_gap(sign)), tol)
-                for q in (0.3, 0.7, 1.2):
-                    xi = q * delta
-                    ft, tol = poisson_ft_oracle(p, sign, xi)
-                    c.band("ft", f"{tag} xi={xi}",
-                           abs(ft - p.ft_m(sign, xi)), tol)
+                _fourier_side(c, p, sign, tag, lambda x, b=beta: (
+                    b / (b * b + x * x), -2.0 * b * x / (b * b + x * x) ** 2),
+                    lambda n, b=beta: b ** n)
     return c.result(worst=c.worst)
 
 
 def check_odd_suite() -> CheckResult:
-    """Odd-family majorization, interpolation, FT and L1 cross-checks of
-    the served values (``real``) against the log-form target f_odd_vec
-    and window quadrature, and of ``real`` against the interpolation
+    """Odd-family majorization and interpolation of the served values
+    (``real``) against the log-form target f_odd_vec, ``ft`` and
+    ``l1_gap`` against the interpolation formula from f_odd_vec and
+    f_even_vec at the nodes, ``real`` against the inverse transform of
+    ``ft`` in the near field, and ``real`` against the interpolation
     series g_real."""
     c = _Check("odd_suite")
-    windows: dict[float, WindowedLine] = {}
     k = np.arange(1, 13, dtype=np.float64)
-    h = 1e-3
+    grids = {}
+    for delta in (1.0, 2.0):
+        # 8-point Gauss panels of width 1/(4 delta) on [0, 120], no point
+        # on a node, n of them below 4; the inverse's 16-point panels on
+        # [0, delta] (one leggauss rule of over 100 nodes is off by up to
+        # 1e-12 target here), at least ceil(2 pi delta 4) + 64 nodes
+        x = gauss_panels(np.linspace(0.0, 120.0, int(480 * delta) + 1), 8)[0]
+        panels = math.ceil((math.ceil(8 * math.pi * delta) + 64) / 16)
+        xi, w = gauss_panels(np.linspace(0.0, delta, panels + 1), 16)
+        n = int(np.searchsorted(x, 4.0))
+        grids[delta] = (x, n, xi,
+                        2.0 * w * np.cos(2 * math.pi * np.outer(x[:n], xi)))
     for m in (0, 1, 2):
         for alpha in (0.5, 0.6, 0.75, 0.9):
-            for delta in (1.0, 2.0):
+            for delta, (x, n, xi, cosines) in grids.items():
                 pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
-                W = windows.setdefault(delta, WindowedLine(delta))
-                fv = pair.f_odd_vec(W.nodes)
+                fv = pair.f_odd_vec(x)
                 for sign in "+-":
                     tag = f"m={m} alpha={alpha} delta={delta} sign={sign}"
                     # at the nodes the mixture and log forms of f agree
                     # to 3.3e-16
                     nodes = (k if sign == "+" else k - 0.5) / delta
-                    gv = _majorization_and_nodes(c, pair, sign, tag, W.nodes,
-                                                 fv, nodes, pair.f_odd_vec,
-                                                 3e-14)
-                    # derivative at nodes: f' = -f_even, vs. central
-                    # difference of g (origin skipped for '+')
-                    dn = nodes[:3]
-                    gd = (pair.real(sign, dn + h)
-                          - pair.real(sign, dn - h)) / (2 * h)
-                    c.band("deriv", tag, float(np.max(np.abs(
-                        gd + pair.f_even_vec(dn)))), 1e-4)
-                    # ft_g is exactly 0 beyond the support (ft_out)
-                    xis = np.array([0.3, 0.7, 1.2]) * delta
-                    for xi, ft in zip(xis, pair.ft_g(sign, xis)):
-                        cv = np.cos(2 * math.pi * xi * W.nodes)
-                        c.band("ft" if xi < delta else "ft_out",
-                               f"{tag} xi={xi}",
-                               abs(W.integral(gv * cv) - ft), 1e-6)
-                    c.band("l1", tag, abs(W.integral(np.abs(gv - fv))
-                                          - pair.l1_gap_odd(sign)), 1e-7)
+                    gv = _majorization_and_nodes(c, pair, sign, tag, x, fv,
+                                                 nodes, pair.f_odd_vec, 3e-14)
+                    _fourier_side(c, pair, sign, tag, lambda x, p=pair: (
+                        p.f_odd_vec(x), -p.f_even_vec(x)),
+                        partial(odd_moment, pair))
+                    # real(x) = 2 int_0^delta ghat(xi) cos(2 pi x xi) dxi
+                    inv = cosines @ pair.ft(sign, xi)
+                    c.band("inverse", tag, float(np.max(
+                        np.abs(gv[:n] - inv) / fv[:n])), 1e-12)
     # the served mixture against the interpolation series, an independent
     # construction of the same pair, within the series' own tolerance,
     # on one pair per delta whose sigma grid is short (32 nodes), since
     # the series builds its nodes from sigma-sums
-    for delta, W in windows.items():
+    for delta, (x, *_) in grids.items():
         pair = OddExtremalPair(m=0, alpha=0.75, delta=delta)
         for sign in "+-":
             c.band("series", f"delta={delta} sign={sign}",
-                   float(np.max(np.abs(pair.real(sign, W.nodes)
-                                       - pair.g_real(sign, W.nodes)))),
+                   float(np.max(np.abs(pair.real(sign, x)
+                                       - pair.g_real(sign, x)))),
                    _SERIES_TOL)
     return c.result(worst=c.worst)
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from szeta import explicit_formula as ef
@@ -67,14 +68,43 @@ def _shifted(owner, name, by):
     return lambda *args: orig(*args) + by
 
 
+def _ft_shifted_at_one_xi(owner, by):
+    # ft + by at xi = 0.3 delta, the first in-band frequency of checks 1-2
+    orig = owner.ft
+    return lambda self, sign, xi: orig(self, sign, xi) + by * (
+        np.asarray(xi) == 0.3 * self.delta)
+
+
+def _near_field_scaled(factor):
+    # real's A+- term times factor at |x| < 4, for m >= 1: the series
+    # sub-check reads m = 0 alone, where it sees the same change
+    orig = OddExtremalPair.real_parts
+
+    def real_parts(self, sign, x):
+        f, a = orig(self, sign, x)
+        near = (np.abs(x) < 4.0) & (self.m >= 1)
+        return f, a * np.where(near, factor, 1.0)
+    return real_parts
+
+
 # (sub-check, check, owner, name, replacement): each pushes one value past
-# its band; l1_gap + 1e-10 is inside the poisson suite's former 1e-8 band
+# its band; the bands are the interpolation oracle's tolerances (at most
+# 7.2e-14 in check 1 and 7.0e-15 in check 2) and 1e-12 target (inverse)
 FAULTS = [
     pytest.param("l1", st.check_poisson_suite, PoissonExtremalPair,
                  "l1_gap", _shifted(PoissonExtremalPair, "l1_gap", 1e-10),
                  id="l1"),
     pytest.param("l1", st.check_poisson_suite, PoissonExtremalPair,
                  "l1_gap", lambda self, sign: math.nan, id="l1-nan"),
+    pytest.param("ft", st.check_poisson_suite, PoissonExtremalPair, "ft",
+                 _ft_shifted_at_one_xi(PoissonExtremalPair, 1e-12),
+                 id="poisson-ft"),
+    pytest.param("ft", st.check_odd_suite, OddExtremalPair, "ft",
+                 _ft_shifted_at_one_xi(OddExtremalPair, 1e-11), id="odd-ft"),
+    pytest.param("l1", st.check_odd_suite, OddExtremalPair, "l1_gap",
+                 _shifted(OddExtremalPair, "l1_gap", 1e-11), id="odd-l1"),
+    pytest.param("inverse", st.check_odd_suite, OddExtremalPair,
+                 "real_parts", _near_field_scaled(1.0 + 1e-9), id="inverse"),
     pytest.param("series", st.check_odd_suite, OddExtremalPair, "g_real",
                  _shifted(OddExtremalPair, "g_real", 1e-11), id="series"),
     pytest.param("arch", st.check_explicit_formula, ef, "mixture_at",

@@ -300,11 +300,15 @@ class TestHurwitzZeta:
         got = hurwitz_zeta(s, self.Q)
         assert np.all(np.abs(got / zeta(s, self.Q) - 1.0) <= 1e-14)
 
-    @pytest.mark.parametrize("s", [2, 3, 6, 13])
+    @pytest.mark.parametrize("s", [2, 3, 6, 13, 17])
     def test_against_mpmath(self, s):
+        # also at q > 1, as the tails of selftest's interpolation oracle
+        # take them, up to its largest s (2K + 3 = 17); mpmath at 100
+        # digits, since its zeta(s, 1000) loses digits as s grows: 2e-11
+        # off at 30 digits for s = 12, 4e-11 at 50 for s = 17
         import mpmath
-        q = self.Q[::20]
-        with mpmath.workdps(30):
+        q = np.concatenate([self.Q[::20], [1.5, 7.3, 1e3, 1e6]])
+        with mpmath.workdps(100):
             ref = np.array([float(mpmath.zeta(s, mpmath.mpf(float(v))))
                             for v in q])
         assert np.all(np.abs(hurwitz_zeta(s, q) / ref - 1.0) <= 1e-15)
@@ -328,7 +332,7 @@ class TestHurwitzZeta:
             assert bound < 1e-17
 
     @pytest.mark.parametrize("s,q", [(1, 0.5), (2.5, 0.5), (0, 0.5),
-                                     (2, 0.0), (2, -0.1), (2, 1.5),
+                                     (2, 0.0), (2, -0.1), (2, math.inf),
                                      (2, math.nan)])
     def test_domain(self, s, q):
         with pytest.raises(DomainError):

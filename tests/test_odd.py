@@ -329,6 +329,67 @@ def test_l1_gap_matches_log_form(m, alpha, delta):
             _l1_gap_log_form(pair, sign), rel=1e-11, abs=0.0)
 
 
+def mp_log_form(m, alpha, x):
+    """f and f' at each x by mpmath's tanh-sinh quadrature of the log-form
+    sigma-integrals at 30 digits: f = (1/2) int (sigma - alpha)^{2m}
+    log((1 + x^2)/((sigma - 1/2)^2 + x^2)) and f' = int (sigma -
+    alpha)^{2m} (x/(1 + x^2) - x/((sigma - 1/2)^2 + x^2)) over [alpha,
+    3/2]; no sigma grid."""
+    import mpmath
+    with mpmath.workdps(30):
+        a, h = mpmath.mpf(alpha), mpmath.mpf(1) / 2
+        F, Fp = [], []
+        for v in x:
+            X = mpmath.mpf(float(v))
+            F.append(float(mpmath.quad(
+                lambda s: (s - a) ** (2 * m) * mpmath.log(
+                    (1 + X * X) / ((s - h) ** 2 + X * X)), [a, 1.5]) / 2))
+            Fp.append(float(mpmath.quad(
+                lambda s: (s - a) ** (2 * m) * (X / (1 + X * X) - X / (
+                    (s - h) ** 2 + X * X)), [a, 1.5])))
+    return np.array(F), np.array(Fp)
+
+
+@pytest.mark.parametrize("m,alpha,delta", [(0, 0.5, 2.9), (3, 0.5001, 2.9),
+                                           (1, 0.75, 1.0)])
+def test_interpolation_formula_from_mpmath_nodes(m, alpha, delta):
+    # selftest's oracle from node values that share no sigma grid with the
+    # served sums: ft within 1e-13 and l1_gap within 1e-14 (measured 1.8e-15
+    # and 2.0e-16); the oracle's stated tolerance (at most 6.0e-15 here)
+    # within check 2's 1e-12
+    from fractions import Fraction
+    from szeta.selftest import interpolation_ft, odd_moment
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    mu = functools.partial(odd_moment, pair)
+    taus = (Fraction(0), Fraction(3, 10), Fraction(7, 10))
+    for sign in "+-":
+        got = interpolation_ft(lambda x: mp_log_form(m, alpha, x), mu,
+                               delta, sign, taus)
+        assert all(tol <= 1e-12 for _, tol in got), sign
+        xi = delta * np.array([float(t) for t in taus])
+        served = pair.ft(sign, xi)
+        for (v, _), ft in zip(got, served):
+            assert abs(v - ft) <= 1e-13, (sign, v, ft)
+        gap = got[0][0] - math.pi * mu(0)
+        assert abs((gap if sign == "+" else -gap)
+                   - pair.l1_gap(sign)) <= 1e-14, sign
+
+
+@pytest.mark.parametrize("m,alpha", [(0, 0.5), (3, 0.5001), (2, 0.9)])
+def test_odd_moment_matches_mpmath(m, alpha):
+    # the binomial sum against int rho(u) u^p du in 30-digit mpmath
+    import mpmath
+    from szeta.selftest import odd_moment
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=1.0)
+    n = 2 * m + 1
+    with mpmath.workdps(30):
+        a0 = mpmath.mpf(alpha) - mpmath.mpf(1) / 2
+        for p in range(18):
+            want = mpmath.quad(lambda u: (u - a0) ** n / n * u ** p, [a0, 1])
+            assert odd_moment(pair, p) == pytest.approx(float(want),
+                                                        rel=1e-14, abs=0.0)
+
+
 def dense_g_real(pair, sign, x, N=None):
     """Interpolation series summed directly over every node of the slice
     |k| <= N, by default the one g_real uses: a (points x nodes) matrix,
