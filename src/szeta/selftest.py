@@ -8,9 +8,9 @@ executes the whole suite; the CLI ``selftest`` subcommand is a thin
 wrapper around it.  Every value meets its band in ``_Check.band``, which
 fails a value above it, or NaN.  The bands, by check:
 
-1. majorization and nodes 0; ``m_real`` 5e-13 relative; ``ft`` and
-   ``l1`` the interpolation oracle's tolerance (at most 7.2e-14);
-   ``ft_out`` 0.
+1. majorization and nodes 0; ``m_real`` 5e-13 relative; ``ft`` the
+   interpolation oracle's tolerance (at most 5.1e-14); ``l1``
+   ``poisson_l1``'s (at most 1.6e-14); ``ft_out`` 0.
 2. majorization 0; nodes 3e-14; ``ft`` and ``l1`` the interpolation
    oracle's tolerance (at most 7.0e-15); ``ft_out`` 0; ``inverse`` 1e-12
    relative to the target; ``series`` _SERIES_TOL.
@@ -24,32 +24,31 @@ fails a value above it, or NaN.  The bands, by check:
 The interpolation-formula oracle
 --------------------------------
 Both pairs interpolate f and f' at the nodes y/delta, y = n + c, c = 0
-('+') or 1/2 ('-'), so their transforms follow from the node values:
-Vaaler's formula (Bull. AMS 12 (1985), Theorem 9) for G(n) = g((n +
-c)/delta), of exponential type 2 pi, with f even gives at tau = |xi|/delta
-<= 1 (``interpolation_ft``)
+('+') or 1/2 ('-'), so Vaaler's formula (Bull. AMS 12 (1985), Theorem
+9) gives their transforms at tau = |xi|/delta <= 1 (``interpolation_ft``)
 
     delta ghat(xi) = (1 - tau) sum_y F(y) cos 2 pi y tau
                      - (1/pi) sum_{y > 0} F'(y) sin 2 pi y tau,
 
 F(y) = f(y/delta), F'(y) = f'(y/delta)/delta; ghat is exactly 0 past
-delta (``ft_out``), and the L1 gaps are +-(ghat(0) - pi mu_0).  Nodes n
-<= N = ceil(20 delta) are summed directly, with the phase y tau mod 1
-exact at rational tau; beyond, x > 20 and f(x) = sum_k (-1)^k mu_{2k+1}
-x^{-2k-2}, mu_p = int rho u^p du (beta^p, or ``odd_moment``), to the K =
-7 terms with (delta/(N+1))^2K <= 1e-16.  At tau = p/q each of the q
-residues of the tail nodes has one phase, so the tails are Hurwitz
-zetas, s <= 2K + 3 = 17, numpy-only and kept per (delta, sign, tau).
-Stated error: the truncation, from the alternating series' first
-omitted terms mu_{2K+1} x^{-2K-2} and (2K + 2) mu_{2K+1} x^{-2K-3}
-(below 1e-21 here), plus 16 eps per unit of sum |F| + |F'|/pi: the sum
-is exactly rounded (math.fsum); node values are within 9 eps (f_odd_vec
-and f_even_vec within 8.5 eps of 30-digit quadrature at check 2's nodes,
-at alpha = 1/2), cosines of the exact phase within 5 eps, products
-within eps, and the tails' zetas within 2 eps (hurwitz_zeta against
-100-digit mpmath).  ``inverse`` ties ``real`` to ``ft`` off the nodes:
-real(x) = 2 int_0^delta ghat cos 2 pi x xi dxi by 16-point Gauss panels,
-at least ceil(8 pi delta) + 64 nodes, for |x| < 4: within 2.5e-14 target.
+delta (``ft_out``), and the L1 gaps are +-(ghat(0) - pi mu_0), the
+Poisson pair's summed exactly (``poisson_l1``).  Nodes n <= N = ceil(20
+delta) are summed directly, the phase y tau mod 1 exact; beyond, x > 20
+and f(x) = sum_k (-1)^k mu_{2k+1} x^{-2k-2}, mu_p = int rho u^p du
+(beta^p, or ``odd_moment``), to the K = 7 terms with (delta/(N+1))^2K <=
+1e-16; at tau = p/q the tails are Hurwitz zetas over the q residues, s
+<= 17, kept per (delta, sign, tau).  Stated error: the alternating
+series' first omitted terms (below 1e-21 here), plus 16 eps per unit of
+sum |F| + |F'|/pi, summed exactly (math.fsum): node values within 8.6
+eps of 30-digit quadrature at every node of check 2's 24 pairs, both
+signs (worst m = 0, alpha = 1/2; at most 6.8 eps elsewhere), and the
+Poisson pair's within 3.1 eps at check 1's; cosines and sines of the
+exact phases within 1.4 eps (40-digit mpmath); the products and factors
+w and 1/pi within 1.5 eps: 11.5 eps in all; the tails' zetas within 2
+eps (hurwitz_zeta against 100-digit mpmath).  ``inverse`` ties ``real``
+to ``ft`` off the nodes: real(x) = 2 int_0^delta ghat cos 2 pi x xi dxi
+on 16-point Gauss panels, at least ceil(8 pi delta) + 64 nodes, at |x| <
+4: within 2.5e-14 target.
 """
 
 from __future__ import annotations
@@ -167,8 +166,7 @@ def interpolation_ft(f, mu, delta: float, sign: Sign,
     int rho u^p du."""
     N, K = _oracle_size(delta)
     m = 2 * np.arange(N + 1) + (sign == "-")  # 2y, y >= 0
-    x = m / (2.0 * delta)
-    F, Fp = f(x)
+    F, Fp = f(m / (2.0 * delta))
     F, Fp = F * np.where(m == 0, 1.0, 2.0), Fp / delta  # F at y and -y
     mus = np.array([mu(2 * k + 1) for k in range(K + 1)])
     k = np.arange(K)
@@ -193,10 +191,28 @@ def interpolation_ft(f, mu, delta: float, sign: Sign,
 def odd_moment(pair: OddExtremalPair, p: int) -> float:
     """int rho u^p du of the odd pair, rho = (u - a0)^n/n on [a0, 1], n = 2m
     + 1: sum_j C(p, j) a0^(p-j) L^(n+j+1)/(n (n+j+1)), L = 1 - a0."""
-    a0, n = pair.alpha - 0.5, 2 * pair.m + 1
-    L = 1.0 - a0
+    a0, n, L = pair.alpha - 0.5, 2 * pair.m + 1, 1.5 - pair.alpha
     return sum(math.comb(p, j) * a0 ** (p - j) * L ** (n + j + 1)
                / (n + j + 1) for j in range(p + 1)) / n
+
+
+def poisson_l1(beta: float, delta: float, sign: Sign) -> tuple[float, float]:
+    """(L1 gap, tolerance) of the Poisson pair, +-(ghat(0) - pi), by the
+    formula at tau = 0: the node sum, of b/(b^2 + y^2), b = beta delta,
+    over |y| <= N, less pi, exact (Fractions; pi to 3e-33), plus the tail,
+    interpolation_ft from zero node values, rounded once: no cancellation,
+    so the band scales with the gap (1.3e-3 at b = 1.35, '-').  Tolerance:
+    the tail's, and 4 eps per unit of |gap| + 1e-16 for that rounding and
+    the served gap's (within 2.6 eps of 40-digit mpmath in check 1)."""
+    b, c = Fraction(beta) * Fraction(delta), int(sign == "-")
+    (tail, tol), = interpolation_ft(lambda x: (0 * x, 0 * x),
+                                    partial(pow, beta), delta, sign,
+                                    (Fraction(0),))
+    gap = (1 - 2 * c) * float(sum(
+        (2 - (n + c == 0)) * b / (b * b + Fraction(2 * n + c, 2) ** 2)
+        for n in range(_oracle_size(delta)[0] + 1)) + Fraction(tail)
+        - Fraction(math.pi) - Fraction(1.2246467991473532e-16))
+    return gap, tol + 4 * _EPS * (abs(gap) + 1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +220,8 @@ def odd_moment(pair: OddExtremalPair, p: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _majorization_and_nodes(c: _Check, pair, sign: str, tag: str,
-                            x: np.ndarray, fx: np.ndarray,
-                            nodes: np.ndarray, target,
-                            node_band: float) -> np.ndarray:
+                            x: np.ndarray, fx: np.ndarray, nodes: np.ndarray,
+                            target, node_band: float) -> np.ndarray:
     """Majorization of ``real`` at x over the target values fx (band 0:
     real - target is trig times a positive term), and ``real`` against
     ``target`` at ``nodes``; returns ``real`` at x."""
@@ -223,14 +238,15 @@ def _majorization_and_nodes(c: _Check, pair, sign: str, tag: str,
 _TAUS = (Fraction(0), Fraction(3, 10), Fraction(7, 10))
 
 
-def _fourier_side(c: _Check, pair, sign: Sign, tag: str, f, mu) -> None:
-    """The served ft and l1_gap against interpolation_ft from f and f' at
-    the nodes (ft, l1; the gap is +-(ghat(0) - pi mu(0)), whose rounding
-    is inside ghat(0)'s tolerance), and ft exactly 0 past the band."""
+def _fourier_side(c: _Check, pair, sign: Sign, tag: str, f, mu,
+                  gap: Optional[tuple[float, float]] = None) -> None:
+    """The served ft against interpolation_ft from f and f' at the nodes,
+    and exactly 0 past the band; l1_gap against gap, (value, tolerance),
+    by default +-(ghat(0) - pi mu(0)), inside ghat(0)'s tolerance."""
     (g0, tol0), *inside = interpolation_ft(f, mu, pair.delta, sign, _TAUS)
     s = 1.0 if sign == "+" else -1.0
-    c.band("l1", tag, abs(s * (g0 - math.pi * mu(0)) - pair.l1_gap(sign)),
-           tol0)
+    value, tol = gap or (s * (g0 - math.pi * mu(0)), tol0)
+    c.band("l1", tag, abs(value - pair.l1_gap(sign)), tol)
     xis = np.array([float(t) for t in _TAUS[1:]] + [1.2]) * pair.delta
     served = pair.ft(sign, xis)
     for (v, tol), xi, ft in zip(inside, xis, served):
@@ -239,9 +255,8 @@ def _fourier_side(c: _Check, pair, sign: Sign, tag: str, f, mu) -> None:
 
 
 def check_poisson_suite() -> CheckResult:
-    """Majorization and node interpolation of the served values
-    (``real``), ``real`` against the reference m_real, and ``ft`` and
-    ``l1_gap`` against the interpolation formula."""
+    """Majorization and node interpolation of ``real``, ``real`` against
+    m_real, and ``ft`` and ``l1_gap`` against the interpolation formula."""
     c = _Check("poisson_suite")
     xgrid = np.linspace(-40.0, 40.0, 10001)
     k = np.arange(0, 20, dtype=np.float64)
@@ -263,25 +278,21 @@ def check_poisson_suite() -> CheckResult:
                                     / np.maximum(np.abs(gv), h))), 5e-13)
                 _fourier_side(c, p, sign, tag, lambda x, b=beta: (
                     b / (b * b + x * x), -2.0 * b * x / (b * b + x * x) ** 2),
-                    lambda n, b=beta: b ** n)
+                    lambda n, b=beta: b ** n, poisson_l1(beta, delta, sign))
     return c.result(worst=c.worst)
 
 
 def check_odd_suite() -> CheckResult:
-    """Odd-family majorization and interpolation of the served values
-    (``real``) against the log-form target f_odd_vec, ``ft`` and
-    ``l1_gap`` against the interpolation formula from f_odd_vec and
-    f_even_vec at the nodes, ``real`` against the inverse transform of
-    ``ft`` in the near field, and ``real`` against the interpolation
-    series g_real."""
+    """Majorization and node interpolation of ``real`` against f_odd_vec,
+    ``ft`` and ``l1_gap`` against the interpolation formula from f_odd_vec
+    and f_even_vec at the nodes, ``real`` against the inverse transform of
+    ``ft`` near 0, and ``real`` against the interpolation series g_real."""
     c = _Check("odd_suite")
     k = np.arange(1, 13, dtype=np.float64)
     grids = {}
     for delta in (1.0, 2.0):
-        # 8-point Gauss panels of width 1/(4 delta) on [0, 120], no point
-        # on a node, n of them below 4; the inverse's 16-point panels on
-        # [0, delta] (one leggauss rule of over 100 nodes is off by up to
-        # 1e-12 target here), at least ceil(2 pi delta 4) + 64 nodes
+        # 8-point Gauss panels of width 1/(4 delta) on [0, 120], none on a
+        # node, n below 4; the inverse's 16-point panels on [0, delta]
         x = gauss_panels(np.linspace(0.0, 120.0, int(480 * delta) + 1), 8)[0]
         panels = math.ceil((math.ceil(8 * math.pi * delta) + 64) / 16)
         xi, w = gauss_panels(np.linspace(0.0, delta, panels + 1), 16)
@@ -295,8 +306,7 @@ def check_odd_suite() -> CheckResult:
                 fv = pair.f_odd_vec(x)
                 for sign in "+-":
                     tag = f"m={m} alpha={alpha} delta={delta} sign={sign}"
-                    # at the nodes the mixture and log forms of f agree
-                    # to 3.3e-16
+                    # mixture and log forms of f agree at the nodes to 3.3e-16
                     nodes = (k if sign == "+" else k - 0.5) / delta
                     gv = _majorization_and_nodes(c, pair, sign, tag, x, fv,
                                                  nodes, pair.f_odd_vec, 3e-14)
@@ -307,10 +317,8 @@ def check_odd_suite() -> CheckResult:
                     inv = cosines @ pair.ft(sign, xi)
                     c.band("inverse", tag, float(np.max(
                         np.abs(gv[:n] - inv) / fv[:n])), 1e-12)
-    # the served mixture against the interpolation series, an independent
-    # construction of the same pair, within the series' own tolerance,
-    # on one pair per delta whose sigma grid is short (32 nodes), since
-    # the series builds its nodes from sigma-sums
+    # real against the interpolation series, built independently from
+    # sigma-sums, on one pair per delta with a short sigma grid (32 nodes)
     for delta, (x, *_) in grids.items():
         pair = OddExtremalPair(m=0, alpha=0.75, delta=delta)
         for sign in "+-":
@@ -354,8 +362,7 @@ def check_explicit_formula(zeros: Optional[zc.ZeroTable] = None) \
     """Explicit-formula residuals within their tails; the odd pair's arch
     term against quadrature in u (odd_arch_oracle)."""
     c = _Check("explicit_formula")
-    if zeros is None:
-        zeros = zc.bundled_zeros()
+    zeros = zc.bundled_zeros() if zeros is None else zeros
     reports = []
     table = sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)
     for t, delta in ((50.0, 1.5), (100.0, 2.0)):
@@ -483,8 +490,7 @@ def check_representation(zeros: Optional[zc.ZeroTable] = None) \
         -> CheckResult:
     """Zero-sum representation vs. the direct route, within bands."""
     c = _Check("representation")
-    if zeros is None:
-        zeros = zc.bundled_zeros()
+    zeros = zc.bundled_zeros() if zeros is None else zeros
     rows = []
     for n, alpha, t in ((-1, 0.75, 100.0), (1, 0.6, 100.0),
                         (0, 0.6, 100.0)):
@@ -505,24 +511,20 @@ def check_representation(zeros: Optional[zc.ZeroTable] = None) \
 def check_interpolation() -> CheckResult:
     """lambda range and exact plug-back of the optimized bracket."""
     c = _Check("interpolation")
-    lam_range = [math.inf, -math.inf]
+    lams = []
     for n in (0, 2, 4):
         for alpha in (0.6, 0.75):
             for t in (math.exp(math.exp(4.0)), math.exp(math.exp(5.0))):
                 tag = f"n={n} alpha={alpha} t={t:g}"
                 ip = bd.interp_params(n, alpha, t)
-                lam_range = [min(lam_range[0], ip.lam),
-                             max(lam_range[1], ip.lam)]
+                lams.append(ip.lam)
                 if not 0.5 <= ip.lam <= 2.0:
-                    c.failures.append(f"lambda out of range {tag}: "
-                                      f"{ip.lam}")
-                cp = bd.c_odd(n + 1, alpha, t, "+")
-                cm = bd.c_odd(n + 1, alpha, t, "-")
+                    c.failures.append(f"lambda out of range {tag}: {ip.lam}")
+                cp, cm = (bd.c_odd(n + 1, alpha, t, s) for s in "+-")
                 if n == 0:
                     ch = bd.c_odd(-1, alpha, t, "-")
                 else:
-                    lowp = bd.c_odd(n - 1, alpha, t, "+")
-                    lowm = bd.c_odd(n - 1, alpha, t, "-")
+                    lowp, lowm = (bd.c_odd(n - 1, alpha, t, s) for s in "+-")
                     ch = ip.a * lowm  # == ip.b * lowp at the optimum
                     c.band("split", tag, abs(ip.a * lowm - ip.b * lowp),
                            1e-12 * lowp)
@@ -530,7 +532,7 @@ def check_interpolation() -> CheckResult:
                 target = bd.c_even(n, alpha, t)
                 c.band("plug-back", tag, abs(bracket - target),
                        1e-12 * abs(target))
-    return c.result(lam_range=lam_range)
+    return c.result(lam_range=[min(lams), max(lams)])
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +543,7 @@ def check_count_cross_route(zeros: Optional[zc.ZeroTable] = None) \
         -> CheckResult:
     """Counting-function route vs. direct argument, plus the size cap."""
     c = _Check("count_cross_route")
-    if zeros is None:
-        zeros = zc.bundled_zeros()
+    zeros = zc.bundled_zeros() if zeros is None else zeros
     rows = []
     for t in (25.3, 40.2, 55.7, 70.4, 95.1):
         _, s_count = zc.count_zeros(t, zeros)
@@ -565,8 +566,7 @@ def check_count_cross_route(zeros: Optional[zc.ZeroTable] = None) \
 def run_all(zeros: Optional[zc.ZeroTable] = None) -> list[CheckResult]:
     """Run the full acceptance suite on one zero table (None: the bundled
     one), shared by every check that reads zeros."""
-    if zeros is None:
-        zeros = zc.bundled_zeros()
+    zeros = zc.bundled_zeros() if zeros is None else zeros
     return [
         check_poisson_suite(),
         check_odd_suite(),

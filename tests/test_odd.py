@@ -375,6 +375,22 @@ def test_interpolation_formula_from_mpmath_nodes(m, alpha, delta):
                    - pair.l1_gap(sign)) <= 1e-14, sign
 
 
+@pytest.mark.parametrize("m,alpha,delta", [(0, 0.5, 1.0), (1, 0.5, 2.0)])
+def test_oracle_node_values_from_mpmath(m, alpha, delta):
+    # f_odd_vec and f_even_vec at every node of the interpolation oracle
+    # against 30-digit quadrature, at check 2's two worst pairs (8.5 and
+    # 6.8 eps): within the 13 eps that the oracle's 16 eps per unit of
+    # node size leaves after the phases and products
+    from szeta.selftest import _oracle_size
+    pair = OddExtremalPair(m=m, alpha=alpha, delta=delta)
+    y = np.arange(2 * _oracle_size(delta)[0] + 2) / 2.0
+    F, Fp = mp_log_form(m, alpha, y / delta)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(pair.f_odd_vec(y / delta) - F) <= 13 * eps * F)
+    assert np.all(np.abs(-pair.f_even_vec(y / delta) - Fp)
+                  <= 13 * eps * np.abs(Fp))
+
+
 @pytest.mark.parametrize("m,alpha", [(0, 0.5), (3, 0.5001), (2, 0.9)])
 def test_odd_moment_matches_mpmath(m, alpha):
     # the binomial sum against int rho(u) u^p du in 30-digit mpmath

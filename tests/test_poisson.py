@@ -169,3 +169,18 @@ def test_gap_decreases_with_delta():
         gaps = [PoissonExtremalPair(beta=0.25, delta=d).l1_gap(sign)
                 for d in (1.0, 2.0, 4.0)]
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+@pytest.mark.parametrize("beta,delta", [(0.05, 1.0), (0.3, 3.0), (0.45, 3.0)])
+def test_poisson_l1_oracle_within_its_tolerance(beta, delta):
+    # selftest's exact node-sum gap against 2 pi q/(1 -+ q), q = e^{-2 pi
+    # beta delta}, at 40 digits: within its stated tolerance, which
+    # scales with the gap (below 2e-16 at gap 1.3e-3)
+    import mpmath
+    from szeta.selftest import poisson_l1
+    with mpmath.workdps(40):
+        q = mpmath.exp(-2 * mpmath.pi * mpmath.mpf(beta) * mpmath.mpf(delta))
+        for sign in "+-":
+            want = 2 * mpmath.pi * q / (1 - q if sign == "+" else 1 + q)
+            gap, tol = poisson_l1(beta, delta, sign)
+            assert abs(gap - want) <= tol <= 1e-13 * want + 2e-16, sign
