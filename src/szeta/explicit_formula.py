@@ -71,7 +71,8 @@ from .numkit import (DomainError, MangoldtTable, Sign, _check_sign,
                      digamma, frac_product, quad_adaptive, sieve_mangoldt,
                      sum_tail_bounded, trig_sq)
 from .odd_extremal import OddExtremalPair
-from .poisson_extremal import PoissonExtremalPair, mixture_at
+from .poisson_extremal import (PoissonExtremalPair, arch_products,
+                               mixture_at)
 from .zeta_core import SnValue, ZeroTable, ZeroTableError
 
 
@@ -83,14 +84,19 @@ class Kernel(Protocol):
     as mixtures of Poisson pairs (poisson_extremal.PoissonMixture).
     ``real_parts`` splits ``real`` into the parts the zero side sums
     without a trigonometric call per zero; ``poisson_mixture`` gives the
-    digamma and archimedean terms in closed form.
+    digamma and archimedean terms in closed form, with the same members u
+    for both signs.
     Kernels are hashable, and equal kernels have equal transforms: a
     Mangoldt table keys its cached prime side (_prime_side) on them, and
-    a GwReport holds its kernel rather than a copy of describe()."""
+    a GwReport holds its kernel rather than a copy of describe().
+    ``_cache`` is a dict, left out of the hash and equality, in which
+    gw_evaluate keeps the digamma and archimedean terms that both signs
+    share at the most recent t (_sign_free_terms)."""
 
     delta: float
     formula: Mapping[str, str]
     ft_error: float
+    _cache: dict
 
     def describe(self) -> dict:
         """Family name and parameters, in a fixed key order."""
@@ -222,6 +228,43 @@ class AsymptoticCheck:
 # 1/4 + u/2 + it/2 and w + 1 = 5/4 - u/2 + it/2
 _POLES = -1j * np.array([[2.5], [4.5]])
 _HALVES, _QUARTERS = np.array([[0.5], [-0.5]]), np.array([[0.25], [1.25]])
+# the key of the sign-free terms: the bits of t
+_T_BITS = struct.Struct("d")
+
+
+def _sign_free_terms(kernel: Kernel, u: np.ndarray, t: float) -> tuple:
+    """(Re psi+, D, F+ F-) over the members u at t, the part of
+    _gamma_integral that no sign's weights (a, b) enter: Re psi+ = Re
+    psi(1/4 + u/2 + it/2), D = e (Re psi+ + Re psi(w + 1))/2 + Re J with
+    e = e^{-2 pi delta u} and J the residues, and the arch products at t
+    + i/2 (poisson_extremal.arch_products).
+
+    The callers evaluate both signs at one t, so the terms are kept in
+    ``kernel._cache["sign_free"]``, one entry deep and keyed on the bits
+    of t: two floats and one complex per member, 32 B (31 KB for the 976
+    members of the odd pair at alpha = 1/2).  A thread reads the entry
+    once, so a concurrent replacement cannot mix two values of t."""
+    key = _T_BITS.pack(t)
+    hit = kernel._cache.get("sign_free")
+    if hit is None or hit[0] != key:
+        d = kernel.delta
+        r = float(frac_product(d, t))  # e^{-2 pi i delta t} = e^{-2 pi i r}
+        pp, pw = digamma(_HALVES * u + (_QUARTERS + 0.5j * t)).real
+        e = np.exp(-2.0 * math.pi * d * u)
+        # e^{-2 pi delta y_k} = e^{-pi delta} q^k
+        q = math.exp(-4.0 * math.pi * d)
+        # J per member: the residues, psi(w)'s -1/w joined to the first one
+        h = u / (u * u + (t + _POLES) ** 2)
+        v = u - 0.5
+        J = np.expm1(v * (-2.0 * math.pi * d) + 2j * math.pi * r)
+        J /= v - 1j * t
+        J -= 1.0 / (u + (0.5 + 1j * t)) + 2.0 * q * (h[0] + q * h[1])
+        J *= math.exp(-math.pi * d) * cmath.exp(-2j * math.pi * r)
+        # pp is a view of both complex psi rows: keep a copy of it alone
+        hit = kernel._cache["sign_free"] = (
+            key, pp.copy(), 0.5 * e * (pp + pw) + J.real,
+            arch_products(u, d, complex(t, 0.5)))
+    return hit[1:]
 
 
 def _gamma_integral(kernel: Kernel, sign: Sign,
@@ -229,22 +272,13 @@ def _gamma_integral(kernel: Kernel, sign: Sign,
     """(1/2pi) int K(t-x) Re psi(1/4+ix/2) dx and 2 Re K(t+i/2) for K =
     real(sign, .), the module docstring's closed forms summed over the
     members, each member's digamma part first: a psi+ and b e (psi+ +
-    psi-)/2 nearly cancel where b is large (the odd pair as u -> 0)."""
+    psi-)/2 nearly cancel where b is large (the odd pair as u -> 0).
+    Only the weights (a, b) depend on the sign (_sign_free_terms)."""
     u, a, b = kernel.poisson_mixture(sign)
-    d = kernel.delta
-    r = float(frac_product(d, t))  # e^{-2 pi i delta t} = e^{-2 pi i r}
-    pp, pw = digamma(_HALVES * u + (_QUARTERS + 0.5j * t)).real
-    e = np.exp(-2.0 * math.pi * d * u)
-    # J per member: the residues, psi(w)'s -1/w joined to the first one
-    q = math.exp(-4.0 * math.pi * d)  # e^{-2 pi delta y_k} = e^{-pi delta} q^k
-    h = u / (u * u + (t + _POLES) ** 2)
-    v = u - 0.5
-    J = np.expm1(v * (-2.0 * math.pi * d) + 2j * math.pi * r)
-    J /= v - 1j * t
-    J -= 1.0 / (u + (0.5 + 1j * t)) + 2.0 * q * (h[0] + q * h[1])
-    J *= math.exp(-math.pi * d) * cmath.exp(-2j * math.pi * r)
-    gamma = 0.5 * float(np.sum(a * pp + b * (0.5 * e * (pp + pw) + J.real)))
-    return gamma, 2.0 * mixture_at(u, b, d, complex(t, 0.5)).real
+    pp, D, products = _sign_free_terms(kernel, u, t)
+    gamma = 0.5 * float(np.sum(a * pp + b * D))
+    arch = mixture_at(u, b, kernel.delta, complex(t, 0.5), products)
+    return gamma, 2.0 * arch.real
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +430,11 @@ def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
     table keeps, per delta, the reduced phases of its ordinates, 24 B
     each (_zero_phases).  The digamma integral and the archimedean term
     are closed forms in the kernel's Poisson mixture (_gamma_integral),
-    the same cost at any t, and keep nothing.
+    the same cost at any t.  Their sign-free part, two floats and one
+    complex per member (31 KB for the 976 members of the odd pair at
+    alpha = 1/2), is kept in the kernel's ``_cache`` for the most recent
+    t alone, so the second sign at one t computes only the two sums over
+    its weights (_sign_free_terms).
     """
     _check_sign(sign)
     if abs(delta - kernel.delta) > 1e-12:

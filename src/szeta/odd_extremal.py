@@ -47,7 +47,8 @@ budget N picks a nearest node outside them.  Those outputs need lattice
 offsets up to N + N//2, so transforms of length _fft_len(3N + 2) do not
 alias them.  Each point then costs O(K + P).
 
-Caches live in the pair's ``_cache``: the mixture's weights and moments
+Caches live in the pair's ``_cache``: the mixture's weights and moments,
+and the sign-free digamma and arch terms at the most recent t
 (poisson_extremal); one node set per sign, grown outward when a larger
 budget N is needed; the decay-envelope maxima of the slice |k| <= N per
 sign and N, which the budget search reads; the far-field coefficients of

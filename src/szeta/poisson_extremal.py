@@ -71,7 +71,10 @@ class PoissonMixture:
     """An explicit_formula.Kernel on top of a mixture of Poisson pairs
     (module docstring), read off one hook, _members.  A subclass is a
     frozen dataclass with a ``delta`` field and a ``_cache`` dict that
-    is left out of its hash and equality."""
+    is left out of its hash and equality.  The dict keeps the members,
+    weights and moments ("mixture", _mixture_terms) and, one entry deep,
+    explicit_formula's sign-free digamma and arch terms at the most
+    recent t ("sign_free", 32 B per member)."""
 
     def _members(self) -> tuple:
         """(u, w): the members u > 0 and their weights, 1-D arrays."""
@@ -276,12 +279,11 @@ def _poisson(u, x):
     return np.divide(u, d, out=d)
 
 
-def mixture_at(u, b, delta: float, z: complex) -> complex:
-    """sum h_u (a + b cos(2 pi delta .)) at complex z over the members (u,
-    a, b) of poisson_mixture, from (u, b): the entire W u F+ F-, F+- =
-    sin(pi delta (z +- iu))/(z +- iu), W = -2b (explicit_formula's module
-    docstring).  delta Re z is reduced to its nearest integer, whose signs
-    cancel in F+ F-, by frac_product; F = pi delta at z +- iu = 0."""
+def arch_products(u, delta: float, z: complex) -> np.ndarray:
+    """F+ F- per member u at complex z, F+- = sin(pi delta (z +- iu))/(z
+    +- iu): the sign-free factor of mixture_at.  delta Re z is reduced to
+    its nearest integer, whose signs cancel in F+ F-, by frac_product; F
+    = pi delta at z +- iu = 0."""
     z, n = complex(z), len(u)
     s = np.concatenate([u, -u])
     s += z.imag  # Im(z +- iu)
@@ -293,4 +295,15 @@ def mixture_at(u, b, delta: float, z: complex) -> complex:
     if z.real == 0.0 and not s.all():
         F[s == 0.0], w[s == 0.0] = math.pi * delta, 1.0
     F /= w
-    return -2.0 * complex(np.dot(b * u, F[:n] * F[n:]))
+    return F[:n] * F[n:]
+
+
+def mixture_at(u, b, delta: float, z: complex,
+               products: np.ndarray | None = None) -> complex:
+    """sum h_u (a + b cos(2 pi delta .)) at complex z over the members (u,
+    a, b) of poisson_mixture, from (u, b): the entire W u F+ F-, W = -2b
+    (explicit_formula's module docstring), with F+ F- from arch_products,
+    or ``products`` where the caller keeps arch_products(u, delta, z)."""
+    if products is None:
+        products = arch_products(u, delta, z)
+    return -2.0 * complex(np.dot(b * u, products))

@@ -1,6 +1,8 @@
 import cmath
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import dataclass, field
@@ -287,6 +289,149 @@ class TestGammaGrid:
             finally:
                 tracemalloc.stop()
             assert used / len(kept) <= 160, kernel
+
+
+class TestSignFreeTerms:
+    """The digamma and arch terms that both signs share at one t, kept on
+    the kernel one entry deep (_sign_free_terms): every report has the
+    bits of one from a kernel object never evaluated before, whatever
+    the call order."""
+
+    # check 3's kernels at its two (t, delta), and the odd pair at alpha
+    # = 1/2 (976 members)
+    @staticmethod
+    def kernels():
+        return [PoissonExtremalPair(beta=0.25, delta=1.5),
+                OddExtremalPair(m=0, alpha=0.75, delta=1.5),
+                PoissonExtremalPair(beta=0.25, delta=2.0),
+                OddExtremalPair(m=0, alpha=0.75, delta=2.0),
+                OddExtremalPair(m=0, alpha=0.5, delta=1.0)]
+
+    # 200 t per kernel: check 3's two, the first zero, 0 and values near
+    # and far from the ordinates on both sides, up to 2450
+    TS = [0.0, 0.5, 14.134725141734693, 50.0, 100.0, 2400.0, -30.3,
+          -1000.25] + [float(t) for t in np.linspace(1.0, 2450.0, 192)
+                       + 0.123]
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return sieve_mangoldt(int(math.ceil(math.exp(4 * math.pi))) + 1)
+
+    @staticmethod
+    def bits(rep):
+        return (rep.kernel, rep.sign, rep.terms) + tuple(
+            float(getattr(rep, key)).hex()
+            for key in ("t", *ef._TERM_NAMES, "log_pi_term",
+                        "prime_tail_bound", "residual"))
+
+    def test_every_call_order_gives_a_fresh_kernels_bits(self, zeros, table):
+        def evaluate(kernel, sign, t):
+            return self.bits(ef.gw_evaluate(kernel, sign, t, kernel.delta,
+                                            zeros, mangoldt=table))
+
+        def fresh(i, sign, t):
+            return evaluate(self.kernels()[i], sign, t)
+
+        ts = self.TS
+        assert len(ts) == 200
+        plus_minus, minus_plus, twin = (self.kernels() for _ in range(3))
+        for i in range(len(plus_minus)):
+            want = {(s, t): fresh(i, s, t) for t in ts for s in "+-"}
+            for t in ts:
+                for s in "+-":
+                    assert evaluate(plus_minus[i], s, t) == want[s, t]
+                for s in "-+":
+                    assert evaluate(minus_plus[i], s, t) == want[s, t]
+            # the same t twice, and two equal but distinct kernel objects
+            # in turn at one t
+            for t in ts[::10]:
+                for s in "+-":
+                    assert evaluate(plus_minus[i], s, t) == want[s, t]
+                    assert evaluate(plus_minus[i], s, t) == want[s, t]
+                    assert evaluate(twin[i], s, t) == want[s, t]
+                    assert evaluate(plus_minus[i], s, t) == want[s, t]
+            assert twin[i] == plus_minus[i] and twin[i] is not plus_minus[i]
+        # the kernels interleaved at one t
+        kernels = self.kernels()
+        for t in ts[::20]:
+            want = [[fresh(i, s, t) for s in "+-"]
+                    for i in range(len(kernels))]
+            for j, s in enumerate("+-"):
+                for k, w in zip(kernels, want):
+                    assert evaluate(k, s, t) == w[j]
+
+    def test_zero_and_minus_zero_are_two_ts(self, zeros, table):
+        for i, kernel in enumerate(self.kernels()):
+            for t in (0.0, -0.0):
+                for s in "+-":
+                    got = ef.gw_evaluate(kernel, s, t, kernel.delta, zeros,
+                                         mangoldt=table)
+                    want = ef.gw_evaluate(self.kernels()[i], s, t,
+                                          kernel.delta, zeros,
+                                          mangoldt=table)
+                    assert self.bits(got) == self.bits(want)
+                    assert math.copysign(1.0, got.t) == math.copysign(1.0, t)
+                    assert kernel._cache["sign_free"][0] == ef._T_BITS.pack(t)
+
+    def test_one_entry_per_kernel_replaced_by_a_new_t(self, zeros, table):
+        for kernel in self.kernels():
+            n = len(kernel.poisson_mixture("+")[0])
+            for t in (30.0, 30.0, 77.7):
+                for s in "+-":
+                    ef.gw_evaluate(kernel, s, t, kernel.delta, zeros,
+                                   mangoldt=table)
+                    key, *terms = kernel._cache["sign_free"]
+                    assert key == ef._T_BITS.pack(t)
+                    assert set(kernel._cache) == {"mixture", "sign_free"}
+                    assert [v.shape for v in terms] == [(n,)] * 3
+                    assert sum(v.nbytes for v in terms) == 32 * n
+
+    def test_a_replacement_between_reads_mixes_no_two_ts(self):
+        # a _cache in which another caller's t replaces the entry right
+        # after every read: the worst interleaving of two threads
+        other = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
+        ef._gamma_integral(other, "+", 77.7)
+
+        class Racing(dict):
+            def get(self, key, default=None):
+                hit = super().get(key, default)
+                if key == "sign_free":
+                    self[key] = other._cache[key]
+                return hit
+        kernel = OddExtremalPair(m=0, alpha=0.75, delta=1.5,
+                                 _cache=Racing())
+        for t in (30.3, 30.3, 120.1):
+            for s in "+-":
+                assert ef._gamma_integral(kernel, s, t) == (
+                    ef._gamma_integral(self.kernels()[1], s, t))
+
+    def test_threads_replacing_the_entry_keep_their_own_t(self):
+        # four threads on one kernel, each at its own t, switching every
+        # microsecond: a thread reads the entry once, so no term pairs
+        # one t's weights with another's sign-free terms
+        kernel = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
+        ts = (30.3, 77.7, 120.1, 149.9)
+        want = {(s, t): ef._gamma_integral(self.kernels()[1], s, t)
+                for t in ts for s in "+-"}
+        bad = []
+
+        def work(t):
+            for _ in range(100):
+                for s in "+-":
+                    if ef._gamma_integral(kernel, s, t) != want[s, t]:
+                        bad.append((s, t))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in ts]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []
 
 
 def mp_closed_forms(kernel, t):
@@ -783,6 +928,7 @@ class TestThirdKernel:
             self.delta = delta
             self.pairs = [PoissonExtremalPair(beta=b, delta=delta)
                           for b in (0.1, 0.4)]
+            self._cache = {}
 
         def describe(self):
             return {"family": "two_members", "delta": self.delta}
