@@ -27,7 +27,7 @@ The interpolation series
 ------------------------
 g_real and the node caches below evaluate the same pair as the
 interpolation series of F(x) = f(x/delta): the real-axis reference that
-perfbench's odd_grid workload, the selftest's check 2 and the tests read.
+perfbench's odd_grid workload and the tests read.
 The series over the 2N+1 lattice nodes nu,
 
     g(w) = sin^2(pi w)/pi^2 * sum_nu [F(nu)/(w-nu)^2 + F'(nu)/(w-nu)],
@@ -74,7 +74,7 @@ from .numkit import (DomainError, ResourceError, Sign, _check_sign,
                      gauss_panels)
 from .poisson_extremal import PoissonMixture, mixture_at
 
-# absolute tolerance of the truncated interpolation series
+# g_real's truncation tolerance: the absolute tail of the interpolation series
 _SERIES_TOL = 1e-12
 # g_real: nodes summed directly on each side of the nearest one, and the
 # number of far-field polynomial coefficients; |r/j| <= 1/10 in the far
@@ -101,9 +101,9 @@ class OddExtremalPair(PoissonMixture):
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     formula = {"real": "poisson_mixture", "ft": "poisson_mixture",
                "l1_gap": "closed_sigma_integral"}
-    # a stated budget of the transform's sigma-sum, checked against a
-    # 30-digit mpmath quadrature of the same integral (within 2e-15)
-    ft_error = _SERIES_TOL
+    # the sigma-sum transform's stated error budget: ft is within 2e-15
+    # of a 30-digit mpmath quadrature of the same integral
+    ft_error = 1e-12
 
     def __post_init__(self):
         if not isinstance(self.m, (int, np.integer)) or self.m < 0:

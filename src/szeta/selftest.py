@@ -12,8 +12,8 @@ fails a value above it, or NaN.  The bands, by check:
    interpolation oracle's tolerance (at most 5.1e-14); ``l1``
    ``poisson_l1``'s (at most 1.6e-14); ``ft_out`` 0.
 2. majorization 0; nodes 3e-14; ``ft`` and ``l1`` the interpolation
-   oracle's tolerance (at most 7.0e-15); ``ft_out`` 0; ``inverse`` 1e-12
-   relative to the target; ``series`` _SERIES_TOL.
+   oracle's tolerance (at most 7.0e-15); ``ft_out`` 0; ``inverse`` 1e-13
+   relative to the target; ``inverse_far`` 1e-14.
 3. residual: the zero and prime tail bounds plus 1e-5; arch 2 _ARCH_TOL =
    2e-14, the quadrature oracle's tolerance carried (odd_arch_oracle).
 4. 1e-6 relative.  5. 1e-10.  6. ``ef.appendix_band``; A4 its bound times
@@ -47,8 +47,9 @@ exact phases within 1.4 eps (40-digit mpmath); the products and factors
 w and 1/pi within 1.5 eps: 11.5 eps in all; the tails' zetas within 2
 eps (hurwitz_zeta against 100-digit mpmath).  ``inverse`` ties ``real``
 to ``ft`` off the nodes: real(x) = 2 int_0^delta ghat cos 2 pi x xi dxi
-on 16-point Gauss panels, at least ceil(8 pi delta) + 64 nodes, at |x| <
-4: within 2.5e-14 target.
+on 16-point Gauss panels, at least ceil(2 pi delta X) + 64 nodes, X the
+largest x read: at every grid point |x| < 4 within 3.6e-15 target, and
+at every 16th beyond, to 120, within 2.0e-15 (``inverse_far``).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from . import explicit_formula as ef
 from . import zeta_core as zc
 from .numkit import (_EPS, Sign, frac_product, gauss_panels, hurwitz_zeta,
                      quad_adaptive, sieve_mangoldt)
-from .odd_extremal import _SERIES_TOL, OddExtremalPair
+from .odd_extremal import OddExtremalPair
 from .poisson_extremal import PoissonExtremalPair
 
 
@@ -285,20 +286,23 @@ def check_poisson_suite() -> CheckResult:
 def check_odd_suite() -> CheckResult:
     """Majorization and node interpolation of ``real`` against f_odd_vec,
     ``ft`` and ``l1_gap`` against the interpolation formula from f_odd_vec
-    and f_even_vec at the nodes, ``real`` against the inverse transform of
-    ``ft`` near 0, and ``real`` against the interpolation series g_real."""
+    and f_even_vec at the nodes, and ``real`` against the inverse transform
+    of ``ft`` on the whole grid."""
     c = _Check("odd_suite")
     k = np.arange(1, 13, dtype=np.float64)
     grids = {}
     for delta in (1.0, 2.0):
         # 8-point Gauss panels of width 1/(4 delta) on [0, 120], none on a
-        # node, n below 4; the inverse's 16-point panels on [0, delta]
+        # node, n below 4; the inverse reads every point below 4 and every
+        # 16th beyond, on 16-point panels of [0, delta] with at least
+        # ceil(2 pi delta X) + 64 nodes, X the largest point it reads
         x = gauss_panels(np.linspace(0.0, 120.0, int(480 * delta) + 1), 8)[0]
-        panels = math.ceil((math.ceil(8 * math.pi * delta) + 64) / 16)
-        xi, w = gauss_panels(np.linspace(0.0, delta, panels + 1), 16)
         n = int(np.searchsorted(x, 4.0))
+        xs = np.concatenate([x[:n], x[n::16]])
+        panels = math.ceil((math.ceil(2 * math.pi * delta * xs[-1]) + 64) / 16)
+        xi, w = gauss_panels(np.linspace(0.0, delta, panels + 1), 16)
         grids[delta] = (x, n, xi,
-                        2.0 * w * np.cos(2 * math.pi * np.outer(x[:n], xi)))
+                        2.0 * w * np.cos(2 * math.pi * np.outer(xs, xi)))
     for m in (0, 1, 2):
         for alpha in (0.5, 0.6, 0.75, 0.9):
             for delta, (x, n, xi, cosines) in grids.items():
@@ -313,19 +317,13 @@ def check_odd_suite() -> CheckResult:
                     _fourier_side(c, pair, sign, tag, lambda x, p=pair: (
                         p.f_odd_vec(x), -p.f_even_vec(x)),
                         partial(odd_moment, pair))
-                    # real(x) = 2 int_0^delta ghat(xi) cos(2 pi x xi) dxi
+                    # real(x) = 2 int_0^delta ghat(xi) cos(2 pi x xi) dxi,
+                    # relative to the target below 4, absolute beyond
                     inv = cosines @ pair.ft(sign, xi)
                     c.band("inverse", tag, float(np.max(
-                        np.abs(gv[:n] - inv) / fv[:n])), 1e-12)
-    # real against the interpolation series, built independently from
-    # sigma-sums, on one pair per delta with a short sigma grid (32 nodes)
-    for delta, (x, *_) in grids.items():
-        pair = OddExtremalPair(m=0, alpha=0.75, delta=delta)
-        for sign in "+-":
-            c.band("series", f"delta={delta} sign={sign}",
-                   float(np.max(np.abs(pair.real(sign, x)
-                                       - pair.g_real(sign, x)))),
-                   _SERIES_TOL)
+                        np.abs(gv[:n] - inv[:n]) / fv[:n])), 1e-13)
+                    c.band("inverse_far", tag, float(np.max(
+                        np.abs(gv[n::16] - inv[n:]))), 1e-14)
     return c.result(worst=c.worst)
 
 
