@@ -197,6 +197,17 @@ class TestArchTerm:
                     assert abs(got - want) <= 4 * eps * want, (sign, v)
                     assert abs(got.real - r) <= 4 * eps * r + abs(r - want)
 
+    def test_odd_node_cache_sized_by_the_zero_side(self, zeros, mangoldt):
+        # gw_sweep's pair at t = 150: the zero side reads the pair's
+        # mixture and the arch term its transform, so no call builds the
+        # interpolation series' nodes (10 368 per sign when it did)
+        pair = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
+        for sign in "+-":
+            ef.gw_evaluate(pair, sign, 150.0, 1.5, zeros, mangoldt=mangoldt)
+            assert ("nodes", sign) not in pair._cache
+            assert ("far", sign) not in pair._cache
+        assert "mixture" in pair._cache
+
 
 GRID_KERNELS = [
     *(pytest.param(OddExtremalPair, dict(m=m, alpha=a, delta=d),
@@ -601,12 +612,9 @@ class TestGwEvaluate:
         assert abs(r_many.residual) <= abs(r_few.residual) + 1e-9
         assert r_many.zero_tail_bound < r_few.zero_tail_bound
 
-    def test_odd_pair_reads_one_mixture_and_no_interpolation_nodes(
-            self, zeros, mangoldt):
-        # gw_sweep's pair: the zero side reads the pair's mixture and the
-        # arch term its transform, so one moment entry serves every t and
-        # both signs, and no call builds the interpolation series' nodes
-        # or far-field coefficients
+    def test_odd_far_field_shared_across_calls(self, zeros, mangoldt):
+        # the pair's moment entry is built once and serves every t and
+        # both signs; no far-field coefficients are built
         pair = OddExtremalPair(m=0, alpha=0.75, delta=1.5)
         ef.gw_evaluate(pair, "+", 154.0, 1.5, zeros, mangoldt=mangoldt)
         mixture = pair._cache["mixture"]
@@ -615,7 +623,6 @@ class TestGwEvaluate:
                 ef.gw_evaluate(pair, sign, t, 1.5, zeros,
                                mangoldt=mangoldt)
                 assert pair._cache["mixture"] is mixture
-                assert ("nodes", sign) not in pair._cache
                 assert ("far", sign) not in pair._cache
 
     def test_zero_side_is_sum_of_both_shifts(self, zeros, mangoldt):
