@@ -10,14 +10,17 @@ selftest  the full acceptance suite
 Exit codes: 0 success (verify: within band), 1 verification outside its
 band or selftest failure, 2 usage error (including an unknown config key,
 a config line that is not key=value, an unreadable --config file, a
-malformed --sweep, or a --slack for an appendix item with a calibrated
-band), 3 parameter-region violation, t beyond the zero
+malformed --sweep, a --slack for an appendix item with a calibrated
+band, or an option that the verify gw kernel or the verify appendix
+item does not read), 3 parameter-region violation, t beyond the zero
 table, or a resource limit (DomainError, ZeroTableError and ResourceError,
 mapped in ``main``), 4 missing or malformed zeros file.
 
 Output is deterministic: JSON fields appear in fixed insertion order
 and every float is rendered with 15 significant digits in scientific
-notation, so identical flags produce byte-identical output.
+notation, so identical flags produce byte-identical output.  --output
+text prints the same fields, one key: value line per leaf, a nested
+field as parent.key.
 
 The commands that read a zero table (verify gw/rep/envelope, selftest)
 also read a key=value config file: --config PATH, or ./szeta.cfg when
@@ -84,14 +87,23 @@ def dumps(obj, _ind: str = "") -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _text_lines(obj: dict, prefix: str = ""):
+    """One key: value line per leaf of obj, a nested key as parent.key."""
+    for k, v in obj.items():
+        if isinstance(v, dict):
+            yield from _text_lines(v, f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k}: {_jfloat(v) if isinstance(v, float) else v}"
+
+
 def _emit(obj: dict, output: str | None) -> None:
     """Print obj as JSON (--output json, the default) or as key: value
     lines (--output text)."""
     if output != "text":
         print(dumps(obj))
     else:
-        for k, v in obj.items():
-            print(f"{k}: {_jfloat(v) if isinstance(v, float) else v}")
+        for line in _text_lines(obj):
+            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +251,20 @@ _GW_KEYS = ("t", "delta", "kernel", "sign", "zero_side", "zero_tail_bound",
            "prime_tail_bound", "residual")
 
 
+# the options each --kernel family reads, with their defaults
+_GW_OPTIONS = {"poisson": {"beta": 0.25}, "odd": {"m": 0, "alpha": 0.75}}
+
+
 def _verify_gw(args) -> int:
+    unread = [f"--{key}" for family, options in _GW_OPTIONS.items()
+              if family != args.kernel for key in options
+              if getattr(args, key) is not None]
+    if unread:
+        _usage_error(f"{', '.join(unread)} not read by --kernel "
+                     f"{args.kernel}")
+    for key, default in _GW_OPTIONS[args.kernel].items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
     if not math.isfinite(args.tol) or args.tol <= 0:
         _usage_error("tol must be finite and > 0")
     zeros = _load_zeros(_zeros_path(args))
@@ -269,9 +294,12 @@ def _verify_rep(args) -> int:
 def _verify_appendix(args) -> int:
     params = {"x": args.x}
     for key in ("alpha", "m", "k", "beta"):
-        v = getattr(args, key, None)
-        if v is not None:
+        if (v := getattr(args, key)) is not None:
             params[key] = v
+    unread = [f"--{key}" for key in params
+              if key not in ef.APPENDIX_PARAMS[args.id]]
+    if unread:
+        _usage_error(f"{', '.join(unread)} not read by --id {args.id}")
     try:
         band = ef.appendix_band(args.id, args.m, args.slack)
     except ValueError as exc:
@@ -368,9 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = vsub.add_parser("gw")
     g.add_argument("--kernel", choices=("poisson", "odd"),
                    required=True)
-    g.add_argument("--beta", type=float, default=0.25)
-    g.add_argument("--m", type=int, default=0)
-    g.add_argument("--alpha", type=float, default=0.75)
+    # defaults from _GW_OPTIONS, for the --kernel family alone
+    g.add_argument("--beta", type=float)
+    g.add_argument("--m", type=int)
+    g.add_argument("--alpha", type=float)
     g.add_argument("--delta", type=float, required=True)
     g.add_argument("--sign", choices=("+", "-"), default="+")
     g.add_argument("--t", type=float, required=True)

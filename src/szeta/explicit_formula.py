@@ -547,15 +547,6 @@ def rep_band(rep: SnValue) -> float:
 # asymptotic oracles (integrals and sieved sums vs. their main terms)
 # ---------------------------------------------------------------------------
 
-def _req(params: Mapping, *names):
-    out = []
-    for name in names:
-        if name not in params:
-            raise DomainError(f"missing parameter {name!r}")
-        out.append(params[name])
-    return out
-
-
 def _check_alpha_x(alpha: float, x: float, c: Optional[float],
                    strict_half: bool = False) -> None:
     lo_ok = alpha > 0.5 if strict_half else alpha >= 0.5
@@ -588,6 +579,15 @@ _APPENDIX_BANDS = {("A1", 0): 20.0, ("A1", 1): 2200.0,
                    ("B1", 0): 25.0, ("B1", 1): 4000.0,
                    ("B2", 0): 10.0, ("B2", 1): 10.0}
 APPENDIX_SLACK = 10.0  # the band of every other (id, m)
+
+
+# the parameters each item reads, in the order its branch of
+# appendix_asymptotic unpacks them; a region constant c is optional
+APPENDIX_PARAMS = {"A1": ("m", "alpha", "x"), "A2": ("m", "k", "alpha", "x"),
+                   "A3": ("m", "k", "alpha", "x"), "A4": ("alpha", "x"),
+                   "A5": ("m", "alpha", "x"), "B1": ("m", "alpha", "x"),
+                   "B2": ("m", "alpha", "x"), "B3": ("m", "alpha", "x"),
+                   "B4": ("beta", "x")}
 
 
 def appendix_band(id: str, m: Optional[int] = None,
@@ -643,11 +643,21 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
     are series in q = x^(1/2 - alpha), summed until a proved tail bound is
     below 1e-15 (A5) or 1e-13 (B3) times that scale (_q_series), so they
     need alpha > 1/2.
+
+    The check's ``params`` keep, in the order given, the parameters the
+    item reads (APPENDIX_PARAMS) and c; others are dropped.
     """
-    params = dict(params)
     pid = id.upper()
+    names = APPENDIX_PARAMS.get(pid)
+    if names is None:
+        raise DomainError(f"unknown asymptotic id {id!r}")
+    for name in names:
+        if name not in params:
+            raise DomainError(f"missing parameter {name!r}")
+    params = {k: v for k, v in params.items() if k in names or k == "c"}
+    read = [params[name] for name in names]
     if pid == "A1":
-        m, alpha, x = _req(params, "m", "alpha", "x")
+        m, alpha, x = read
         _check_alpha_x(alpha, x, params.get("c"))
         p = 2 * m + 2
         main = _main_term(alpha, x, p)
@@ -658,7 +668,7 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
                                main_term=main,
                                error_scale=_error_scale(alpha, x, p))
     if pid == "A2":
-        m, k, alpha, x = _req(params, "m", "k", "alpha", "x")
+        m, k, alpha, x = read
         if k < 1:
             raise DomainError("k must be >= 1")
         _check_alpha_x(alpha, x, params.get("c"))
@@ -675,7 +685,7 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         return AsymptoticCheck(id=pid, params=params, direct=direct,
                                main_term=main, error_scale=err)
     if pid == "A3":
-        m, k, alpha, x = _req(params, "m", "k", "alpha", "x")
+        m, k, alpha, x = read
         if k < 0:
             raise DomainError("k must be >= 0")
         _check_alpha_x(alpha, x, None)
@@ -691,14 +701,14 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         return AsymptoticCheck(id=pid, params=params, direct=direct,
                                main_term=main, error_scale=err)
     if pid == "A4":
-        alpha, x = _req(params, "alpha", "x")
+        alpha, x = read
         _check_alpha_x(alpha, x, None, strict_half=True)
         direct = 1.0 / (x ** (alpha - 0.5) - 1.0)
         main = 1.0 / ((alpha - 0.5) * math.log(x))
         return AsymptoticCheck(id=pid, params=params, direct=direct,
                                main_term=main, error_scale=main)
     if pid == "A5":
-        m, alpha, x = _req(params, "m", "alpha", "x")
+        m, alpha, x = read
         # the tail bound of _q_series needs q < 1
         _check_alpha_x(alpha, x, None, strict_half=True)
         p = 2 * m + 2
@@ -720,7 +730,7 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         return AsymptoticCheck(id=pid, params=params, direct=total,
                                main_term=0.0, error_scale=bound)
     if pid == "B1":
-        m, alpha, x = _req(params, "m", "alpha", "x")
+        m, alpha, x = read
         _check_alpha_x(alpha, x, params.get("c"))
         p = 2 * m + 2
         n, lam = _mangoldt_arrays(x)
@@ -729,7 +739,7 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
                                main_term=_main_term(alpha, x, p),
                                error_scale=_error_scale(alpha, x, p))
     if pid == "B2":
-        m, alpha, x = _req(params, "m", "alpha", "x")
+        m, alpha, x = read
         _check_alpha_x(alpha, x, params.get("c"))
         p = 2 * m + 2
         lx = math.log(x)
@@ -741,7 +751,7 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
                                main_term=x ** (1 - alpha) / (alpha * lx ** p),
                                error_scale=_error_scale(alpha, x, p))
     if pid == "B3":
-        m, alpha, x = _req(params, "m", "alpha", "x")
+        m, alpha, x = read
         # the tail bound of _q_series needs q < 1
         _check_alpha_x(alpha, x, params.get("c"), strict_half=True)
         p = 2 * m + 2
@@ -762,20 +772,18 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
                        + s_right / ((k + 1) * lx) ** p), 1e-13 * bound)
         return AsymptoticCheck(id=pid, params=params, direct=total,
                                main_term=0.0, error_scale=bound)
-    if pid == "B4":
-        beta, x = _req(params, "beta", "x")
-        if not 0.0 <= beta < 0.5:
-            raise DomainError(f"beta must lie in [0, 1/2), got {beta}")
-        if x < 3.0:
-            raise DomainError(f"x must be >= 3, got {x}")
-        n, lam = _mangoldt_arrays(x)
-        direct = float(np.sum(
-            lam / np.sqrt(n) * ((x / n) ** beta - (n / x) ** beta)))
-        main = ((2.0 * beta * math.sqrt(x)
-                 - 2.0 ** (0.5 - beta) * x ** beta * (0.5 + beta) ** 2
-                 + 2.0 ** (0.5 + beta) * x ** (-beta) * (0.5 - beta) ** 2)
-                / (0.25 - beta * beta))
-        err = max(beta * x ** beta * math.log(x) ** 4, 1e-30)
-        return AsymptoticCheck(id=pid, params=params, direct=direct,
-                               main_term=main, error_scale=err)
-    raise DomainError(f"unknown asymptotic id {id!r}")
+    beta, x = read  # B4
+    if not 0.0 <= beta < 0.5:
+        raise DomainError(f"beta must lie in [0, 1/2), got {beta}")
+    if x < 3.0:
+        raise DomainError(f"x must be >= 3, got {x}")
+    n, lam = _mangoldt_arrays(x)
+    direct = float(np.sum(
+        lam / np.sqrt(n) * ((x / n) ** beta - (n / x) ** beta)))
+    main = ((2.0 * beta * math.sqrt(x)
+             - 2.0 ** (0.5 - beta) * x ** beta * (0.5 + beta) ** 2
+             + 2.0 ** (0.5 + beta) * x ** (-beta) * (0.5 - beta) ** 2)
+            / (0.25 - beta * beta))
+    err = max(beta * x ** beta * math.log(x) ** 4, 1e-30)
+    return AsymptoticCheck(id=pid, params=params, direct=direct,
+                           main_term=main, error_scale=err)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -443,20 +443,12 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float,
         errs.append(err)
 
 
-@cache
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(n), read-only: its eigenvalue solve runs once per n."""
-    rule = np.polynomial.legendre.leggauss(n)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
 def gauss_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on each panel between
     consecutive edges, ascending or descending, panel by panel.  The
-    rule on [-1, 1] is computed once per n and kept."""
-    gx, gw = _legendre_rule(n)
+    rule on [-1, 1] is leggauss(n), one eigenvalue solve of size n per
+    call."""
+    gx, gw = np.polynomial.legendre.leggauss(n)
     e = np.asarray(edges, dtype=np.float64)[:, None]
     half = 0.5 * np.abs(np.diff(e, axis=0))
     return (0.5 * (e[1:] + e[:-1]) + half * gx).ravel(), (half * gw).ravel()

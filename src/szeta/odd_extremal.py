@@ -50,12 +50,11 @@ alias them.  Each point then costs O(K + P).
 Caches live in the pair's ``_cache``: the mixture's weights and moments,
 and the sign-free digamma and arch terms at the most recent t
 (poisson_extremal); one node set per sign, grown outward when a larger
-budget N is needed; the decay-envelope maxima of the slice |k| <= N per
-sign and N, which the budget search reads; the far-field coefficients of
-the most recent N per sign.  A point's sigma-integrals (f, fe, A+-, ghat) have the same
-bits in any batch, and every call reads exactly the slice |nu| <= N of
-its own budget N, which depends on the evaluation window alone,
-so results do not depend on earlier calls.  A budget is the smallest
+budget N is needed; the far-field coefficients of the most recent N per
+sign.  A point's sigma-integrals (f, fe, A+-, ghat) have the same bits
+in any batch, and every call reads exactly the slice |nu| <= N of its
+own budget N, which depends on the evaluation window alone, so results
+do not depend on earlier calls.  A budget is the smallest
 2^a 3^b number, from a first candidate set by the window, that passes
 the tail test, so it never decreases as the window grows, and windows
 of one budget share its far-field coefficients.  A budget whose node
@@ -216,8 +215,6 @@ class OddExtremalPair(PoissonMixture):
         d = self.delta
         N = _fft_len(max(int(math.ceil(10 * d)), dense,
                          int(math.ceil(2 * R + 20))))
-        CF = CFp = 0.0
-        done = -1  # CF and CFp cover the nodes |k| <= done
         while True:
             if (2 * N + 1) * _BYTES_PER_NODE > _NODE_MEMORY:
                 raise ResourceError(
@@ -225,19 +222,11 @@ class OddExtremalPair(PoissonMixture):
                     f"{2 * N + 1} nodes, over the node memory limit of "
                     f"{_NODE_MEMORY >> 20} MiB")
             # decay envelopes |F| <= CF d^2/(d^2+nu^2) and
-            # |F'| <= CFp d^3/(d^3+|nu|^3) on the slice |k| <= N, kept
-            # per N; a new N scans only the nodes beyond the last candidate
-            key = ("envelope_max", sign, N)
-            if key not in self._cache:
-                nu, F, Fp = self._nodes(sign, N)
-                new = np.r_[0:N - done, N + done + 1:2 * N + 1]
-                F, Fp, v = np.abs(F[new]), np.abs(Fp[new]), np.abs(nu[new])
-                self._cache[key] = (
-                    max(CF, float(np.max(F * (d * d + v * v) / (d * d)))),
-                    max(CFp, float(np.max(Fp * (d ** 3 + v * v * v)
-                                          / d ** 3))))
-            CF, CFp = self._cache[key]
-            done = N
+            # |F'| <= CFp d^3/(d^3+|nu|^3) on the slice |k| <= N
+            nu, F, Fp = self._nodes(sign, N)
+            v = np.abs(nu)
+            CF = float(np.max(np.abs(F) * (d * d + v * v) / (d * d)))
+            CFp = float(np.max(np.abs(Fp) * (d ** 3 + v * v * v) / d ** 3))
             tail = (2 * CF * d * d / ((N - R) ** 2 * N)
                     + CFp * d ** 3 / N ** 3) / math.pi ** 2
             if tail <= _SERIES_TOL:

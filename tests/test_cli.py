@@ -131,6 +131,34 @@ class TestExitCodes:
         assert main(argv[:-2]) == 0
         assert json.loads(capsys.readouterr().out)["band"] == band
 
+    @pytest.mark.parametrize("argv,unread", [
+        ("verify appendix --id A4 --x 1e5 --alpha 0.7 --m 3 --k 2 "
+         "--beta 0.1", ("--m", "--k", "--beta")),
+        ("verify appendix --id A1 --x 1e5 --alpha 0.7 --m 0 --k 1",
+         ("--k",)),
+        ("verify gw --kernel odd --beta 0.3 --delta 1.5 --t 50",
+         ("--beta",)),
+    ], ids=["appendix A4", "appendix A1", "gw odd"])
+    def test_option_the_target_does_not_read_is_usage_error(self, argv,
+                                                            unread, capsys):
+        # these exited 0, echoing or ignoring the option
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.split(" not read")[0].split() == ["error:", *(
+            f"{flag}," for flag in unread[:-1]), unread[-1]]
+
+    @pytest.mark.parametrize("kernel,params", [
+        ("poisson", {"beta": 0.25}), ("odd", {"m": 0, "alpha": 0.75})])
+    def test_gw_fills_the_defaults_of_its_kernel_family(self, kernel,
+                                                        params, capsys):
+        assert main(["verify", "gw", "--kernel", kernel, "--delta", "1.5",
+                     "--t", "50"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["kernel"] == {"family": kernel, **params, "delta": 1.5}
+
     def test_envelope_report_only_exit0(self):
         r = run_cli("verify", "envelope", "--n", "0", "--alpha",
                     "0.75", "--t", "500")
@@ -297,9 +325,10 @@ _UNREAD = {
     "extremal poisson": ("--config", "--zeros", "--tol", "--slack"),
     "extremal odd": ("--config", "--zeros", "--tol", "--slack"),
     "bound": ("--config", "--zeros", "--tol", "--slack"),
-    "verify gw": ("--slack",),
+    "verify gw": ("--slack", "--m", "--alpha"),
     "verify rep": ("--tol", "--slack"),
-    "verify appendix": ("--config", "--zeros", "--tol"),
+    "verify appendix": ("--config", "--zeros", "--tol", "--alpha", "--m",
+                        "--k"),
     "verify envelope": ("--tol",),
     "selftest": ("--output", "--tol", "--slack"),
 }
@@ -359,6 +388,29 @@ def test_dumps_writes_numpy_scalars_by_value():
                                       "c": False, "g": 0.5}
     assert dumps(obj) == dumps({"b": True, "f": 0.25, "i": 3, "c": False,
                                 "g": 0.5})
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "envelope", "--n", "0", "--alpha", "0.75", "--t", "500"],
+    ["verify", "appendix", "--id", "A4", "--x", "1e5", "--alpha",
+     "0.7"],
+    ["verify", "gw", "--kernel", "odd", "--delta", "1.5", "--t", "50"],
+], ids=["envelope", "appendix", "gw"])
+def test_output_text_prints_one_line_per_leaf(argv, capsys):
+    # nested fields printed as a dict repr, such as 'alpha': 0.75
+    main(argv)
+    leaves = {}
+    for k, v in json.loads(capsys.readouterr().out).items():
+        for kk, vv in (v.items() if isinstance(v, dict) else [(None, v)]):
+            leaves[k if kk is None else f"{k}.{kk}"] = vv
+    main(argv + ["--output", "text"])
+    lines = capsys.readouterr().out.splitlines()
+    assert not any(c in "".join(lines) for c in "{}'")
+    assert [line.split(": ")[0] for line in lines] == list(leaves)
+    for line, v in zip(lines, leaves.values()):
+        text = line.split(": ")[1]
+        if isinstance(v, float):
+            assert text == f"{v:.14e}"
 
 
 def test_main_callable_in_process(capsys):

@@ -1088,6 +1088,13 @@ class TestAppendix:
         with pytest.raises(DomainError):
             ef.appendix_asymptotic("A1", {"x": 1e5})
 
+    def test_params_keep_what_the_item_reads(self):
+        # every given parameter was echoed, read or not
+        chk = ef.appendix_asymptotic("A4", {"x": 1e5, "m": 3, "alpha": 0.8,
+                                            "k": 2, "beta": 0.1, "c": 0.1})
+        assert list(chk.params.items()) == [("x", 1e5), ("alpha", 0.8),
+                                            ("c", 0.1)]
+
     def test_a4_exact_inequality(self):
         chk = ef.appendix_asymptotic("A4", {"x": 1e5, "alpha": 0.8})
         assert chk.direct <= chk.main_term
