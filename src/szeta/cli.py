@@ -11,16 +11,18 @@ Exit codes: 0 success (verify: within band), 1 verification outside its
 band or selftest failure, 2 usage error (including an unknown config key,
 a config line that is not key=value, an unreadable --config file, a
 malformed --sweep, a --slack for an appendix item with a calibrated
-band, or an option that the verify gw kernel or the verify appendix
-item does not read), 3 parameter-region violation, t beyond the zero
-table, or a resource limit (DomainError, ZeroTableError and ResourceError,
-mapped in ``main``), 4 missing or malformed zeros file.
+band, an option that the verify gw kernel or the verify appendix item
+does not read, or one that the appendix item reads and is not given),
+3 parameter-region violation, t beyond the zero table, or a resource
+limit (DomainError, ZeroTableError and ResourceError, mapped in
+``main``), 4 missing or malformed zeros file.
 
 Output is deterministic: JSON fields appear in fixed insertion order
 and every float is rendered with 15 significant digits in scientific
 notation, so identical flags produce byte-identical output.  --output
 text prints the same fields, one key: value line per leaf, a nested
-field as parent.key.
+field as parent.key.  extremal's ``formula`` maps each quantity it
+prints (real, ft, l1_gap) to how the pair computes it.
 
 The commands that read a zero table (verify gw/rep/envelope, selftest)
 also read a key=value config file: --config PATH, or ./szeta.cfg when
@@ -44,7 +46,7 @@ from . import explicit_formula as ef
 from . import zeta_core as zc
 from .numkit import DomainError, ResourceError
 from .odd_extremal import OddExtremalPair
-from .poisson_extremal import PoissonExtremalPair
+from .poisson_extremal import PoissonExtremalPair, PoissonMixture
 
 EXIT_OK = 0
 EXIT_BAND = 1
@@ -160,32 +162,41 @@ def _load_zeros(path: str | None) -> zc.ZeroTable:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _pair(family: str, args) -> ef.Kernel:
+# each family's pair and its options besides --delta, typed from their
+# defaults: extremal requires them, verify gw fills them for its --kernel
+_FAMILIES = {"poisson": (PoissonExtremalPair, {"beta": 0.25}),
+             "odd": (OddExtremalPair, {"m": 0, "alpha": 0.75})}
+
+
+def _pair(family: str, args) -> PoissonMixture:
     """The extremal pair of ``family`` with the parameters in ``args``."""
-    if family == "poisson":
-        return PoissonExtremalPair(beta=args.beta, delta=args.delta)
-    return OddExtremalPair(m=args.m, alpha=args.alpha, delta=args.delta)
+    cls, options = _FAMILIES[family]
+    return cls(**{key: getattr(args, key) for key in options},
+               delta=args.delta)
 
 
 def cmd_extremal(args) -> int:
     pair = _pair(args.family, args)
     out = pair.describe()
+    formula = {}  # how each printed quantity is computed
     if args.eval is not None:
         x = np.array([args.eval])
         out["x"] = args.eval
         out["target"] = float(pair.target(x)[0])
         out["majorant"] = float(pair.real("+", x)[0])
         out["minorant"] = float(pair.real("-", x)[0])
-        out["formula"] = pair.formula["real"]
+        formula["real"] = pair.formula["real"]
     if args.ft is not None:
         out["xi"] = args.ft
         out["ft_majorant"] = pair.ft("+", args.ft)
         out["ft_minorant"] = pair.ft("-", args.ft)
-        out["formula"] = pair.formula["ft"]
+        formula["ft"] = pair.formula["ft"]
     if args.l1:
         out["l1_majorant"] = pair.l1_gap("+")
         out["l1_minorant"] = pair.l1_gap("-")
-        out["formula"] = pair.formula["l1_gap"]
+        formula["l1_gap"] = pair.formula["l1_gap"]
+    if formula:
+        out["formula"] = formula
     _emit(out, args.output)
     return EXIT_OK
 
@@ -251,18 +262,14 @@ _GW_KEYS = ("t", "delta", "kernel", "sign", "zero_side", "zero_tail_bound",
            "prime_tail_bound", "residual")
 
 
-# the options each --kernel family reads, with their defaults
-_GW_OPTIONS = {"poisson": {"beta": 0.25}, "odd": {"m": 0, "alpha": 0.75}}
-
-
 def _verify_gw(args) -> int:
-    unread = [f"--{key}" for family, options in _GW_OPTIONS.items()
+    unread = [f"--{key}" for family, (_, options) in _FAMILIES.items()
               if family != args.kernel for key in options
               if getattr(args, key) is not None]
     if unread:
         _usage_error(f"{', '.join(unread)} not read by --kernel "
                      f"{args.kernel}")
-    for key, default in _GW_OPTIONS[args.kernel].items():
+    for key, default in _FAMILIES[args.kernel][1].items():
         if getattr(args, key) is None:
             setattr(args, key, default)
     if not math.isfinite(args.tol) or args.tol <= 0:
@@ -300,6 +307,10 @@ def _verify_appendix(args) -> int:
               if key not in ef.APPENDIX_PARAMS[args.id]]
     if unread:
         _usage_error(f"{', '.join(unread)} not read by --id {args.id}")
+    missing = [f"--{key}" for key in ef.APPENDIX_PARAMS[args.id]
+               if key not in params]
+    if missing:
+        _usage_error(f"{', '.join(missing)} required by --id {args.id}")
     try:
         band = ef.appendix_band(args.id, args.m, args.slack)
     except ValueError as exc:
@@ -368,13 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("extremal", help="evaluate extremal pairs")
     exsub = ex.add_subparsers(dest="family", required=True)
-    for fam in ("poisson", "odd"):
+    for fam, (_, options) in _FAMILIES.items():
         p = exsub.add_parser(fam)
-        if fam == "poisson":
-            p.add_argument("--beta", type=float, required=True)
-        else:
-            p.add_argument("--m", type=int, required=True)
-            p.add_argument("--alpha", type=float, required=True)
+        for key, default in options.items():
+            p.add_argument(f"--{key}", type=type(default), required=True)
         p.add_argument("--delta", type=float, required=True)
         p.add_argument("--eval", type=float)
         p.add_argument("--ft", type=float)
@@ -394,12 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification")
     vsub = v.add_subparsers(dest="what", required=True)
     g = vsub.add_parser("gw")
-    g.add_argument("--kernel", choices=("poisson", "odd"),
-                   required=True)
-    # defaults from _GW_OPTIONS, for the --kernel family alone
-    g.add_argument("--beta", type=float)
-    g.add_argument("--m", type=int)
-    g.add_argument("--alpha", type=float)
+    g.add_argument("--kernel", choices=tuple(_FAMILIES), required=True)
+    for _, options in _FAMILIES.values():
+        for key, default in options.items():
+            g.add_argument(f"--{key}", type=type(default))
     g.add_argument("--delta", type=float, required=True)
     g.add_argument("--sign", choices=("+", "-"), default="+")
     g.add_argument("--t", type=float, required=True)

@@ -11,8 +11,9 @@ bounded by the zero-counting density times the kernel's real-line envelope.
 
 Both kernel families are Poisson mixtures: real(sign, x) = sum h_u(x) (a +
 b cos(2 pi delta x)), h_u(x) = u/(u^2 + x^2), over the members (u, a, b) of
-Kernel.poisson_mixture(sign).  So the two terms that need the kernel off
-the real line are closed forms summed over the members (_gamma_integral).
+PoissonMixture.poisson_mixture(sign).  So the two terms that need the
+kernel off the real line are closed forms summed over the members
+(_gamma_integral).
 With D(K) = (1/2pi) int K(t - x) Re psi(1/4 + ix/2) dx, D(h_u) is the
 harmonic extension of Re psi(1/4 - iz/2), as h_u/pi is the Poisson kernel
 of the upper half-plane.  For h_u cos(2 pi delta .) the contour closes
@@ -41,9 +42,9 @@ arch term is within 2 (n + 12 + 8 max |p|) eps sum |W u F+ F-| over the n
 members, at the phase delta t reduced exactly (numkit.frac_product).
 
 The zero side sum_gamma K(t - gamma) + K(t + gamma) reads the kernel
-through Kernel.real_parts: K = f + A sin^2(pi delta x) ('+') or f - A
-cos^2(pi delta x) ('-'), so with A-+ = A(t -+ gamma), c = cos(2 pi delta
-gamma), s = sin(2 pi delta gamma) and theta = 2 pi delta t,
+through PoissonMixture.real_parts: K = f + A sin^2(pi delta x) ('+') or
+f - A cos^2(pi delta x) ('-'), so with A-+ = A(t -+ gamma), c = cos(2 pi
+delta gamma), s = sin(2 pi delta gamma) and theta = 2 pi delta t,
 
   sum A trig = (1/2) [sum (A- + A+) -+ (cos theta sum c (A- + A+)
                + sin theta sum s (A- - A+))]
@@ -63,7 +64,7 @@ import cmath
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Protocol
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -71,58 +72,9 @@ from .numkit import (DomainError, MangoldtTable, Sign, _check_sign,
                      digamma, frac_product, quad_adaptive, sieve_mangoldt,
                      sum_tail_bounded, trig_sq)
 from .odd_extremal import OddExtremalPair
-from .poisson_extremal import (PoissonExtremalPair, arch_products,
-                               mixture_at)
+from .poisson_extremal import (PoissonExtremalPair, PoissonMixture,
+                               arch_products, mixture_at)
 from .zeta_core import SnValue, ZeroTable, ZeroTableError
-
-
-class Kernel(Protocol):
-    """A bandlimited majorant ('+') / minorant ('-') pair of exponential
-    type 2 pi delta, as gw_evaluate and the CLI use it; ``formula`` names
-    how ``real``, ``ft`` and ``l1_gap`` are computed, and ``ft_error``
-    bounds |ft - transform| at each xi.  Both families implement it once,
-    as mixtures of Poisson pairs (poisson_extremal.PoissonMixture).
-    ``real_parts`` splits ``real`` into the parts the zero side sums
-    without a trigonometric call per zero; ``poisson_mixture`` gives the
-    digamma and archimedean terms in closed form, with the same members u
-    for both signs.
-    Kernels are hashable, and equal kernels have equal transforms: a
-    Mangoldt table keys its cached prime side (_prime_side) on them, and
-    a GwReport holds its kernel rather than a copy of describe().
-    ``_cache`` is a dict, left out of the hash and equality, in which
-    gw_evaluate keeps the digamma and archimedean terms that both signs
-    share at the most recent t (_sign_free_terms)."""
-
-    delta: float
-    formula: Mapping[str, str]
-    ft_error: float
-    _cache: dict
-
-    def describe(self) -> dict:
-        """Family name and parameters, in a fixed key order."""
-
-    def target(self, x: np.ndarray) -> np.ndarray:
-        """The function the pair brackets."""
-
-    def real(self, sign: Sign, x: np.ndarray) -> np.ndarray:
-        """Values at real points x, as a 1-D array."""
-
-    def real_parts(self, sign: Sign, x: np.ndarray) -> tuple:
-        """(f, A), 1-D arrays at real points x: real = f + A sin^2(pi
-        delta x) ('+') or f - A cos^2(pi delta x) ('-')."""
-
-    def ft(self, sign: Sign, xi: float | np.ndarray) -> float | np.ndarray:
-        """Fourier transform at each xi, supported in [-delta, delta]:
-        an array for an array xi, a float for a scalar xi."""
-
-    def l1_gap(self, sign: Sign) -> float:
-        """L1 distance between the pair member and the target."""
-
-    def tail_envelope(self, sign: Sign) -> float:
-        """K with |real(sign, x)| <= K/x^2 on the real axis, proved."""
-
-    def poisson_mixture(self, sign: Sign) -> tuple:
-        """(u, a, b), 0 < u <= 1: real = sum h_u (a + b cos(2 pi delta x))."""
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +116,7 @@ class GwReport:
     GwConstants."""
 
     t: float
-    kernel: Kernel
+    kernel: PoissonMixture
     sign: Sign
     constants: GwConstants
     terms: bytes
@@ -232,7 +184,8 @@ _HALVES, _QUARTERS = np.array([[0.5], [-0.5]]), np.array([[0.25], [1.25]])
 _T_BITS = struct.Struct("d")
 
 
-def _sign_free_terms(kernel: Kernel, u: np.ndarray, t: float) -> tuple:
+def _sign_free_terms(kernel: PoissonMixture, u: np.ndarray,
+                     t: float) -> tuple:
     """(Re psi+, D, F+ F-) over the members u at t, the part of
     _gamma_integral that no sign's weights (a, b) enter: Re psi+ = Re
     psi(1/4 + u/2 + it/2), D = e (Re psi+ + Re psi(w + 1))/2 + Re J with
@@ -267,7 +220,7 @@ def _sign_free_terms(kernel: Kernel, u: np.ndarray, t: float) -> tuple:
     return hit[1:]
 
 
-def _gamma_integral(kernel: Kernel, sign: Sign,
+def _gamma_integral(kernel: PoissonMixture, sign: Sign,
                     t: float) -> tuple[float, float]:
     """(1/2pi) int K(t-x) Re psi(1/4+ix/2) dx and 2 Re K(t+i/2) for K =
     real(sign, .), the module docstring's closed forms summed over the
@@ -304,12 +257,12 @@ def _density_tail(t_shift: float, t0: float) -> float:
 def _zero_tail_bound(env_k: float, t: float, t0: float) -> float:
     """Bound on the dropped zero-sum tail beyond the last ordinate t0.
 
-    The proved |kernel(x)| <= env_k/x^2 (Kernel.tail_envelope) against
-    the zero-counting density log(u/2pi)/(2pi) du on u > t0, summed over
-    both shifts, x = t - u and x = t + u: that is the whole dropped part
-    of the zero side.  The remaining factor 2 is a margin, not proved,
-    for the counting function's oscillating part S(u) = O(log u), which
-    the smooth density leaves out.
+    The proved |kernel(x)| <= env_k/x^2 (PoissonMixture.tail_envelope)
+    against the zero-counting density log(u/2pi)/(2pi) du on u > t0,
+    summed over both shifts, x = t - u and x = t + u: that is the whole
+    dropped part of the zero side.  The remaining factor 2 is a margin,
+    not proved, for the counting function's oscillating part S(u) =
+    O(log u), which the smooth density leaves out.
     """
     smooth = env_k / (2.0 * math.pi) * (_density_tail(t, t0)
                                         + _density_tail(-t, t0))
@@ -337,7 +290,7 @@ def _zero_phases(zeros: ZeroTable, delta: float) -> tuple:
     return hit
 
 
-def _zero_side(kernel: Kernel, sign: Sign, t: float,
+def _zero_side(kernel: PoissonMixture, sign: Sign, t: float,
                zeros: ZeroTable) -> float:
     """sum over the ordinates gamma of real(sign, t - gamma) + real(sign,
     t + gamma): f summed, A trig from the phases except on the zeros
@@ -371,7 +324,7 @@ def _zero_side(kernel: Kernel, sign: Sign, t: float,
 # prime-power sum
 # ---------------------------------------------------------------------------
 
-def prime_sum(kernel: Kernel, sign: Sign, t: float,
+def prime_sum(kernel: PoissonMixture, sign: Sign, t: float,
               table: MangoldtTable) -> float:
     """(1/pi) sum over prime powers n of Lambda(n) n^{-1/2}
     kernel.ft(sign, log n / 2pi) cos(t log n); finite since the transform
@@ -390,7 +343,7 @@ def prime_sum(kernel: Kernel, sign: Sign, t: float,
     return float(np.sum(c)) / math.pi
 
 
-def _prime_side(kernel: Kernel, sign: Sign, table: MangoldtTable):
+def _prime_side(kernel: PoissonMixture, sign: Sign, table: MangoldtTable):
     """log n and the weighted transform Lambda(n) n^{-1/2} ft(log n / 2pi)
     over the prime powers n <= e^{2 pi kernel.delta}, and the report's
     GwConstants, with log_pi_term = ft(0) log(pi)/2pi and
@@ -416,11 +369,16 @@ def _prime_side(kernel: Kernel, sign: Sign, table: MangoldtTable):
 # explicit-formula evaluation
 # ---------------------------------------------------------------------------
 
-def gw_evaluate(kernel: Kernel, sign: Sign, t: float, delta: float,
+def gw_evaluate(kernel: PoissonMixture, sign: Sign, t: float, delta: float,
                 zeros: ZeroTable,
                 mangoldt: Optional[MangoldtTable] = None) -> GwReport:
     """Evaluate both sides of the explicit formula for the shifted kernel
     x -> kernel(t - x) and report the truncation residual.
+
+    The kernel is a PoissonMixture, or any hashable object, equal ones
+    with equal transforms, with the members read here: ``delta``,
+    ``real_parts``, ``ft``, ``ft_error``, ``tail_envelope``,
+    ``poisson_mixture`` and a ``_cache`` dict.
 
     ``delta`` must match kernel.delta, which every stage reads; a
     prebuilt Mangoldt table may be supplied to amortize sieving across

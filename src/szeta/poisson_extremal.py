@@ -68,13 +68,17 @@ _MOMENTS = 14
 
 
 class PoissonMixture:
-    """An explicit_formula.Kernel on top of a mixture of Poisson pairs
-    (module docstring), read off one hook, _members.  A subclass is a
-    frozen dataclass with a ``delta`` field and a ``_cache`` dict that
-    is left out of its hash and equality.  The dict keeps the members,
-    weights and moments ("mixture", _mixture_terms) and, one entry deep,
-    explicit_formula's sign-free digamma and arch terms at the most
-    recent t ("sign_free", 32 B per member)."""
+    """The kernel interface of both families: a majorant ('+') / minorant
+    ('-') pair of exponential type 2 pi delta on a mixture of Poisson
+    pairs (module docstring), read off one hook, _members.  A subclass is
+    a frozen dataclass with a ``delta`` field, ``formula`` (how ``real``,
+    ``ft`` and ``l1_gap`` are computed), ``ft_error`` (a bound on |ft -
+    transform| at each xi), describe() and a ``_cache`` dict left out of
+    its hash and equality, so equal kernels hash equal and have equal
+    transforms.  The dict keeps the members, weights and moments
+    ("mixture", _mixture_terms) and, one entry deep, explicit_formula's
+    sign-free digamma and arch terms at the most recent t ("sign_free",
+    32 B per member)."""
 
     def _members(self) -> tuple:
         """(u, w): the members u > 0 and their weights, 1-D arrays."""

@@ -150,6 +150,19 @@ class TestExitCodes:
         assert err.split(" not read")[0].split() == ["error:", *(
             f"{flag}," for flag in unread[:-1]), unread[-1]]
 
+    @pytest.mark.parametrize("item,given,missing", [
+        ("A1", "", "--m, --alpha"), ("A2", "--alpha 0.7 --m 0", "--k"),
+        ("B4", "", "--beta")], ids=["A1", "A2", "B4"])
+    def test_appendix_option_the_item_needs_is_usage_error(
+            self, item, given, missing, capsys):
+        # these exited 3 with "region violation: missing parameter"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "appendix", "--id", item, "--x", "1e5",
+                  *given.split()])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"error: {missing} required by --id {item}\n")
+
     @pytest.mark.parametrize("kernel,params", [
         ("poisson", {"beta": 0.25}), ("odd", {"m": 0, "alpha": 0.75})])
     def test_gw_fills_the_defaults_of_its_kernel_family(self, kernel,
@@ -204,6 +217,30 @@ class TestExtremal:
         assert r.returncode == 0, r.stderr
         out = json.loads(r.stdout)
         assert out["minorant"] <= out["target"] <= out["majorant"]
+
+    @pytest.mark.parametrize("argv,formula", [
+        ("odd --m 0 --alpha 0.5 --delta 1 --ft 0 --l1",
+         {"ft": "poisson_mixture", "l1_gap": "closed_sigma_integral"}),
+        ("poisson --beta 0.25 --delta 1 --eval 0.3 --ft 0.5 --l1",
+         dict.fromkeys(("real", "ft", "l1_gap"), "closed_form")),
+        ("poisson --beta 0.25 --delta 1", None),
+    ], ids=["odd ft l1", "poisson eval ft l1", "nothing asked"])
+    def test_formula_names_each_printed_quantity(self, argv, formula,
+                                                 capsys):
+        # one "formula" string, the last quantity's, hid the others'
+        assert main(["extremal", *argv.split()]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out.get("formula") == formula
+        if formula is not None:
+            assert list(out)[-1] == "formula"
+
+    def test_formula_output_text(self, capsys):
+        assert main(["extremal", "odd", "--m", "0", "--alpha", "0.5",
+                     "--delta", "1", "--ft", "0", "--l1", "--output",
+                     "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["formula.ft: poisson_mixture",
+                              "formula.l1_gap: closed_sigma_integral"]
 
     def test_odd_ft_at_zero(self):
         r = run_cli("extremal", "odd", "--m", "0", "--alpha", "0.5",

@@ -918,8 +918,9 @@ class TestThirdKernel:
     class TwoMembers:
         """0.3 m_{0.1} + 0.7 m_{0.4}: two Poisson pairs of one delta and
         sign, with weights that neither family builds; a majorant ('+')
-        or minorant ('-') of 0.3 h_{0.1} + 0.7 h_{0.4}, implementing what
-        gw_evaluate uses of the Kernel interface."""
+        or minorant ('-') of 0.3 h_{0.1} + 0.7 h_{0.4}, duck-typed: not a
+        PoissonMixture, it has just the members that gw_evaluate's
+        docstring says it reads."""
 
         ft_error = 0.0
         weights = (0.3, 0.7)
