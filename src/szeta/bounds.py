@@ -155,8 +155,6 @@ class BoundEnvelope:
     err_scale_upper: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
         if self.ell <= 0 or self.err_scale <= 0:
             raise ValueError("ell and err_scale must be > 0")
         if not self.lower_main <= 0.0 <= self.upper_main:
@@ -177,6 +175,8 @@ def _envelope_terms(n: int, alpha: float, t: float,
         raise DomainError(f"n must be >= -1, got {n}")
     if not 0.5 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (1/2, 1), got {alpha}")
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"c must be finite and > 0, got {c}")
     lt = math.log(t)
     llt = _loglog(t)
     pw = lt ** (2.0 - 2.0 * alpha)
@@ -207,7 +207,6 @@ class InterpParams:
     a: float
     b: float
     lam: float
-    nu: float
 
     def __post_init__(self):
         if not (0.0 <= self.a <= 1.0 and 0.0 <= self.b <= 1.0):
@@ -224,15 +223,14 @@ def interp_params(n: int, alpha: float, t: float) -> InterpParams:
     sqrt(2 (C+_{n+1} + C-_{n+1}) (C+_{n-1} + C-_{n-1})
          / (C+_{n-1} C-_{n-1})); for n = 0 the weights degenerate to
     (0, 1) and lambda = sqrt(2 (C+_1 + C-_1)/C-_{-1})."""
-    llt = _check_region(alpha, t, 0.0)
+    _check_region(alpha, t, 0.0)
     cpa, cma, cpb, cmb = _adjacent_odd(n, alpha, t)
     if n == 0:
         lam = math.sqrt(2.0 * (cpa + cma) / cmb)
-        return InterpParams(a=0.0, b=1.0, lam=lam, nu=lam / llt)
+        return InterpParams(a=0.0, b=1.0, lam=lam)
     x = cpb / cmb
     lam = math.sqrt(2.0 * (cpa + cma) * (cpb + cmb) / (cpb * cmb))
-    return InterpParams(a=x / (1.0 + x), b=1.0 / (1.0 + x),
-                        lam=lam, nu=lam / llt)
+    return InterpParams(a=x / (1.0 + x), b=1.0 / (1.0 + x), lam=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ selftest  the full acceptance suite
 Exit codes: 0 success (verify: within band), 1 verification outside its
 band or selftest failure, 2 usage error (including an unknown config key,
 a config line that is not key=value, an unreadable --config file, a
-malformed --sweep, a --slack for an appendix item with a calibrated
-band, an option that the verify gw kernel or the verify appendix item
-does not read, or one that the appendix item reads and is not given),
-3 parameter-region violation, t beyond the zero table, or a resource
-limit (DomainError, ZeroTableError and ResourceError, mapped in
-``main``), 4 missing or malformed zeros file.
+malformed --sweep, a negative or non-finite --slack, a --slack for an
+appendix item with a calibrated band, an option that the verify gw
+kernel, the verify appendix item or verify envelope without
+--with-observed does not read, or one that the appendix item reads and
+is not given), 3 parameter-region violation (a non-finite parameter
+included), t beyond the zero table, a resource limit, or zeta too close
+to a zero (DomainError, ZeroTableError, ResourceError and
+ConditioningError, mapped in ``main``), 4 missing or malformed zeros
+file.
 
 Output is deterministic: JSON fields appear in fixed insertion order
 and every float is rendered with 15 significant digits in scientific
@@ -24,9 +27,10 @@ text prints the same fields, one key: value line per leaf, a nested
 field as parent.key.  extremal's ``formula`` maps each quantity it
 prints (real, ft, l1_gap) to how the pair computes it.
 
-The commands that read a zero table (verify gw/rep/envelope, selftest)
-also read a key=value config file: --config PATH, or ./szeta.cfg when
-present.  Its one key is ``zeros_path``; --zeros takes precedence.
+The commands that read a zero table (verify gw, verify rep, verify
+envelope --with-observed, selftest) also read a key=value config file:
+--config PATH, or ./szeta.cfg when present.  Its one key is
+``zeros_path``; --zeros takes precedence.
 """
 
 from __future__ import annotations
@@ -235,10 +239,6 @@ def _sweep_alphas(spec: str) -> list[float]:
 
 
 def cmd_bound(args) -> int:
-    if not args.sweep and args.alpha is None:
-        print("error: either --alpha or --sweep is required",
-              file=sys.stderr)
-        return EXIT_USAGE
     if not args.sweep:
         env = bd.envelope(args.n, args.alpha, args.t, args.c)
         _emit(asdict(env), args.output)
@@ -298,6 +298,11 @@ def _verify_rep(args) -> int:
     return EXIT_OK if out["within_band"] else EXIT_BAND
 
 
+def _check_slack(slack: float | None) -> None:
+    if slack is not None and not 0.0 <= slack < math.inf:
+        _usage_error("slack must be finite and >= 0")
+
+
 def _verify_appendix(args) -> int:
     params = {"x": args.x}
     for key in ("alpha", "m", "k", "beta"):
@@ -311,6 +316,7 @@ def _verify_appendix(args) -> int:
                if key not in params]
     if missing:
         _usage_error(f"{', '.join(missing)} required by --id {args.id}")
+    _check_slack(args.slack)
     try:
         band = ef.appendix_band(args.id, args.m, args.slack)
     except ValueError as exc:
@@ -325,8 +331,12 @@ def _verify_appendix(args) -> int:
 
 
 def _verify_envelope(args) -> int:
-    path = _zeros_path(args)  # checks the config file in either case
-    zeros = _load_zeros(path) if args.with_observed else None
+    unread = [f"--{key}" for key in ("zeros", "config")
+              if not args.with_observed and getattr(args, key) is not None]
+    if unread:
+        _usage_error(f"{', '.join(unread)} not read without --with-observed")
+    _check_slack(args.slack)
+    zeros = _load_zeros(_zeros_path(args)) if args.with_observed else None
     chk = bd.check_envelope(args.n, args.alpha, args.t, args.c,
                             zeros=zeros, slack=args.slack)
     _emit(asdict(chk), args.output)
@@ -392,10 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bound", help="bound envelopes")
     b.add_argument("--n", type=int, required=True)
-    b.add_argument("--alpha", type=float)
+    alpha = b.add_mutually_exclusive_group(required=True)
+    alpha.add_argument("--alpha", type=float)
+    alpha.add_argument("--sweep", help="alpha:lo:hi:step")
     b.add_argument("--t", type=float, required=True)
     b.add_argument("--c", type=float, default=1.0)
-    b.add_argument("--sweep", help="alpha:lo:hi:step")
     _output_flag(b)
     b.set_defaults(func=cmd_bound)
 
@@ -460,6 +471,8 @@ def main(argv=None) -> int:
         msg = f"outside the zero table: {exc}"
     except ResourceError as exc:
         msg = f"resource limit: {exc}"
+    except zc.ConditioningError as exc:
+        msg = f"ill-conditioned: {exc}"
     print(msg, file=sys.stderr)
     return EXIT_REGION
 

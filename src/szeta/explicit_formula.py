@@ -399,7 +399,7 @@ def gw_evaluate(kernel: PoissonMixture, sign: Sign, t: float, delta: float,
         raise DomainError(
             f"delta {delta} does not match kernel delta {kernel.delta}")
     t0 = float(zeros.ordinates[-1])
-    if abs(t) >= t0:  # the zero side is even in t
+    if not abs(t) < t0:  # the zero side is even in t
         raise ZeroTableError(
             f"t = {t} not covered by the zero table (last ordinate {t0})")
     if mangoldt is None:
@@ -443,7 +443,7 @@ def rep_sum(n: int, alpha: float, t: float, zeros: ZeroTable) -> SnValue:
         raise DomainError("n must be >= -1")
     if not 0.5 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [1/2, 1), got {alpha}")
-    if t < 2.0:
+    if not t >= 2.0:
         raise DomainError(f"t must be >= 2, got {t}")
     if n == -1 and alpha == 0.5:
         raise DomainError("n = -1 requires alpha > 1/2")
@@ -505,19 +505,6 @@ def rep_band(rep: SnValue) -> float:
 # asymptotic oracles (integrals and sieved sums vs. their main terms)
 # ---------------------------------------------------------------------------
 
-def _check_alpha_x(alpha: float, x: float, c: Optional[float],
-                   strict_half: bool = False) -> None:
-    lo_ok = alpha > 0.5 if strict_half else alpha >= 0.5
-    if not (lo_ok and alpha < 1.0):
-        raise DomainError(f"alpha = {alpha} outside range")
-    if x < 3.0:
-        raise DomainError(f"x must be >= 3, got {x}")
-    if c is not None and (1.0 - alpha) ** 2 * math.log(x) < c:
-        raise DomainError(
-            f"region violated: (1-alpha)^2 log x = "
-            f"{(1.0 - alpha) ** 2 * math.log(x):.6g} < c = {c}")
-
-
 def _mangoldt_arrays(x: float):
     table = sieve_mangoldt(int(math.floor(x)))
     return table.n, table.lam
@@ -539,13 +526,19 @@ _APPENDIX_BANDS = {("A1", 0): 20.0, ("A1", 1): 2200.0,
 APPENDIX_SLACK = 10.0  # the band of every other (id, m)
 
 
-# the parameters each item reads, in the order its branch of
-# appendix_asymptotic unpacks them; a region constant c is optional
+# the parameters each item reads, in the order verify appendix names
+# the missing ones; a region constant c is optional
 APPENDIX_PARAMS = {"A1": ("m", "alpha", "x"), "A2": ("m", "k", "alpha", "x"),
                    "A3": ("m", "k", "alpha", "x"), "A4": ("alpha", "x"),
                    "A5": ("m", "alpha", "x"), "B1": ("m", "alpha", "x"),
                    "B2": ("m", "alpha", "x"), "B3": ("m", "alpha", "x"),
                    "B4": ("beta", "x")}
+# the items whose region (1-alpha)^2 log x >= c is checked when c is
+# given; those that need alpha > 1/2 (A4 divides by alpha - 1/2, and the
+# tail bound of _q_series needs q = x^(1/2 - alpha) < 1); the least k
+_CHECKS_C = frozenset(("A1", "A2", "B1", "B2", "B3"))
+_ALPHA_ABOVE_HALF = frozenset(("A4", "A5", "B3"))
+_LEAST_K = {"A2": 1, "A3": 0}
 
 
 def appendix_band(id: str, m: Optional[int] = None,
@@ -599,11 +592,14 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
     For the pure-inequality items (A4, A5, B3) the main term is the bound
     itself (A4) or zero with the bound as error scale (A5, B3).  A5 and B3
     are series in q = x^(1/2 - alpha), summed until a proved tail bound is
-    below 1e-15 (A5) or 1e-13 (B3) times that scale (_q_series), so they
-    need alpha > 1/2.
+    below 1e-15 (A5) or 1e-13 (B3) times that scale (_q_series).
 
-    The check's ``params`` keep, in the order given, the parameters the
-    item reads (APPENDIX_PARAMS) and c; others are dropped.
+    The inputs are checked in one place, from the declarations next to
+    APPENDIX_PARAMS: the parameters the item reads, k against _LEAST_K,
+    alpha in [1/2, 1) (in (1/2, 1) for _ALPHA_ABOVE_HALF) or B4's beta in
+    [0, 1/2), x finite and >= 3, then c for _CHECKS_C.  The check's
+    ``params`` keep, in the order given, the parameters the item reads
+    and c; others are dropped.
     """
     pid = id.upper()
     names = APPENDIX_PARAMS.get(pid)
@@ -613,25 +609,28 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
         if name not in params:
             raise DomainError(f"missing parameter {name!r}")
     params = {k: v for k, v in params.items() if k in names or k == "c"}
-    read = [params[name] for name in names]
+    alpha, beta, x, k, c = map(params.get, ("alpha", "beta", "x", "k", "c"))
+    if pid in _LEAST_K and k < _LEAST_K[pid]:
+        raise DomainError(f"k must be >= {_LEAST_K[pid]}")
+    if pid == "B4":
+        if not 0.0 <= beta < 0.5:
+            raise DomainError(f"beta must lie in [0, 1/2), got {beta}")
+    elif not 0.5 <= alpha < 1.0 or alpha == 0.5 and pid in _ALPHA_ABOVE_HALF:
+        raise DomainError(f"alpha = {alpha} outside range")
+    if not 3.0 <= x < math.inf:
+        raise DomainError(f"x must be finite and >= 3, got {x}")
+    lx = math.log(x)
+    if pid in _CHECKS_C and c is not None and not c <= (1.0 - alpha) ** 2 * lx:
+        raise DomainError(f"region violated: (1-alpha)^2 log x = "
+                          f"{(1.0 - alpha) ** 2 * lx:.6g} < c = {c}")
+    p = 2 * params.get("m", 0) + 2  # A4 and B4 read no m
     if pid == "A1":
-        m, alpha, x = read
-        _check_alpha_x(alpha, x, params.get("c"))
-        p = 2 * m + 2
         main = _main_term(alpha, x, p)
         direct = quad_adaptive(
             lambda u: u ** (-alpha) * math.log(u) ** (-p), 2.0, x,
             tol=_appendix_tol(main))
-        return AsymptoticCheck(id=pid, params=params, direct=direct,
-                               main_term=main,
-                               error_scale=_error_scale(alpha, x, p))
-    if pid == "A2":
-        m, k, alpha, x = read
-        if k < 1:
-            raise DomainError("k must be >= 1")
-        _check_alpha_x(alpha, x, params.get("c"))
-        p = 2 * m + 2
-        lx = math.log(x)
+        err = _error_scale(alpha, x, p)
+    elif pid == "A2":
         main = (x ** (1 - alpha) / ((1 - alpha) * ((k + 1) * lx) ** p)
                 - 2.0 ** (1 - alpha)
                 / ((1 - alpha) * (k * lx + math.log(2.0)) ** p))
@@ -640,15 +639,7 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
             2.0, x, tol=_appendix_tol(main))
         err = (x ** (1 - alpha)
                / ((1 - alpha) ** 2 * ((k + 1) * lx) ** (p + 1)))
-        return AsymptoticCheck(id=pid, params=params, direct=direct,
-                               main_term=main, error_scale=err)
-    if pid == "A3":
-        m, k, alpha, x = read
-        if k < 0:
-            raise DomainError("k must be >= 0")
-        _check_alpha_x(alpha, x, None)
-        p = 2 * m + 2
-        lx = math.log(x)
+    elif pid == "A3":
         main = (x ** alpha / (alpha * ((k + 1) * lx) ** p)
                 - 2.0 ** alpha
                 / (alpha * ((k + 2) * lx - math.log(2.0)) ** p))
@@ -656,24 +647,13 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
             lambda u: u ** (alpha - 1) * ((k + 2) * lx - math.log(u)) ** (-p),
             2.0, x, tol=_appendix_tol(main))
         err = x ** alpha / (((k + 1) * lx) ** (p + 1))
-        return AsymptoticCheck(id=pid, params=params, direct=direct,
-                               main_term=main, error_scale=err)
-    if pid == "A4":
-        alpha, x = read
-        _check_alpha_x(alpha, x, None, strict_half=True)
+    elif pid == "A4":
         direct = 1.0 / (x ** (alpha - 0.5) - 1.0)
-        main = 1.0 / ((alpha - 0.5) * math.log(x))
-        return AsymptoticCheck(id=pid, params=params, direct=direct,
-                               main_term=main, error_scale=main)
-    if pid == "A5":
-        m, alpha, x = read
-        # the tail bound of _q_series needs q < 1
-        _check_alpha_x(alpha, x, None, strict_half=True)
-        p = 2 * m + 2
-        lx = math.log(x)
+        main = err = 1.0 / ((alpha - 0.5) * lx)
+    elif pid == "A5":
         l2 = math.log(2.0)
         q = x ** (-(alpha - 0.5))
-        bound = _error_scale(alpha, x, p)
+        err = _error_scale(alpha, x, p)
 
         def left(k):
             return 2.0 ** alpha / (x ** (2 * alpha - 1)
@@ -683,65 +663,44 @@ def appendix_asymptotic(id: str, params: Mapping) -> AsymptoticCheck:
             return 2.0 ** (1 - alpha) / ((k * lx + l2) ** p)
 
         # both parts are positive and decrease in k
-        total = _q_series(q, lambda k: left(k) - right(k),
-                          lambda k: left(k) + right(k), 1e-15 * bound)
-        return AsymptoticCheck(id=pid, params=params, direct=total,
-                               main_term=0.0, error_scale=bound)
-    if pid == "B1":
-        m, alpha, x = read
-        _check_alpha_x(alpha, x, params.get("c"))
-        p = 2 * m + 2
+        direct = _q_series(q, lambda k: left(k) - right(k),
+                           lambda k: left(k) + right(k), 1e-15 * err)
+        main = 0.0
+    elif pid == "B1":
         n, lam = _mangoldt_arrays(x)
         direct = float(np.sum(lam / (n ** alpha * np.log(n) ** p)))
-        return AsymptoticCheck(id=pid, params=params, direct=direct,
-                               main_term=_main_term(alpha, x, p),
-                               error_scale=_error_scale(alpha, x, p))
-    if pid == "B2":
-        m, alpha, x = read
-        _check_alpha_x(alpha, x, params.get("c"))
-        p = 2 * m + 2
-        lx = math.log(x)
+        main, err = _main_term(alpha, x, p), _error_scale(alpha, x, p)
+    elif pid == "B2":
         n, lam = _mangoldt_arrays(x)
         direct = float(np.sum(
             lam / (n ** (1 - alpha) * (2 * lx - np.log(n)) ** p))
         ) / x ** (2 * alpha - 1)
-        return AsymptoticCheck(id=pid, params=params, direct=direct,
-                               main_term=x ** (1 - alpha) / (alpha * lx ** p),
-                               error_scale=_error_scale(alpha, x, p))
-    if pid == "B3":
-        m, alpha, x = read
-        # the tail bound of _q_series needs q < 1
-        _check_alpha_x(alpha, x, params.get("c"), strict_half=True)
-        p = 2 * m + 2
-        lx = math.log(x)
+        main = x ** (1 - alpha) / (alpha * lx ** p)
+        err = _error_scale(alpha, x, p)
+    elif pid == "B3":
         n, lam = _mangoldt_arrays(x)
         logn = np.log(n)
         w_left = lam / n ** alpha
         w_right = lam * n ** (alpha - 1) / x ** (2 * alpha - 1)
         q = x ** (-(alpha - 0.5))
-        bound = _error_scale(alpha, x, p)
+        err = _error_scale(alpha, x, p)
         # log 2 <= log n <= log x bounds each prime sum by its weights'
         s_left, s_right = float(np.sum(w_left)), float(np.sum(w_right))
         l2 = math.log(2.0)
-        total = _q_series(
+        direct = _q_series(
             q, lambda k: float(np.sum(w_left / (k * lx + logn) ** p
                                       - w_right / ((k + 2) * lx - logn) ** p)),
             lambda k: (s_left / (k * lx + l2) ** p
-                       + s_right / ((k + 1) * lx) ** p), 1e-13 * bound)
-        return AsymptoticCheck(id=pid, params=params, direct=total,
-                               main_term=0.0, error_scale=bound)
-    beta, x = read  # B4
-    if not 0.0 <= beta < 0.5:
-        raise DomainError(f"beta must lie in [0, 1/2), got {beta}")
-    if x < 3.0:
-        raise DomainError(f"x must be >= 3, got {x}")
-    n, lam = _mangoldt_arrays(x)
-    direct = float(np.sum(
-        lam / np.sqrt(n) * ((x / n) ** beta - (n / x) ** beta)))
-    main = ((2.0 * beta * math.sqrt(x)
-             - 2.0 ** (0.5 - beta) * x ** beta * (0.5 + beta) ** 2
-             + 2.0 ** (0.5 + beta) * x ** (-beta) * (0.5 - beta) ** 2)
-            / (0.25 - beta * beta))
-    err = max(beta * x ** beta * math.log(x) ** 4, 1e-30)
+                       + s_right / ((k + 1) * lx) ** p), 1e-13 * err)
+        main = 0.0
+    else:  # B4
+        n, lam = _mangoldt_arrays(x)
+        direct = float(np.sum(
+            lam / np.sqrt(n) * ((x / n) ** beta - (n / x) ** beta)))
+        main = ((2.0 * beta * math.sqrt(x)
+                 - 2.0 ** (0.5 - beta) * x ** beta * (0.5 + beta) ** 2
+                 + 2.0 ** (0.5 + beta) * x ** (-beta) * (0.5 - beta) ** 2)
+                / (0.25 - beta * beta))
+        err = max(beta * x ** beta * lx ** 4, 1e-30)
     return AsymptoticCheck(id=pid, params=params, direct=direct,
                            main_term=main, error_scale=err)

@@ -109,8 +109,9 @@ class OddExtremalPair(PoissonMixture):
             raise DomainError(f"m must be an integer >= 0, got {self.m!r}")
         if not 0.5 <= self.alpha < 1.0:
             raise DomainError(f"alpha must lie in [1/2, 1), got {self.alpha}")
-        if self.delta < 1.0:
-            raise DomainError(f"delta must be >= 1, got {self.delta}")
+        if not 1.0 <= self.delta < math.inf:
+            raise DomainError(
+                f"delta must be finite and >= 1, got {self.delta}")
 
     # ------------------------------------------------------------------
     # sigma-integral quadrature grid (dyadic panels toward sigma = 1/2)

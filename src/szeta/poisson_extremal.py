@@ -242,8 +242,9 @@ class PoissonExtremalPair(PoissonMixture):
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
             raise DomainError(f"beta must lie in (0, 1/2), got {self.beta}")
-        if self.delta < 1.0:
-            raise DomainError(f"delta must be >= 1, got {self.delta}")
+        if not 1.0 <= self.delta < math.inf:
+            raise DomainError(
+                f"delta must be finite and >= 1, got {self.delta}")
 
     def _members(self) -> tuple:
         return np.array([self.beta]), np.array([1.0])

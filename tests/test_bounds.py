@@ -118,8 +118,6 @@ class TestInterp:
         ip = bd.interp_params(n, alpha, T_BIG)
         assert 0.5 <= ip.lam <= 2.0
         assert ip.a + ip.b == pytest.approx(1.0, abs=1e-12)
-        assert ip.nu == pytest.approx(
-            ip.lam / math.log(math.log(T_BIG)), rel=1e-12)
 
     def test_plugback_exact(self):
         for n in (2, 4):

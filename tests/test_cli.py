@@ -71,7 +71,30 @@ class TestExitCodes:
         ("extremal poisson --beta 0.7 --delta 1 --l1", "region violation: "),
         ("verify gw --kernel odd --m 0 --alpha 0.55 --delta 3 --t 30",
          "resource limit: "),
-    ], ids=["odd alpha", "poisson beta", "gw sieve"])
+        # NaN and infinity fail the range checks by name; these printed
+        # "nan" with exit 0 or 1, or ended in a traceback
+        ("verify gw --kernel poisson --delta 1.5 --t nan",
+         "outside the zero table: "),
+        ("verify gw --kernel poisson --delta nan --t 50",
+         "region violation: delta"),
+        ("verify gw --kernel odd --delta inf --t 50",
+         "region violation: delta"),
+        ("verify rep --n 1 --alpha 0.6 --t nan", "region violation: t"),
+        ("verify appendix --id B4 --x nan --beta 0.25",
+         "region violation: x"),
+        ("extremal poisson --beta 0.25 --delta nan --l1",
+         "region violation: delta"),
+        ("bound --n 1 --alpha 0.75 --t 1e30 --c nan", "region violation: c"),
+        ("bound --n 1 --alpha 0.75 --t 1e30 --c -1", "region violation: c"),
+        # zeta too close to a zero ended in a traceback with exit 1
+        ("verify rep --n -1 --alpha 0.5000001 --t 14.134725141734693",
+         "ill-conditioned: "),
+        ("verify envelope --n 1 --alpha 0.5000001 --t 14.134725141734693",
+         "ill-conditioned: "),
+    ], ids=["odd alpha", "poisson beta", "gw sieve", "gw t nan",
+            "gw delta nan", "gw delta inf", "rep t nan", "appendix x nan",
+            "extremal delta nan", "bound c nan", "bound c negative",
+            "rep near a zero", "envelope near a zero"])
     def test_library_error_exit3_one_line(self, argv, prefix, capsys):
         assert main(argv.split()) == 3
         out, err = capsys.readouterr()
@@ -335,6 +358,22 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "tol" in err
 
+    @pytest.mark.parametrize("argv", [
+        "verify envelope --n 0 --alpha 0.75 --t 500 --slack -5",
+        "verify envelope --n 0 --alpha 0.75 --t 500 --slack nan",
+        "verify envelope --n 0 --alpha 0.75 --t 500 --slack inf",
+        "verify appendix --id B4 --x 1e5 --beta 0.25 --slack -5",
+        "verify appendix --id B4 --x 1e5 --beta 0.25 --slack nan",
+    ], ids=["envelope -5", "envelope nan", "envelope inf", "appendix -5",
+            "appendix nan"])
+    def test_negative_or_nonfinite_slack_is_usage_error(self, argv, capsys):
+        # these printed an inverted or NaN band and exited 0 or 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "", "error: slack must be finite and >= 0\n")
+
     def test_zero_slack_flag_is_used(self, capsys):
         rc = main(["verify", "envelope", "--n", "0", "--alpha", "0.75",
                    "--t", "500", "--slack", "0"])
@@ -361,19 +400,23 @@ _ARGV = {
 _UNREAD = {
     "extremal poisson": ("--config", "--zeros", "--tol", "--slack"),
     "extremal odd": ("--config", "--zeros", "--tol", "--slack"),
-    "bound": ("--config", "--zeros", "--tol", "--slack"),
+    "bound": ("--config", "--zeros", "--tol", "--slack", "--sweep"),
     "verify gw": ("--slack", "--m", "--alpha"),
     "verify rep": ("--tol", "--slack"),
     "verify appendix": ("--config", "--zeros", "--tol", "--alpha", "--m",
                         "--k"),
-    "verify envelope": ("--tol",),
+    "verify envelope": ("--tol", "--zeros", "--config"),
     "selftest": ("--output", "--tol", "--slack"),
 }
 
 
+# the value each unread flag is given: one the command would accept
+_VALUE = {"--output": "json", "--sweep": "alpha:0.6:0.7:0.05"}
+
+
 @pytest.mark.parametrize("command,flag,value", [
-    *((c, f, "json" if f == "--output" else "1")
-      for c, flags in _UNREAD.items() for f in flags),
+    *((c, f, _VALUE.get(f, "1")) for c, flags in _UNREAD.items()
+      for f in flags),
     *((c, "--output", "csv") for c in _ARGV if c != "selftest"),
 ])
 def test_flag_a_command_does_not_read_is_usage_error(command, flag, value,

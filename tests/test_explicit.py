@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gamma_grid import grid_level, on_grid
 from scalar_ft import scalar_ft_g, scalar_ft_m
+from szeta import bounds as bd
 from szeta import explicit_formula as ef
 from szeta import zeta_core as zc
 from szeta.cli import _GW_KEYS
@@ -1145,3 +1146,51 @@ class TestAppendix:
         # tail bound
         with pytest.raises(DomainError, match="alpha"):
             ef.appendix_asymptotic(aid, {"x": 1e4, "alpha": 0.5, "m": 0})
+
+    @pytest.mark.parametrize("aid,needs_alpha_above_half,checks_c", [
+        ("A1", False, True), ("A2", False, True), ("A3", False, False),
+        ("A4", True, False), ("A5", True, False), ("B1", False, True),
+        ("B2", False, True), ("B3", True, True), ("B4", False, False)])
+    def test_alpha_half_and_c_raise_for_their_items(
+            self, aid, needs_alpha_above_half, checks_c):
+        # alpha = 1/2 is rejected exactly where the item needs alpha > 1/2,
+        # and a c above (1-alpha)^2 log x exactly where c is checked
+        params = {"m": 0, "k": 1, "alpha": 0.7, "beta": 0.25, "x": 1e4}
+        edge = (1 - 0.7) ** 2 * math.log(1e4)
+        for given, raises in [({"alpha": 0.5}, needs_alpha_above_half),
+                              ({"c": 1.001 * edge}, checks_c),
+                              ({"c": edge}, False)]:
+            if raises:
+                with pytest.raises(DomainError, match="alpha = 0.5|region"):
+                    ef.appendix_asymptotic(aid, {**params, **given})
+            else:
+                ef.appendix_asymptotic(aid, {**params, **given})
+
+
+@pytest.mark.parametrize("call,error,name", [
+    (lambda z: PoissonExtremalPair(0.25, math.nan), DomainError, "delta"),
+    (lambda z: PoissonExtremalPair(0.25, math.inf), DomainError, "delta"),
+    (lambda z: OddExtremalPair(m=0, alpha=0.75, delta=math.nan),
+     DomainError, "delta"),
+    (lambda z: OddExtremalPair(m=0, alpha=0.75, delta=math.inf),
+     DomainError, "delta"),
+    (lambda z: ef.gw_evaluate(PoissonExtremalPair(0.25, 1.5), "+",
+                              math.nan, 1.5, z), zc.ZeroTableError, "t = nan"),
+    (lambda z: ef.rep_sum(1, 0.6, math.nan, z), DomainError, "t must"),
+    (lambda z: ef.appendix_asymptotic("B4", {"beta": 0.25, "x": math.nan}),
+     DomainError, "x must"),
+    (lambda z: ef.appendix_asymptotic(
+        "A1", {"m": 0, "alpha": 0.7, "x": math.inf}), DomainError, "x must"),
+    (lambda z: bd.envelope(1, 0.75, 1e30, math.nan), DomainError, "c must"),
+    (lambda z: bd.envelope(1, 0.75, 1e30, -1.0), DomainError, "c must"),
+    (lambda z: bd.check_envelope(0, 0.75, 500.0, math.inf), DomainError,
+     "c must"),
+], ids=["poisson delta nan", "poisson delta inf", "odd delta nan",
+        "odd delta inf", "gw t nan", "rep t nan",
+        "appendix x nan", "appendix x inf", "envelope c nan",
+        "envelope c negative", "check_envelope c inf"])
+def test_nan_and_infinity_fail_the_range_checks_by_name(call, error, name,
+                                                        zeros):
+    # each of these passed NaN or infinity on, or failed past its check
+    with pytest.raises(error, match=name):
+        call(zeros)
